@@ -199,7 +199,7 @@ def _cmd_figure(args) -> int:
         scale=args.scale,
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
         out_dir=args.out or "figures",
-        threads=args.threads or 1,
+        threads=1 if args.threads is None else args.threads,
     )
     if args.svg:
         _render_svgs(args.figure_id, files)

@@ -419,6 +419,8 @@ def run_figure(
         )
     if scale not in ("paper", "desk"):
         raise ContractViolationError(f"scale must be 'paper' or 'desk', got {scale!r}")
+    if threads < 1:
+        raise ContractViolationError(f"threads must be >= 1, got {threads}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = FIGURES[figure_id]

@@ -4,11 +4,17 @@ Reproducibility contract: sample j's entire noise stream is a pure function
 of (master_seed, j), realized by a counter-based Philox generator keyed with
 the pair.  Results are therefore bit-identical across worker counts and
 execution orders; reductions over samples happen in fixed index order.
+
+One kernel, ``_advance``, steps a (C, N, q) block of samples in place: on
+chunks of _CHUNK_SAMPLES samples across min(n_workers, chunks, os.cpu_count())
+threads for ensembles, on one sample for ``simulate_path``.  ``euler_step``
+takes one step with the same step function; blow-ups: see ``_advance``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,8 +24,8 @@ from .lattice import ContractViolationError, LatticeModelSpec
 
 SAMPLE_INITIAL_LAW = "sample-initial-law"
 
-# Finite-ness is checked every _CHECK_EVERY steps and at the end; NaNs and
-# infs persist under the update, so nothing escapes detection.
+# Finite-ness is checked every _CHECK_EVERY steps and at the end of each noise
+# block; NaNs and infs persist under the update, so nothing escapes detection.
 _CHECK_EVERY = 8
 # Noise is pre-generated in blocks of steps sized to keep the buffer small;
 # block size never affects results (each sample is one continuous stream).
@@ -104,22 +110,22 @@ def _sample_generator(master_seed: int, sample_index: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(key=sample_stream_key(master_seed, sample_index)))
 
 
-def _drift_term(model: LatticeModelSpec, t: float, state: np.ndarray) -> np.ndarray:
-    """Local drift plus lattice-averaged mean field; state is (..., N, q)."""
-    x_prev = np.roll(state, 1, axis=-2)
-    x_next = np.roll(state, -1, axis=-2)
-    total = model.drift(t, x_prev, state, x_next)
-    total = total + model.mean_field(t, state).mean(axis=-2, keepdims=True)
-    return total
+def _require_finite(state: np.ndarray, time: float, sample_lo: int | None = None) -> None:
+    """Name the first non-finite entry of a (C, N, q) state, if any."""
+    bad = ~np.isfinite(state)
+    if bad.any():
+        sample, block, _ = np.argwhere(bad)[0]
+        local = None if sample_lo is None else sample_lo + int(sample)
+        raise NumericalBlowupError(time, int(block) + 1, local)
 
 
-def _first_bad_block(state: np.ndarray) -> tuple[int, int | None]:
-    """1-based (block, sample) of the first non-finite entry."""
-    bad = np.argwhere(~np.isfinite(state))
-    first = bad[0]
-    if state.ndim == 3:
-        return int(first[1]) + 1, int(first[0])
-    return int(first[-2]) + 1, None
+def _step(model: LatticeModelSpec, state, noise, h, noise_scale, work) -> None:
+    """state += h * drift(state) + noise @ noise_scale in place, via scratch ``work``."""
+    model.drift(state, work)
+    work *= h
+    state += work
+    np.matmul(noise, noise_scale, out=work)
+    state += work
 
 
 def euler_step(
@@ -131,28 +137,24 @@ def euler_step(
 ) -> np.ndarray:
     """One explicit Euler-Maruyama step for a single (N, q) lattice state.
 
-    ``noise`` is an (N, q) standard normal draw; the update is
-    state + h * (drift + mean field) + sqrt(h) * noise @ sigma^T applied
-    block-wise.  Deterministic given (state, t, noise).
+    ``noise`` is an (N, q) standard normal draw; returns state + h * drift +
+    sqrt(h) * noise @ sigma^T by the kernel's step function.  Deterministic
+    given (state, noise); ``t`` only dates a blow-up report.
     """
     if h <= 0:
         raise ContractViolationError(f"h must be positive, got {h}")
-    state = np.asarray(state, dtype=float)
+    state = np.array(state, dtype=float)
     noise = np.asarray(noise, dtype=float)
     expected = (model.n_blocks, model.block_dim)
     if state.shape != expected or noise.shape != expected:
         raise ContractViolationError(
             f"state and noise must have shape {expected}, got {state.shape} and {noise.shape}"
         )
-    if not np.isfinite(state).all():
-        block, _ = _first_bad_block(state)
-        raise NumericalBlowupError(t, block)
+    _require_finite(state[None], t)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = state + h * _drift_term(model, t, state) + math.sqrt(h) * (noise @ model.sigma.T)
-    if not np.isfinite(out).all():
-        block, _ = _first_bad_block(out)
-        raise NumericalBlowupError(t + h, block)
-    return out
+        _step(model, state, noise, h, math.sqrt(h) * model.sigma.T, np.empty_like(state))
+    _require_finite(state[None], t + h)
+    return state
 
 
 @dataclass(frozen=True)
@@ -203,87 +205,73 @@ def simulate_path(
 
     ``initial`` is an (N, q) array or the literal "sample-initial-law", in
     which case the initial state is drawn from N(m0, sigma0 sigma0^T) using
-    the path's own stream.  Output times must be multiples of the step size.
+    the path's own stream (master_seed, 0), so a path is sample 0 of the
+    ensemble with the same config.  Output times must be multiples of h.
     """
     out_steps = _resolve_output_steps(config, output_times)
     gen = _sample_generator(config.master_seed, 0)
-    state = _initial_state(model, gen, initial)
-    if not np.isfinite(state).all():
-        block, _ = _first_bad_block(state)
-        raise NumericalBlowupError(0.0, block)
-    h = config.step_size
-    records = {}
-    if 0 in out_steps:
-        records[0] = state.copy()
-    n, q = model.n_blocks, model.block_dim
-    for k in range(config.n_steps):
-        noise = gen.standard_normal((n, q))
-        state = euler_step(state, k * h, model, h, noise)
-        if (k + 1) in out_steps:
-            records[k + 1] = state.copy()
-    times = np.array([s * h for s in out_steps])
-    states = np.stack([records[s] for s in out_steps]) if out_steps else np.empty((0, n, q))
+    state = _initial_state(model, gen, initial)[None]
+    snapshots = _advance(model, config, state, [gen], set(out_steps))
+    times = np.array([s * config.step_size for s in out_steps])
+    states = np.concatenate([snapshots[s] for s in out_steps]) if out_steps else state[:0]
     return PathResult(times=times, states=states)
 
 
-def _simulate_chunk(model, config, sample_lo, sample_hi, snapshot_steps=None):
-    """Advance samples [sample_lo, sample_hi) to t_end.
+def _advance(model, config, state, gens, snapshot_steps, sample_lo=None):
+    """The stepping kernel: advance the (C, N, q) block ``state`` in place
+    to t_end, sample c drawing its noise from ``gens[c]``; returns
+    {step: copy of the state} for ``snapshot_steps``.
 
-    Returns {step: (C, N, q) states} for the requested snapshot steps
-    (default: final step only).  Noise for the next step-block is generated
-    on a helper thread while the current block is being stepped; generation
-    order within each sample's stream is unaffected.
+    The next noise block is drawn on a helper thread while the current one
+    is stepped.  The state is saved at each passing finite check; a failed
+    check re-steps from there with the same buffered noise, checking every
+    step, and reports sample ``sample_lo`` + c (None for a single path).
+    Checking at each block's end keeps that replay within one noise block.
     """
-    n, q, h = model.n_blocks, model.block_dim, config.step_size
-    n_steps = config.n_steps
-    snapshot_steps = {n_steps} if snapshot_steps is None else set(snapshot_steps)
-    count = sample_hi - sample_lo
-    gens = [_sample_generator(config.master_seed, j) for j in range(sample_lo, sample_hi)]
+    count, n, q = state.shape
+    h, n_steps = config.step_size, config.n_steps
+    block_steps = max(1, min(256, _NOISE_BUDGET // (count * n * q)))
+    noise_scale = math.sqrt(h) * model.sigma.T
+    work = np.empty_like(state)
 
-    state = np.empty((count, n, q))
-    for c, gen in enumerate(gens):
-        state[c] = _initial_state(model, gen, SAMPLE_INITIAL_LAW)
+    _require_finite(state, 0.0, sample_lo)
+    checked, checked_step = state.copy(), 0
+    snapshots = {0: state.copy()} if 0 in snapshot_steps else {}
 
-    block_steps = max(1, min(256, _NOISE_BUDGET // max(1, count * n * q)))
-    sqrt_h = math.sqrt(h)
-    sigma_t = model.sigma.T
-
-    def generate(lo, hi):
-        buf = np.empty((count, hi - lo, n, q))
+    def generate(steps):
+        buf = np.empty((count, steps, n, q))
         for c, gen in enumerate(gens):
             gen.standard_normal(out=buf[c])
         return buf
 
-    snapshots = {}
-    if 0 in snapshot_steps:
-        snapshots[0] = state.copy()
-
     with ThreadPoolExecutor(max_workers=1) as prefetch, np.errstate(
         over="ignore", invalid="ignore"
     ):
-        step = 0
-        pending = prefetch.submit(generate, 0, min(block_steps, n_steps)) if n_steps else None
-        while step < n_steps:
-            hi = min(step + block_steps, n_steps)
+        pending = prefetch.submit(generate, min(block_steps, n_steps)) if n_steps else None
+        for lo in range(0, n_steps, block_steps):
+            hi = min(lo + block_steps, n_steps)
             noise = pending.result()
-            nxt = min(hi + block_steps, n_steps)
-            pending = prefetch.submit(generate, hi, nxt) if hi < n_steps else None
-            for b in range(hi - step):
-                t = (step + b) * h
-                state = (
-                    state
-                    + h * _drift_term(model, t, state)
-                    + sqrt_h * (noise[:, b] @ sigma_t)
-                )
-                k = step + b + 1
-                if k % _CHECK_EVERY == 0 or k == n_steps:
+            pending = prefetch.submit(generate, min(block_steps, n_steps - hi)) if hi < n_steps else None
+            for k in range(lo + 1, hi + 1):
+                _step(model, state, noise[:, k - lo - 1], h, noise_scale, work)
+                if k % _CHECK_EVERY == 0 or k == hi:
                     if not np.isfinite(state).all():
-                        block, local = _first_bad_block(state)
-                        raise NumericalBlowupError(k * h, block, sample_lo + local)
+                        np.copyto(state, checked)
+                        for j in range(checked_step + 1, k + 1):
+                            _step(model, state, noise[:, j - lo - 1], h, noise_scale, work)
+                            _require_finite(state, j * h, sample_lo)
+                    np.copyto(checked, state)
+                    checked_step = k
                 if k in snapshot_steps:
                     snapshots[k] = state.copy()
-            step = hi
     return snapshots
+
+
+def _pool_size(n_workers: int, n_chunks: int) -> int:
+    """Worker threads: each in-flight chunk holds two noise buffers."""
+    if n_workers < 1:
+        raise ContractViolationError(f"n_workers must be >= 1, got {n_workers}")
+    return min(n_workers, n_chunks, os.cpu_count() or 1)
 
 
 def simulate_ensemble(
@@ -303,28 +291,23 @@ def simulate_ensemble(
     if n_samples < 1:
         raise ContractViolationError(f"n_samples must be >= 1, got {n_samples}")
     snapshot_steps = _resolve_output_steps(config, output_times)
-    want_list = output_times is not None
-    n, q = model.n_blocks, model.block_dim
-    out = {s: np.empty((n_samples, n, q)) for s in snapshot_steps}
+    starts = range(0, n_samples, _CHUNK_SAMPLES)
+    workers = _pool_size(n_workers, len(starts))
 
-    bounds = [(lo, min(lo + _CHUNK_SAMPLES, n_samples)) for lo in range(0, n_samples, _CHUNK_SAMPLES)]
+    def run(lo):
+        hi = min(lo + _CHUNK_SAMPLES, n_samples)
+        gens = [_sample_generator(config.master_seed, j) for j in range(lo, hi)]
+        state = np.stack([_initial_state(model, gen, SAMPLE_INITIAL_LAW) for gen in gens])
+        return _advance(model, config, state, gens, set(snapshot_steps), lo)
 
-    def run(span):
-        lo, hi = span
-        return lo, hi, _simulate_chunk(model, config, lo, hi, snapshot_steps)
-
-    if n_workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run, bounds))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(run, starts))
     else:
-        results = [run(span) for span in bounds]
-    for lo, hi, snaps in results:
-        for s in snapshot_steps:
-            out[s][lo:hi] = snaps[s]
-
+        chunks = [run(lo) for lo in starts]
     seeds = tuple(sample_stream_key(config.master_seed, j) for j in range(n_samples))
     states = [
-        EnsembleState(samples=out[s], time=s * config.step_size, seeds=seeds)
+        EnsembleState(np.concatenate([c[s] for c in chunks]), s * config.step_size, seeds)
         for s in snapshot_steps
     ]
-    return states if want_list else states[0]
+    return states if output_times is not None else states[0]

@@ -12,8 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-DriftFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-MeanFieldFn = Callable[[float, np.ndarray], np.ndarray]
+DriftFn = Callable[[np.ndarray, np.ndarray], None]
 
 
 class ContractViolationError(ValueError):
@@ -79,12 +78,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class LatticeModelSpec:
     """One cyclic coupled SDE system.
 
-    ``drift(t, x_prev, x_self, x_next)`` is the local drift evaluated
-    block-wise; all three state arguments have shape (..., q) and the result
-    broadcasts with them, so a single call covers a whole lattice (or a whole
-    ensemble) at once.  ``mean_field(t, x)`` maps per-block states (..., q) to
-    per-block contributions; the integrator averages those over the lattice
-    axis before adding them to the drift.
+    ``drift(state, out)`` writes the full drift of a whole lattice into
+    ``out``, in place: local and nearest-neighbour terms plus the mean field
+    (1/N) sum_j h(x_j).  Both arrays have shape (..., N, q); axis -2 is the
+    ring and leading axes are independent samples, so one call covers a
+    whole ensemble chunk.  ``out`` is C-contiguous, never aliases ``state``
+    and may hold garbage on entry; the drift is autonomous and deterministic.
 
     ``sigma`` scales the per-block Brownian increments, ``sigma0``/``m0``
     define the i.i.d. initial law N(m0, sigma0 sigma0^T).
@@ -93,7 +92,6 @@ class LatticeModelSpec:
     n_blocks: int
     block_dim: int
     drift: DriftFn
-    mean_field: MeanFieldFn
     sigma: np.ndarray
     sigma0: np.ndarray
     m0: np.ndarray

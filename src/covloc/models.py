@@ -1,8 +1,9 @@
 """Reference models: the damped linear lattice and the stochastic FHN lattice.
 
-Both constructors return LatticeModelSpec instances whose drift callables are
-vectorized over arbitrary leading axes, with closed-form coupling constants
-attached.
+Both constructors return LatticeModelSpec instances with closed-form coupling
+constants attached.  Their drifts fill a whole (..., N, q) lattice in place:
+ring neighbours are summed in one pass over the flattened lattice, and the
+mean field is folded in as the coupling times the lattice average.
 """
 
 from __future__ import annotations
@@ -17,6 +18,20 @@ from .lattice import ContractViolationError, LatticeModelSpec, LipschitzConstant
 
 class PresetNotFoundError(LookupError):
     """Unknown regime preset name."""
+
+
+def _ring_neighbour_sum(x: np.ndarray, out: np.ndarray) -> None:
+    """out[..., i] = x[..., i-1] + x[..., i+1] around the ring (last axis).
+
+    One pass over the flattened arrays, then the two edge columns, which
+    that pass pairs with the adjacent row, are recomputed.
+    """
+    flat = out.reshape(-1)
+    if not np.may_share_memory(flat, out):
+        raise ContractViolationError("drift output must be C-contiguous")
+    np.add(x.reshape(-1)[:-2], x.reshape(-1)[2:], out=flat[1:-1])
+    np.add(x[..., -1], x[..., 1], out=out[..., 0])
+    np.add(x[..., -2], x[..., 0], out=out[..., -1])
 
 
 @dataclass(frozen=True)
@@ -81,23 +96,26 @@ def linear_model(
 ) -> LatticeModelSpec:
     """Linear lattice: du_i = (-a u_i + d_u (u_{i+1} - 2u_i + u_{i-1}) + w (ubar - u_i)) dt + sigma_u dW_i.
 
-    The mean-field coupling is split as a local -w*u_i term inside the drift
-    plus a lattice-averaged w*u_j contribution, so the generic
-    (1/N) sum_j h(x_j) structure reproduces w*(ubar - u_i) exactly.
+    The mean-field coupling is split as a local -w*u_i term plus the lattice
+    average w*ubar, the (1/N) sum_j h(x_j) structure the bounds assume.
     """
     a, d_u, w = params.a, params.d_u, params.w
+    rate = a + w + 2.0 * d_u
 
-    def drift(t, x_prev, x_self, x_next):
-        return -(a + w) * x_self + d_u * (x_prev + x_next - 2.0 * x_self)
-
-    def mean_field(t, x):
-        return w * x
+    def drift(state, out):
+        x, dx = state[..., 0], out[..., 0]
+        # d_u (u_{i-1} + u_{i+1}) - rate u_i, with ``out`` as the only buffer
+        _ring_neighbour_sum(x, dx)
+        dx *= d_u / rate
+        dx -= x
+        dx *= rate
+        if w:
+            dx += w * x.mean(axis=-1, keepdims=True)
 
     return LatticeModelSpec(
         n_blocks=n,
         block_dim=1,
         drift=drift,
-        mean_field=mean_field,
         sigma=np.array([[params.sigma_u]]),
         sigma0=np.array([[sigma0]]),
         m0=np.array([m0]),
@@ -129,23 +147,23 @@ def fhn_model(
     eps, a, d_u, w = params.epsilon, params.a, params.d_u, params.w
     inv_eps = 1.0 / eps
 
-    def drift(t, x_prev, x_self, x_next):
-        u = x_self[..., 0]
-        v = x_self[..., 1]
-        up = x_next[..., 0]
-        um = x_prev[..., 0]
-        out = np.empty_like(x_self)
-        out[..., 0] = inv_eps * (
-            u - u * u * u / 3.0 - v + d_u * (up + um - 2.0 * u) - w * u
-        )
-        out[..., 1] = u + a
-        return out
-
-    def mean_field(t, x):
-        out = np.zeros_like(x)
+    def drift(state, out):
+        u, v = state[..., 0], state[..., 1]
+        du, dv = out[..., 0], out[..., 1]
+        # u (1 - 2 d_u - w - u^2/3) - v, then dv's neighbour term; u + a goes in last
+        np.multiply(u, u, out=du)
+        du *= -1.0 / 3.0
+        du += 1.0 - 2.0 * d_u - w
+        du *= u
+        du -= v
+        if d_u:
+            _ring_neighbour_sum(u, dv)
+            dv *= d_u
+            du += dv
         if w:
-            out[..., 0] = inv_eps * w * x[..., 0]
-        return out
+            du += w * u.mean(axis=-1, keepdims=True)
+        du *= inv_eps
+        np.add(u, a, out=dv)
 
     if m0 is None:
         m0 = params.rest_point()
@@ -160,7 +178,6 @@ def fhn_model(
         n_blocks=n,
         block_dim=2,
         drift=drift,
-        mean_field=mean_field,
         sigma=np.diag([params.delta1 / math.sqrt(eps), params.delta2]),
         sigma0=sigma0,
         m0=np.asarray(m0, dtype=float),

@@ -45,3 +45,33 @@ def quadrature_covariance(
         total += weight * integrand
         prop = step @ prop
     return total * ds
+
+
+def _ring_neighbours(state: np.ndarray):
+    """(x_{i-1}, x_{i+1}) for a (..., N, q) state, as rolled copies."""
+    return np.roll(state, 1, axis=-2), np.roll(state, -1, axis=-2)
+
+
+def linear_reference_drift(params, state: np.ndarray) -> np.ndarray:
+    """Linear lattice drift in neighbour form: the local term on rolled
+    neighbours plus the lattice average of the mean-field term w*u."""
+    a, d_u, w = params.a, params.d_u, params.w
+    x_prev, x_next = _ring_neighbours(state)
+    local = -(a + w) * state + d_u * (x_prev + x_next - 2.0 * state)
+    return local + (w * state).mean(axis=-2, keepdims=True)
+
+
+def fhn_reference_drift(params, state: np.ndarray) -> np.ndarray:
+    """FHN lattice drift in neighbour form: the local term on rolled
+    neighbours plus the lattice average of the mean-field term (w/eps, 0)*x."""
+    inv_eps, a, d_u, w = 1.0 / params.epsilon, params.a, params.d_u, params.w
+    x_prev, x_next = _ring_neighbours(state)
+    u, v = state[..., 0], state[..., 1]
+    local = np.empty_like(state)
+    local[..., 0] = inv_eps * (
+        u - u * u * u / 3.0 - v + d_u * (x_prev[..., 0] + x_next[..., 0] - 2.0 * u) - w * u
+    )
+    local[..., 1] = u + a
+    mean_field = np.zeros_like(state)
+    mean_field[..., 0] = inv_eps * w * u
+    return local + mean_field.mean(axis=-2, keepdims=True)

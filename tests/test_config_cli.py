@@ -200,6 +200,13 @@ class TestExitCodes:
         )
         assert main(["simulate", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_threads_is_2(self, tmp_path, threads):
+        cfg = _write(tmp_path, PRESET_CFG, out=tmp_path / "sim")
+        assert main(["simulate", "--config", str(cfg), "--threads", threads]) == 2
+        assert main(["figure", "F1", "--out", str(tmp_path / "fig"), "--threads", threads]) == 2
+        assert not (tmp_path / "fig").exists()
+
     def test_unknown_figure_is_4(self, tmp_path):
         assert main(["figure", "F99", "--out", str(tmp_path)]) == 4
 

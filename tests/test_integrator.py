@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from covloc import integrator
 from covloc import (
     ContractViolationError,
     FhnParams,
@@ -19,15 +22,37 @@ from covloc import (
 from covloc.lattice import LatticeModelSpec
 
 
+def _zero_drift(state, out):
+    out[...] = 0.0
+
+
 def _zero_model(n=4, q=1):
     return LatticeModelSpec(
         n_blocks=n,
         block_dim=q,
-        drift=lambda t, xm, x, xp: 0.0 * x,
-        mean_field=lambda t, x: 0.0 * x,
+        drift=_zero_drift,
         sigma=np.zeros((q, q)),
         sigma0=np.zeros((q, q)),
         m0=np.zeros(q),
+    )
+
+
+def _ramp_model(threshold, n=3, sigma0=0.0):
+    """Noise-free unit-speed ramp du = dt whose drift turns NaN on any block
+    that has reached ``threshold``: the state first goes non-finite one step
+    after the first crossing."""
+
+    def drift(state, out):
+        out[...] = 1.0
+        out[state >= threshold] = np.nan
+
+    return LatticeModelSpec(
+        n_blocks=n,
+        block_dim=1,
+        drift=drift,
+        sigma=np.zeros((1, 1)),
+        sigma0=np.array([[sigma0]]),
+        m0=np.zeros(1),
     )
 
 
@@ -49,6 +74,34 @@ class TestEulerStep:
         state = np.tile([-1.05, -0.664125], (4, 1))
         out = euler_step(state, 0.0, model, 1e-4, np.zeros((4, 2)))
         np.testing.assert_allclose(out, state, atol=1e-12)
+
+    def test_non_diagonal_sigma_matches_hand_computed_step(self):
+        sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
+        model = LatticeModelSpec(
+            n_blocks=3,
+            block_dim=2,
+            drift=lambda state, out: np.negative(state, out=out),
+            sigma=sigma,
+            sigma0=np.zeros((2, 2)),
+            m0=np.zeros(2),
+        )
+        h = 0.01
+        state = np.array([[1.0, -2.0], [0.5, 0.25], [3.0, 0.0]])
+        noise = np.array([[0.3, -1.2], [2.0, 0.7], [-0.4, 0.1]])
+        expected = np.empty_like(state)
+        for i in range(3):
+            (x1, x2), (z1, z2) = state[i], noise[i]
+            expected[i] = (
+                x1 - h * x1 + math.sqrt(h) * (1.0 * z1 + 0.5 * z2),
+                x2 - h * x2 + math.sqrt(h) * (0.5 * z1 + 2.0 * z2),
+            )
+        out = euler_step(state, 0.0, model, h, noise)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
+        # the ensemble kernel takes the same step with each sample's own draw
+        cfg = IntegratorConfig(step_size=h, t_end=h, master_seed=4)
+        path = simulate_path(model, cfg, state)
+        draw = integrator._sample_generator(4, 0).standard_normal((3, 2))
+        np.testing.assert_array_equal(path.states[-1], euler_step(state, 0.0, model, h, draw))
 
     def test_blowup_names_first_block(self):
         model = linear_model(LinearParams(), 4)
@@ -105,6 +158,20 @@ class TestSimulatePath:
         se = u1_sq.std(ddof=1) / np.sqrt(len(u1_sq))
         assert abs(u1_sq.mean() - target) < 3 * se
 
+    def test_path_blowup_reports_exact_step(self):
+        h = 1e-3
+        initial = np.zeros((3, 1))
+        initial[1, 0] = 0.5
+        # block 2 reaches the threshold after 12 steps, so step 13 is the
+        # first non-finite one; the failing check runs at step 16
+        model = _ramp_model(0.5 + 11.5 * h)
+        cfg = IntegratorConfig(step_size=h, t_end=20 * h, master_seed=1)
+        with pytest.raises(NumericalBlowupError) as err:
+            simulate_path(model, cfg, initial)
+        assert err.value.time == pytest.approx(13 * h, abs=1e-15)
+        assert err.value.block_index == 2
+        assert err.value.sample_index is None
+
 
 class TestSimulateEnsemble:
     def test_single_sample_equals_path(self):
@@ -137,6 +204,24 @@ class TestSimulateEnsemble:
         final = simulate_ensemble(model, cfg, 3)
         np.testing.assert_array_equal(states[-1].samples, final.samples)
 
+    def test_ensemble_blowup_reports_exact_step_sample_and_block(self):
+        h, seed, k = 1e-3, 2, 300
+        start = IntegratorConfig(step_size=h, t_end=0.0, master_seed=seed)
+        x0 = simulate_ensemble(_ramp_model(np.inf, sigma0=1.0), start, k)
+        values = np.sort(x0.samples.ravel())
+        sample, block, _ = np.unravel_index(np.argmax(x0.samples), x0.samples.shape)
+        # precondition of the scenario: the largest initial value sits in the
+        # second 256-sample chunk and leads the runner-up by more than the
+        # 20-step horizon, so exactly one sample crosses the threshold
+        assert sample >= 256 and values[-1] - values[-2] > 20 * h
+        model = _ramp_model(values[-1] + 11.5 * h, sigma0=1.0)
+        cfg = IntegratorConfig(step_size=h, t_end=20 * h, master_seed=seed)
+        with pytest.raises(NumericalBlowupError) as err:
+            simulate_ensemble(model, cfg, k, n_workers=2)
+        assert err.value.time == pytest.approx(13 * h, abs=1e-15)
+        assert err.value.sample_index == sample
+        assert err.value.block_index == block + 1
+
     def test_blowup_reports_sample_index(self):
         model = fhn_model(FhnParams(), 4)
         cfg = IntegratorConfig(step_size=0.5, t_end=5.0, master_seed=1)
@@ -154,6 +239,25 @@ class TestSimulateEnsemble:
         expected = analytic_mean(sysm, np.full(n, 2.0), 1.0)
         se = ens.samples[:, :, 0].std(axis=0, ddof=1) / np.sqrt(2000)
         assert (np.abs(ens.samples[:, :, 0].mean(axis=0) - expected) < 4 * se).all()
+
+    @pytest.mark.parametrize("n_workers", [0, -2])
+    def test_worker_count_must_be_positive(self, n_workers):
+        model = linear_model(LinearParams(), 4)
+        cfg = IntegratorConfig(step_size=0.01, t_end=0.05, master_seed=1)
+        with pytest.raises(ContractViolationError, match="n_workers"):
+            simulate_ensemble(model, cfg, 4, n_workers=n_workers)
+
+    def test_pool_is_capped_by_chunks_and_cores(self, monkeypatch):
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
+        assert integrator._pool_size(32, 32) == 2
+        assert integrator._pool_size(32, 1) == 1
+        assert integrator._pool_size(1, 32) == 1
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: None)
+        assert integrator._pool_size(8, 4) == 1
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 64)
+        assert integrator._pool_size(8, 4) == 4
+        with pytest.raises(ContractViolationError):
+            integrator._pool_size(0, 4)
 
     def test_large_fhn_ensemble_runs_to_completion(self):
         # strongly mixed regime, 8192 samples, all states finite at t=5

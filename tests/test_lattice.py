@@ -73,14 +73,32 @@ def test_lipschitz_constants_refuses_custom_models():
     spec = LatticeModelSpec(
         n_blocks=4,
         block_dim=1,
-        drift=lambda t, xm, x, xp: -x,
-        mean_field=lambda t, x: 0.0 * x,
+        drift=lambda state, out: np.negative(state, out=out),
         sigma=np.eye(1),
         sigma0=np.zeros((1, 1)),
         m0=np.zeros(1),
     )
     with pytest.raises(UnsupportedModelError):
         lipschitz_constants(spec)
+
+
+def _block_drift(model, lattice, source, target, reference=None):
+    """Block ``target``'s drift as a function of block ``source``'s state.
+
+    A block adjacent to neither ``source`` nor ``target`` sees ``source``
+    only through the lattice average (1/N) sum_j h(x_j), a share every block
+    receives equally; passing it as ``reference`` subtracts its drift and
+    leaves the local and neighbour coupling alone.
+    """
+
+    def fn(z):
+        trial = lattice.copy()
+        trial[source] = z
+        out = np.empty_like(trial)
+        model.drift(trial, out)
+        return out[target] if reference is None else out[target] - out[reference]
+
+    return fn
 
 
 def _finite_difference_jacobian(fn, x, eps=1e-6):
@@ -100,13 +118,12 @@ def test_linear_self_jacobian_never_exceeds_lambda0():
     rng = np.random.default_rng(5)
     worst = -np.inf
     for _ in range(1000):
-        x = rng.standard_normal(3)
-
-        def self_drift(u):
-            return model.drift(0.0, x[0:1], u, x[2:3])
+        lattice = np.zeros((8, 1))
+        lattice[:3, 0] = rng.standard_normal(3)
+        self_drift = _block_drift(model, lattice, source=1, target=1, reference=4)
 
         # unit-step central difference is exact for a drift linear in x_i
-        jac = _finite_difference_jacobian(self_drift, x[1:2], eps=1.0)
+        jac = _finite_difference_jacobian(self_drift, lattice[1], eps=1.0)
         sym_eig = np.linalg.eigvalsh(jac + jac.T).max() / 2.0
         worst = max(worst, sym_eig)
     assert worst <= lam0 + 1e-10
@@ -120,20 +137,18 @@ def test_fhn_neighbor_and_meanfield_jacobian_norms():
     c = lipschitz_constants(model)
     rng = np.random.default_rng(6)
     for _ in range(50):
-        xm, x, xp = rng.standard_normal((3, 2))
-
-        def wrt_next(z):
-            return model.drift(0.0, xm, x, z)
+        lattice = np.zeros((8, 2))
+        lattice[:3] = rng.standard_normal((3, 2))
+        wrt_next = _block_drift(model, lattice, source=2, target=1, reference=5)
 
         # neighbor and mean-field couplings are linear, so unit-step central
         # differences recover the constant Jacobians exactly
-        jac = _finite_difference_jacobian(wrt_next, xp, eps=1.0)
+        jac = _finite_difference_jacobian(wrt_next, lattice[2], eps=1.0)
         assert np.linalg.norm(jac, 2) == pytest.approx(c.lambda_f, rel=1e-12)
 
-        def mean_field(z):
-            return model.mean_field(0.0, z)
-
-        jac_h = _finite_difference_jacobian(mean_field, x, eps=1.0)
+        # a far block sees block 1 only through its 1/N share of the average
+        share = _block_drift(model, lattice, source=1, target=5)
+        jac_h = 8 * _finite_difference_jacobian(share, lattice[1], eps=1.0)
         assert np.linalg.norm(jac_h, 2) == pytest.approx(c.lambda_h, rel=1e-12)
 
 
@@ -153,8 +168,7 @@ def test_model_spec_validates_sigma_symmetry():
         LatticeModelSpec(
             n_blocks=4,
             block_dim=2,
-            drift=lambda t, xm, x, xp: x,
-            mean_field=lambda t, x: x,
+            drift=lambda state, out: np.copyto(out, state),
             sigma=np.array([[1.0, 0.5], [0.0, 1.0]]),
             sigma0=np.zeros((2, 2)),
             m0=np.zeros(2),

@@ -12,15 +12,55 @@ from covloc import (
     linear_model,
     regime,
 )
+from oracles import fhn_reference_drift, linear_reference_drift
 
 
 def _full_drift(model, state):
-    """Drift plus averaged mean field over a whole (N, q) lattice state."""
-    x_prev = np.roll(state, 1, axis=0)
-    x_next = np.roll(state, -1, axis=0)
-    return model.drift(0.0, x_prev, state, x_next) + model.mean_field(0.0, state).mean(
-        axis=0, keepdims=True
+    """Drift, mean field included, over a whole (..., N, q) lattice state."""
+    out = np.full_like(state, np.nan)  # the drift must overwrite every entry
+    model.drift(state, out)
+    return out
+
+
+def _assert_equal_up_to_rounding(actual, expected):
+    """atol 1e-12, widened to 1e-15 of the largest entry where that is larger:
+    above 1e3, 1e-12 is only a few units in the last place, and the in-place
+    drifts sum the same terms in another order."""
+    tol = max(1e-12, 1e-15 * float(np.abs(expected).max()))
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=tol)
+
+
+class TestInPlaceDriftMatchesNeighbourOracle:
+    """The whole-lattice in-place drifts against the rolled-neighbour form."""
+
+    @pytest.mark.parametrize("n", [3, 128])
+    @pytest.mark.parametrize("name", sorted(REGIMES))
+    def test_fhn_presets(self, name, n):
+        params = REGIMES[name].params
+        rng = np.random.default_rng(n)
+        state = rng.standard_normal((5, n, 2))
+        _assert_equal_up_to_rounding(
+            _full_drift(fhn_model(params, n), state), fhn_reference_drift(params, state)
+        )
+
+    @pytest.mark.parametrize("n", [3, 128])
+    @pytest.mark.parametrize(
+        "d_u, w", [(0.0, 0.0), (2.0, 0.0), (0.0, 5.0), (20.0, 5.0), (0.5, 0.3)]
     )
+    def test_linear_models(self, d_u, w, n):
+        params = LinearParams(a=1.3, d_u=d_u, w=w)
+        rng = np.random.default_rng(n)
+        state = rng.standard_normal((5, n, 1))
+        _assert_equal_up_to_rounding(
+            _full_drift(linear_model(params, n), state), linear_reference_drift(params, state)
+        )
+
+    def test_single_lattice_and_ensemble_agree(self):
+        model = fhn_model(regime("regime-c").params, 16)
+        state = np.random.default_rng(3).standard_normal((4, 16, 2))
+        batch = _full_drift(model, state)
+        for k in range(4):
+            np.testing.assert_array_equal(_full_drift(model, state[k]), batch[k])
 
 
 class TestLinearModel:
@@ -101,10 +141,18 @@ class TestFhnModel:
         for _ in range(20):
             xm, x, xp = rng.standard_normal((3, 2))
             eps_fd = 1e-6
-            dx = np.array([eps_fd, 0.0])
-            deriv = (
-                model.drift(0.0, xm, x + dx, xp) - model.drift(0.0, xm, x - dx, xp)
-            ) / (2 * eps_fd)
+            # block 1 between xm and xp; block 4, no neighbour of block 1,
+            # sees only the mean-field share every block gets, which the
+            # local self-derivative excludes
+            lattice = np.zeros((8, 2))
+            lattice[:3] = xm, x, xp
+            shifted = []
+            for sign in (1.0, -1.0):
+                trial = lattice.copy()
+                trial[1, 0] += sign * eps_fd
+                d = _full_drift(model, trial)
+                shifted.append(d[1] - d[4])
+            deriv = (shifted[0] - shifted[1]) / (2 * eps_fd)
             u = x[0]
             expected = (1.0 - u * u - 2.0 * params.d_u - params.w) / params.epsilon
             assert deriv[0] == pytest.approx(expected, rel=1e-6, abs=1e-4)
