@@ -1,13 +1,14 @@
 """Exact mean and covariance evolution of the linear lattice model.
 
-The drift matrix A of the linear model is symmetric circulant, so its
-eigendecomposition gives closed forms for e^{At} m0 and for
+The drift matrix A of the linear model is symmetric circulant, so the DFT
+matrix F diagonalises it, A = F^{-1} diag(lambda) F with lambda the FFT of
+A's first row.  That gives closed forms for e^{At} m0 and for
 
-    C(t) = e^{At} C0 e^{At} + sigma_u^2 Q diag((e^{2 lambda t} - 1)/(2 lambda)) Q^T.
+    C(t) = e^{At} C0 e^{At} + sigma_u^2 F^{-1} diag((e^{2 lambda t} - 1)/(2 lambda)) F,
 
-The integrated-noise kernel is evaluated with expm1 to stay accurate for
-|lambda t| << 1.  A circulant FFT route provides a second, independent
-implementation for cross-checking.
+whose noise part is the circulant with the inverse FFT of the per-mode
+kernels as first row.  The kernel is evaluated with expm1 to stay accurate
+for |lambda t| << 1.  tests/oracles.py holds the dense reference route.
 """
 
 from __future__ import annotations
@@ -16,57 +17,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BlockCovariance, ContractViolationError
+from .lattice import BlockCovariance, ContractViolationError, cyclic_distance_matrix
 from .models import LinearParams
-
-
-class NumericalError(RuntimeError):
-    """A dense linear-algebra step failed validation."""
 
 
 @dataclass(frozen=True)
 class LinearSystemMatrix:
-    """Drift matrix of the linear model with its cached eigendecomposition."""
+    """Spectrum of the linear model's circulant drift matrix A."""
 
     params: LinearParams
     n_blocks: int
-    a_matrix: np.ndarray  # (N, N)
-    eigenvalues: np.ndarray  # (N,)
-    eigenvectors: np.ndarray  # (N, N), orthogonal columns
+    eigenvalues: np.ndarray  # (N,), in Fourier-mode order
 
 
 def build_system_matrix(params: LinearParams, n: int) -> LinearSystemMatrix:
-    """A = -a I + d_u * (circulant second difference) + (w/N) * ones - w I."""
+    """Spectrum of A = -a I + d_u * (circulant second difference) + (w/N) * ones - w I.
+
+    The FFT of A's first row: -a and -a - w - 4 d_u sin^2(pi k / N), all
+    negative because LinearParams requires a > 0 and d_u, w >= 0.
+    """
     if n < 3:
         raise ContractViolationError(f"need n >= 3, got {n}")
-    lap = -2.0 * np.eye(n)
-    idx = np.arange(n)
-    lap[idx, (idx + 1) % n] = 1.0
-    lap[idx, (idx - 1) % n] = 1.0
-    a_matrix = (
-        -params.a * np.eye(n)
-        + params.d_u * lap
-        + (params.w / n) * np.ones((n, n))
-        - params.w * np.eye(n)
-    )
-    eigenvalues, eigenvectors = np.linalg.eigh(a_matrix)
-    recon = (eigenvectors * eigenvalues) @ eigenvectors.T
-    err = np.linalg.norm(recon - a_matrix) / max(np.linalg.norm(a_matrix), 1e-300)
-    if err > 1e-10:
-        raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
-    if eigenvalues.max() >= 0:
-        raise NumericalError(
-            f"drift matrix must be negative definite, max eigenvalue {eigenvalues.max():.3e}"
-        )
-    for arr in (a_matrix, eigenvalues, eigenvectors):
-        arr.flags.writeable = False
-    return LinearSystemMatrix(
-        params=params,
-        n_blocks=n,
-        a_matrix=a_matrix,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-    )
+    row = np.full(n, params.w / n)
+    row[0] += -params.a - 2.0 * params.d_u - params.w
+    row[1] += params.d_u
+    row[-1] += params.d_u
+    eigenvalues = np.fft.fft(row).real
+    eigenvalues.flags.writeable = False
+    return LinearSystemMatrix(params=params, n_blocks=n, eigenvalues=eigenvalues)
 
 
 def _noise_kernel(lam: np.ndarray, t: float) -> np.ndarray:
@@ -78,13 +56,19 @@ def _noise_kernel(lam: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _covariance_row(sys: LinearSystemMatrix, sigma_u: float, t: float) -> np.ndarray:
+    """First row of the covariance at time t from zero initial covariance."""
+    return np.fft.ifft(sigma_u**2 * _noise_kernel(sys.eigenvalues, t)).real
+
+
 def analytic_mean(sys: LinearSystemMatrix, u0: np.ndarray, t: float) -> np.ndarray:
     """e^{At} u0."""
     if t < 0:
         raise ContractViolationError(f"t must be nonnegative, got {t}")
     u0 = np.asarray(u0, dtype=float)
-    v = sys.eigenvectors
-    return (v * np.exp(sys.eigenvalues * t)) @ (v.T @ u0)
+    if u0.shape != (sys.n_blocks,):
+        raise ContractViolationError(f"u0 must have shape ({sys.n_blocks},), got {u0.shape}")
+    return np.fft.ifft(np.exp(sys.eigenvalues * t) * np.fft.fft(u0)).real
 
 
 def analytic_covariance(
@@ -101,29 +85,17 @@ def analytic_covariance(
     if t < 0:
         raise ContractViolationError(f"t must be nonnegative, got {t}")
     n = sys.n_blocks
-    v = sys.eigenvectors
-    total = sigma_u**2 * ((v * _noise_kernel(sys.eigenvalues, t)) @ v.T)
+    total = _covariance_row(sys, sigma_u, t)[cyclic_distance_matrix(n)]
     if cov0 is not None:
         cov0 = np.asarray(cov0, dtype=float)
         if cov0.shape != (n, n):
             raise ContractViolationError(f"cov0 must be ({n}, {n}), got {cov0.shape}")
-        propagator = (v * np.exp(sys.eigenvalues * t)) @ v.T
-        total = total + propagator @ cov0 @ propagator.T
+        e = np.exp(sys.eigenvalues * t)
+        total = total + np.fft.ifft2(np.outer(e, e) * np.fft.fft2(cov0)).real
     return BlockCovariance(total, n_blocks=n, block_dim=1)
 
 
 def circulant_covariance_row(params: LinearParams, n: int, t: float) -> np.ndarray:
-    """First covariance row by the FFT route (zero initial covariance).
-
-    Independent of the dense path: the circulant eigenvalues come from the
-    FFT of the first row of A, and the covariance row from the inverse FFT of
-    the per-mode noise kernels.
-    """
-    row = np.full(n, params.w / n)
-    row[0] += -params.a - 2.0 * params.d_u - params.w
-    row[1] += params.d_u
-    row[-1] += params.d_u
-    lam = np.fft.fft(row).real
-    kernels = params.sigma_u**2 * _noise_kernel(lam, t)
-    cov_row = np.fft.ifft(kernels).real
-    return cov_row
+    """First covariance row at time t from zero initial covariance, in O(N)
+    memory; row i of the full matrix is this row shifted by i."""
+    return _covariance_row(build_system_matrix(params, n), params.sigma_u, t)

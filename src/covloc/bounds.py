@@ -23,6 +23,7 @@ from .lattice import (
     LatticeModelSpec,
     LipschitzConstants,
     cyclic_distance,
+    cyclic_distance_matrix,
     lipschitz_constants,
 )
 
@@ -302,21 +303,22 @@ def longtime_bound(i: int, j: int, inputs: BoundInputs, beta: float):
 def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
     """Q(s) = e^{G s} (e^{G s})^T for the homogeneous linear surrogate.
 
-    G is the symmetric circulant with diagonal lambda_0, neighbor entries
-    lambda_f, and a dense lambda_h / N mean-field block, so Q(s) = e^{2 G s}
-    via eigendecomposition.  Q(0) is the identity.
+    G is the symmetric circulant with first row
+    [lambda_0, lambda_f, 0, ..., 0, lambda_f] + lambda_h / N, so
+    Q(s) = e^{2 G s} is the symmetric circulant whose first row is the
+    inverse FFT of e^{2 s g_k}, where g_k is the FFT of G's first row.
+    Q(0) is the identity.
     """
     if n < 3:
         raise ContractViolationError(f"need n >= 3, got {n}")
     if s < 0:
         raise ContractViolationError(f"s must be nonnegative, got {s}")
-    idx = np.arange(n)
-    g = np.full((n, n), c.lambda_h / n)
-    g[idx, idx] += c.lambda_0
-    g[idx, (idx + 1) % n] += c.lambda_f
-    g[idx, (idx - 1) % n] += c.lambda_f
-    eigenvalues, eigenvectors = np.linalg.eigh(g)
-    return (eigenvectors * np.exp(2.0 * eigenvalues * s)) @ eigenvectors.T
+    row = np.full(n, c.lambda_h / n)
+    row[0] += c.lambda_0
+    row[1] += c.lambda_f
+    row[-1] += c.lambda_f
+    kernel_row = np.fft.ifft(np.exp(2.0 * s * np.fft.fft(row).real)).real
+    return kernel_row[cyclic_distance_matrix(n)]
 
 
 def kernel_entry_bound(

@@ -13,15 +13,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bounds import bound_inputs_from_model, covariance_bound, local_coefficient
 from .config import ConfigError, ExperimentConfig, parse_config
 from .estimators import monte_carlo_pair_covariance, shifted_pair_covariance
 from .figures import DEFAULT_SEED, FIGURES, UnknownFigureError, run_figure
 from .integrator import IntegratorConfig, NumericalBlowupError, simulate_ensemble
-from .lattice import ContractViolationError
+from .lattice import BlockCovariance, ContractViolationError
 from .localization import localization_error_bound, localize
 from .models import REGIMES, PresetNotFoundError
 from .storage import (
@@ -33,6 +31,7 @@ from .storage import (
     write_csv,
     write_ensemble,
     write_ensemble_csv,
+    write_metadata,
 )
 
 EXIT_OK = 0
@@ -55,17 +54,8 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
-def _write_run_metadata(out_dir: Path, name: str, cfg: ExperimentConfig, extra=None):
-    payload = {
-        "library_version": __version__,
-        "command": name,
-        "config": cfg.as_dict(),
-    }
-    if extra:
-        payload.update(extra)
-    path = out_dir / f"{name}_metadata.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+def _write_run_metadata(out_dir: Path, name: str, cfg: ExperimentConfig, **extra) -> Path:
+    return write_metadata(out_dir, name, {"command": name, "config": cfg.as_dict(), **extra})
 
 
 def _run_ensemble(cfg: ExperimentConfig):
@@ -107,7 +97,7 @@ def _cmd_cov(args) -> int:
     write_csv(path, ["lag", "estimate", "std_error", "method"], rows)
     # pooled-mean convention: the shift estimator centers with one mean over
     # all samples and positions
-    _write_run_metadata(out_dir, "cov", cfg, {"mean_convention": "pooled", "max_lag": max_lag})
+    _write_run_metadata(out_dir, "cov", cfg, mean_convention="pooled", max_lag=max_lag)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -128,7 +118,7 @@ def _cmd_bounds(args) -> int:
             rows.append((1, j, beta, ev.local_term, ev.global_term, ev.total))
     path = out_dir / "bounds.csv"
     write_csv(path, ["i", "j", "beta", "local", "global", "total"], rows)
-    _write_run_metadata(out_dir, "bounds", cfg, {"t": t, "any_vacuous": vacuous})
+    _write_run_metadata(out_dir, "bounds", cfg, t=t, any_vacuous=vacuous)
     if vacuous:
         print("warning: some bound evaluations overflowed and were capped (vacuous)", file=sys.stderr)
     print(f"wrote {path}")
@@ -170,7 +160,8 @@ def _cmd_localize(args) -> int:
     measured = None
     if args.reference:
         reference = _read_covariance_any(args.reference, args.block_dim)
-        measured = float(np.linalg.norm(reference.data - truncated.data, ord=2))
+        error = reference.data - truncated.data
+        measured = BlockCovariance(error, truncated.n_blocks, truncated.block_dim).norm2()
     report = {
         "bandwidth": bandwidth,
         "error_bound": bound,
@@ -179,15 +170,15 @@ def _cmd_localize(args) -> int:
     }
     with open(out_dir / "localize_report.jsonl", "w") as fh:
         fh.write(json.dumps(report, sort_keys=True) + "\n")
-    meta = {
-        "library_version": __version__,
-        "command": "localize",
-        "input": str(args.input),
-        "block_dim": args.block_dim,
-        "bandwidth": bandwidth,
-    }
-    (out_dir / "localize_metadata.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    write_metadata(
+        out_dir,
+        "localize",
+        {
+            "command": "localize",
+            "input": str(args.input),
+            "block_dim": args.block_dim,
+            "bandwidth": bandwidth,
+        },
     )
     print(f"wrote {out_dir / 'localized.csv'} (bandwidth {bandwidth})")
     return EXIT_OK

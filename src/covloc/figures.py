@@ -22,14 +22,12 @@ Figure map:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import __version__
 from .analytic import analytic_covariance, build_system_matrix
 from .bounds import bound_inputs_from_model, diffusion_only_bound, meanfield_only_bound
 from .estimators import (
@@ -48,7 +46,7 @@ from .models import (
     linear_model,
     regime,
 )
-from .storage import write_csv
+from .storage import write_csv, write_metadata
 
 
 class UnknownFigureError(LookupError):
@@ -128,13 +126,6 @@ def _fhn_step(params, base_h: float) -> float:
         if h <= cap:
             return h
     return _H_GRID[-1]
-
-
-def _write_metadata(out_dir: Path, name: str, payload: dict) -> Path:
-    path = out_dir / f"{name}_metadata.json"
-    payload = {"library_version": __version__, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def _linear_profile_rows(params: LinearParams, n: int, t: float):
@@ -425,7 +416,7 @@ def run_figure(
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = FIGURES[figure_id]
     files, settings = spec.builder(scale, seed, out_dir, threads)
-    meta = _write_metadata(
+    meta = write_metadata(
         out_dir,
         figure_id,
         {

@@ -203,8 +203,8 @@ class BlockCovariance:
         )
 
     def norm2(self) -> float:
-        """Spectral (l2) norm."""
-        return float(np.linalg.norm(self.data, ord=2))
+        """Spectral (l2) norm: the largest |eigenvalue| of the symmetric matrix."""
+        return float(np.abs(np.linalg.eigvalsh(self.data)).max())
 
     def __repr__(self):
         return f"BlockCovariance(n_blocks={self.n_blocks}, block_dim={self.block_dim})"

@@ -6,17 +6,20 @@ row-major float64 values.  Ensembles store their (K, N, q) samples directly;
 covariance matrices reuse the same container as (qN, qN, 1).
 
 All text output is deterministic: floats are written with shortest
-round-trip repr, so identical data produces byte-identical files.
+round-trip repr and metadata records with sorted keys, so identical data
+produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .integrator import EnsembleState
 from .lattice import BlockCovariance
 
@@ -79,6 +82,14 @@ def read_covariance(path, block_dim: int = 1) -> tuple[BlockCovariance, float]:
     if k % block_dim:
         raise FormatError(f"{path}: dimension {k} is not a multiple of block_dim {block_dim}")
     return BlockCovariance(data[:, :, 0], k // block_dim, block_dim), time
+
+
+def write_metadata(out_dir, name: str, payload: dict) -> Path:
+    """Write ``<name>_metadata.json``: the payload plus the library version."""
+    path = Path(out_dir) / f"{name}_metadata.json"
+    record = {"library_version": __version__, **payload}
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def write_csv(path, header: list[str], rows) -> None:

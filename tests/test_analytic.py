@@ -2,22 +2,49 @@ import numpy as np
 import pytest
 
 from covloc import (
+    ContractViolationError,
     LinearParams,
     analytic_covariance,
     analytic_mean,
+    bound_inputs_from_model,
     build_system_matrix,
     circulant_covariance_row,
+    diffusion_only_bound,
+    linear_model,
+    meanfield_only_bound,
 )
-from covloc.analytic import NumericalError
 
-from oracles import quadrature_covariance, taylor_expm
+from oracles import (
+    dense_covariance,
+    dense_drift_matrix,
+    dense_mean,
+    quadrature_covariance,
+    taylor_expm,
+)
+
+# the diffusion, mean-field and combined figures' parameter sets, and a fourth
+# with every coupling at a different scale
+PARAMETER_SETS = (
+    LinearParams(a=1.0, d_u=20.0, w=0.0),
+    LinearParams(a=1.0, d_u=0.0, w=5.0),
+    LinearParams(a=1.0, d_u=20.0, w=5.0),
+    LinearParams(a=2.0, d_u=3.0, w=1.5),
+)
 
 
 class TestBuildSystemMatrix:
     def test_pure_damping(self):
-        sysm = build_system_matrix(LinearParams(a=2.0, d_u=0.0, w=0.0), 5)
-        np.testing.assert_allclose(sysm.a_matrix, -2.0 * np.eye(5))
+        params = LinearParams(a=2.0, d_u=0.0, w=0.0)
+        sysm = build_system_matrix(params, 5)
+        np.testing.assert_allclose(dense_drift_matrix(params, 5), -2.0 * np.eye(5))
         np.testing.assert_allclose(sysm.eigenvalues, -2.0)
+
+    def test_spectrum_matches_dense_matrix(self):
+        for params in PARAMETER_SETS:
+            for n in (3, 8, 64, 257):
+                eigs = np.sort(build_system_matrix(params, n).eigenvalues)
+                dense = np.linalg.eigvalsh(dense_drift_matrix(params, n))
+                np.testing.assert_allclose(eigs, dense, atol=1e-12)
 
     def test_meanfield_spectrum(self):
         # ones/N has spectrum {1, 0^(N-1)}: eigenvalues {-a, -(a+w)^(N-1)}
@@ -45,6 +72,13 @@ class TestAnalyticMean:
         u0 = np.arange(8.0)
         np.testing.assert_allclose(analytic_mean(sysm, u0, 0.0), u0, atol=1e-12)
 
+    def test_rejects_a_state_of_the_wrong_shape(self):
+        # a length-1 state would otherwise broadcast across every Fourier mode
+        sysm = build_system_matrix(LinearParams(a=1.0, d_u=3.0, w=1.0), 8)
+        for u0 in (np.ones(1), np.ones(7), np.ones((8, 2))):
+            with pytest.raises(ContractViolationError, match="u0"):
+                analytic_mean(sysm, u0, 1.0)
+
     def test_constant_field_decays_at_rate_a(self):
         # constants are null vectors of the Laplacian and the centered coupling
         sysm = build_system_matrix(LinearParams(a=1.0, d_u=7.0, w=0.0), 12)
@@ -55,7 +89,7 @@ class TestAnalyticMean:
         params = LinearParams(a=1.0, d_u=20.0, w=0.0)
         sysm = build_system_matrix(params, 4)
         u0 = np.eye(4)[0]
-        expected = taylor_expm(sysm.a_matrix * 0.1) @ u0
+        expected = taylor_expm(dense_drift_matrix(params, 4) * 0.1) @ u0
         np.testing.assert_allclose(analytic_mean(sysm, u0, 0.1), expected, rtol=1e-12)
 
 
@@ -73,7 +107,8 @@ class TestAnalyticCovariance:
 
     def test_meanfield_offdiagonals_equal_and_match_spectral_formula(self):
         n = 64
-        sysm = build_system_matrix(LinearParams(a=1.0, d_u=0.0, w=5.0), n)
+        params = LinearParams(a=1.0, d_u=0.0, w=5.0)
+        sysm = build_system_matrix(params, n)
         cov = analytic_covariance(sysm, None, 0.5, 5.0)
         off = cov.data[0, 1:]
         np.testing.assert_allclose(off, off[0], atol=1e-14)
@@ -81,7 +116,7 @@ class TestAnalyticCovariance:
         expected = 0.25 / n * ((1 - np.exp(-10)) / 2 - (1 - np.exp(-60)) / 12)
         assert off[0] == pytest.approx(expected, rel=1e-12)
         # the dumb quadrature oracle lands on the same value at its own accuracy
-        oracle = quadrature_covariance(sysm.a_matrix, 0.5, 5.0, nodes=10_000)
+        oracle = quadrature_covariance(dense_drift_matrix(params, n), 0.5, 5.0, nodes=10_000)
         assert off[0] == pytest.approx(oracle[0, 1], rel=1e-4)
 
     def test_quadrature_oracle_agreement(self):
@@ -95,7 +130,8 @@ class TestAnalyticCovariance:
             for n in (8, 16):
                 sysm = build_system_matrix(params, n)
                 got = analytic_covariance(sysm, None, 0.5, 1.5).data
-                expected = quadrature_covariance(sysm.a_matrix, 0.5, 1.5, nodes=200_000)
+                a_matrix = dense_drift_matrix(params, n)
+                expected = quadrature_covariance(a_matrix, 0.5, 1.5, nodes=200_000)
                 err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
                 assert err < 1e-8
 
@@ -104,9 +140,20 @@ class TestAnalyticCovariance:
         sysm = build_system_matrix(params, 8)
         cov0 = 0.3 * np.eye(8)
         got = analytic_covariance(sysm, cov0, 0.5, 0.8).data
-        prop = taylor_expm(sysm.a_matrix * 0.8)
-        expected = prop @ cov0 @ prop.T + quadrature_covariance(sysm.a_matrix, 0.5, 0.8)
+        a_matrix = dense_drift_matrix(params, 8)
+        prop = taylor_expm(a_matrix * 0.8)
+        expected = prop @ cov0 @ prop.T + quadrature_covariance(a_matrix, 0.5, 0.8)
         np.testing.assert_allclose(got, expected, atol=1e-9)
+
+    def test_vanishing_damping_takes_the_zero_rate_limit(self):
+        # at a = 1e-16 the constant mode's computed rate is 0 or +3e-15, not
+        # -a; the noise kernel's lambda -> 0 limit t still gives the answer,
+        # which differs from the a = 1e-12 one by O(a t^2 sigma^2) ~ 1e-11
+        for n in (3, 7, 64):
+            sysm = build_system_matrix(LinearParams(a=1e-16, d_u=20.0, w=5.0), n)
+            got = analytic_covariance(sysm, None, 0.5, 5.0).data
+            expected = dense_covariance(LinearParams(a=1e-12, d_u=20.0, w=5.0), n, 5.0)
+            np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_result_is_circulant(self):
         # spatial homogeneity: every row is the previous row shifted by one
@@ -128,13 +175,47 @@ class TestAnalyticCovariance:
 
 
 def test_fft_route_matches_dense_route():
-    for params in (
-        LinearParams(a=1.0, d_u=20.0, w=0.0),
-        LinearParams(a=1.0, d_u=0.0, w=5.0),
-        LinearParams(a=2.0, d_u=3.0, w=1.5),
-    ):
+    # the dense eigh route lives on in tests/oracles.py as the reference
+    for params in PARAMETER_SETS:
         for n in (8, 64, 257):
-            row = circulant_covariance_row(params, n, 5.0)
             sysm = build_system_matrix(params, n)
-            dense_row = analytic_covariance(sysm, None, params.sigma_u, 5.0).data[0]
-            np.testing.assert_allclose(row, dense_row, atol=1e-12)
+            u0 = np.sin(0.7 * np.arange(n))
+            cov0 = 0.3 * np.eye(n)
+            for t in (0.0, 1.0, 5.0):
+                np.testing.assert_allclose(
+                    analytic_mean(sysm, u0, t), dense_mean(params, u0, t), atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    analytic_covariance(sysm, None, params.sigma_u, t).data,
+                    dense_covariance(params, n, t),
+                    atol=1e-12,
+                )
+                np.testing.assert_allclose(
+                    analytic_covariance(sysm, cov0, params.sigma_u, t).data,
+                    dense_covariance(params, n, t, cov0),
+                    atol=1e-12,
+                )
+            np.testing.assert_allclose(
+                circulant_covariance_row(params, n, 5.0),
+                dense_covariance(params, n, 5.0)[0],
+                atol=1e-12,
+            )
+
+
+def test_row_route_reaches_large_lattices():
+    # criterion 3's 1/N law and criterion 9's bound dominance, out to N = 2^16
+    meanfield = LinearParams(a=1.0, d_u=0.0, w=5.0, sigma_u=0.5)
+    sizes = [2**p for p in range(10, 17)]
+    scaled = [circulant_covariance_row(meanfield, n, 5.0)[1] * n for n in sizes]
+    assert (max(scaled) - min(scaled)) / min(scaled) <= 0.01
+    for n in sizes:
+        coeff = meanfield_only_bound(bound_inputs_from_model(linear_model(meanfield, n), 5.0)) * n
+        assert coeff == pytest.approx(0.41329769316713173, rel=1e-12)
+        assert coeff > max(scaled)
+
+    diffusion = LinearParams(a=1.0, d_u=20.0, w=0.0, sigma_u=0.5)
+    n = 2**16
+    row = circulant_covariance_row(diffusion, n, 5.0)
+    inputs = bound_inputs_from_model(linear_model(diffusion, n), 5.0)
+    for k in range(65):
+        assert abs(row[k]) < diffusion_only_bound(1, 1 + k, 0.2, inputs), k

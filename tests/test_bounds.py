@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from covloc import (
     BoundInputs,
@@ -234,6 +235,19 @@ class TestSurrogateKernel:
         )
         e_gs = taylor_expm(g * s)
         np.testing.assert_allclose(surrogate_kernel(c, n, s), e_gs @ e_gs.T, rtol=1e-12)
+
+    def test_against_dense_expm_with_meanfield(self):
+        c = LipschitzConstants(-2.0, 0.5, 0.3)
+        for n in (8, 257):
+            idx = np.arange(n)
+            g = np.full((n, n), c.lambda_h / n)
+            g[idx, idx] += c.lambda_0
+            g[idx, (idx + 1) % n] += c.lambda_f
+            g[idx, (idx - 1) % n] += c.lambda_f
+            for s in (0.3, 1.3):
+                np.testing.assert_allclose(
+                    surrogate_kernel(c, n, s), scipy.linalg.expm(2.0 * s * g), rtol=1e-12
+                )
 
     def test_symmetric_psd_circulant_with_distance_structure(self):
         c = LipschitzConstants(-2.0, 0.5, 0.3)

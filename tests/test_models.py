@@ -6,13 +6,12 @@ from covloc import (
     LinearParams,
     PresetNotFoundError,
     REGIMES,
-    build_system_matrix,
     default_step_size,
     fhn_model,
     linear_model,
     regime,
 )
-from oracles import fhn_reference_drift, linear_reference_drift
+from oracles import dense_drift_matrix, fhn_reference_drift, linear_reference_drift
 
 
 def _full_drift(model, state):
@@ -83,7 +82,7 @@ class TestLinearModel:
         for n in (8, 64):
             params = LinearParams(a=1.0, d_u=20.0, w=5.0)
             model = linear_model(params, n)
-            a = build_system_matrix(params, n).a_matrix
+            a = dense_drift_matrix(params, n)
             for _ in range(100):
                 u = rng.standard_normal((n, 1))
                 np.testing.assert_allclose(
