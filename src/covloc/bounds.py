@@ -6,9 +6,19 @@ global part of size 1/N.  The growth rates
     lambda_beta = lambda_0 + lambda_f (e^beta + e^-beta),
     eta_beta    = lambda_beta + lambda_h
 
-control the two parts.  Exponentials are guarded: arguments past ~690 would
-overflow, so values saturate at 1e300 and the evaluation is flagged vacuous
-(an honest "the bound says nothing here" beats a NaN).
+control the two parts.  Both parts are built from one growth kernel
+
+    G(r) = e^{r t} S0 + (e^{r t} - 1) S / r,
+
+the local part from G(lambda_beta), the global part from
+G(eta_beta) - G(lambda_beta), which is exactly 0 without mean field.
+
+Saturation rule: G is +inf once r t passes log(CAP), and every bound is
+clamped to CAP at the end, so a saturated evaluation reads exactly CAP = 1e300
+and is flagged vacuous.  Infinities never cancel to a small value or vanish
+under a decay factor that underflows to 0: both the inf - inf and the
+inf * 0 they would give clamp to CAP as well.  An honest "the bound says
+nothing here" beats a NaN or a false zero.
 """
 
 from __future__ import annotations
@@ -70,7 +80,11 @@ class BoundEvaluation:
     local_term: float
     global_term: float
     total: float
-    vacuous: bool = False
+
+    @property
+    def vacuous(self) -> bool:
+        """A term reads CAP: the bound says nothing here."""
+        return max(self.local_term, self.global_term) >= CAP
 
 
 def bound_inputs_from_model(
@@ -96,21 +110,40 @@ def growth_rates(beta: float, c: LipschitzConstants) -> tuple[float, float]:
     return lam, lam + c.lambda_h
 
 
-def _exp(x: float) -> tuple[float, bool]:
-    """exp with saturation at CAP; second value flags saturation."""
-    if x > _LOG_CAP:
-        return CAP, True
-    return math.exp(x), False
-
-
-def _expm1_over(rate: float, t: float) -> tuple[float, bool]:
-    """(e^{rate * t} - 1) / rate with the rate -> 0 limit t, saturated at CAP."""
-    if rate == 0.0:
-        return t, False
+def _growth(rate: float, t: float, inputs: BoundInputs) -> float:
+    """G(rate) = e^{rate t} S0 + (e^{rate t} - 1) S / rate, with the rate -> 0
+    limit t S; +inf once rate * t passes log(CAP)."""
     x = rate * t
     if x > _LOG_CAP:
-        return CAP, True
-    return math.expm1(x) / rate, False
+        return math.inf
+    k = t if rate == 0.0 else math.expm1(x) / rate
+    return math.exp(x) * inputs.sigma0_sq_frob + k * inputs.sigma_sq_frob
+
+
+def _mean_field_growth(lam: float, eta: float, inputs: BoundInputs) -> float:
+    """G(eta) - G(lam), the growth of the global term.
+
+    Exactly 0 without mean field; once G(eta) saturates the difference is
+    +inf, or NaN when G(lam) saturates too, and either clamps to CAP.
+    """
+    if inputs.constants.lambda_h == 0.0:
+        return 0.0
+    return _growth(eta, inputs.t, inputs) - _growth(lam, inputs.t, inputs)
+
+
+def _cap(x: float) -> float:
+    """Clamp to CAP; inf and NaN (from inf - inf or inf * 0) read CAP too."""
+    return x if x < CAP else CAP
+
+
+def _global_factor(beta: float, n: int) -> float:
+    """(1 + e^-beta) / ((1 - e^-beta) N), the weight of the global term."""
+    return (1.0 + math.exp(-beta)) / ((1.0 - math.exp(-beta)) * n)
+
+
+def _prefactor(inputs: BoundInputs) -> float:
+    """2 sqrt(q) |grad g|^2, the common factor of both terms."""
+    return 2.0 * math.sqrt(inputs.q) * inputs.grad_g_sup**2
 
 
 def local_coefficient(beta: float, inputs: BoundInputs) -> float:
@@ -119,78 +152,47 @@ def local_coefficient(beta: float, inputs: BoundInputs) -> float:
     This is the constant the localization-error bound needs.
     """
     lam, _ = growth_rates(beta, inputs.constants)
-    e_lam, _ = _exp(lam * inputs.t)
-    k_lam, _ = _expm1_over(lam, inputs.t)
-    pref = 2.0 * math.sqrt(inputs.q) * inputs.grad_g_sup**2
-    return min(pref * (e_lam * inputs.sigma0_sq_frob + k_lam * inputs.sigma_sq_frob), CAP)
+    return _cap(_prefactor(inputs) * _growth(lam, inputs.t, inputs))
 
 
 def covariance_bound(i: int, j: int, beta: float, inputs: BoundInputs) -> BoundEvaluation:
     """Full two-term covariance bound between blocks i and j at time t.
 
-    local  = 2 sqrt(q) |grad g|^2 (e^{lam t} S0 + (e^{lam t} - 1) S / lam) e^{-beta d}
-    global = 2 sqrt(q) (1+e^-beta) |grad g|^2 / ((1-e^-beta) N)
-             * ((e^{eta t} - e^{lam t}) S0 + ((e^{eta t}-1)/eta - (e^{lam t}-1)/lam) S)
+    local  = 2 sqrt(q) |grad g|^2 G(lam) e^{-beta d}
+    global = 2 sqrt(q) |grad g|^2 (1+e^-beta) / ((1-e^-beta) N) * (G(eta) - G(lam))
 
-    with S = ||Sigma^2||_F and S0 = ||Sigma0^2||_F.
+    with G(r) = e^{r t} S0 + (e^{r t} - 1) S / r, S = ||Sigma^2||_F and
+    S0 = ||Sigma0^2||_F.
     """
     lam, eta = growth_rates(beta, inputs.constants)
-    t = inputs.t
+    pref = _prefactor(inputs)
     dist = cyclic_distance(i, j, inputs.n)
-    pref = 2.0 * math.sqrt(inputs.q) * inputs.grad_g_sup**2
-
-    e_lam, f1 = _exp(lam * t)
-    k_lam, f2 = _expm1_over(lam, t)
-    local = (
-        pref
-        * (e_lam * inputs.sigma0_sq_frob + k_lam * inputs.sigma_sq_frob)
-        * math.exp(-beta * dist)
+    local = _cap(pref * _growth(lam, inputs.t, inputs) * math.exp(-beta * dist))
+    global_ = _cap(
+        pref * _global_factor(beta, inputs.n) * _mean_field_growth(lam, eta, inputs)
     )
-
-    e_eta, f3 = _exp(eta * t)
-    k_eta, f4 = _expm1_over(eta, t)
-    gfac = pref * (1.0 + math.exp(-beta)) / ((1.0 - math.exp(-beta)) * inputs.n)
-    global_ = gfac * (
-        (e_eta - e_lam) * inputs.sigma0_sq_frob + (k_eta - k_lam) * inputs.sigma_sq_frob
-    )
-
-    vacuous = f1 or f2 or f3 or f4
-    local = min(local, CAP)
-    global_ = min(global_, CAP)
     return BoundEvaluation(
         beta=beta,
         lambda_beta=lam,
         eta_beta=eta,
         local_term=local,
         global_term=global_,
-        total=min(local + global_, CAP),
-        vacuous=vacuous,
+        total=_cap(local + global_),
     )
 
 
 def meanfield_only_bound(inputs: BoundInputs) -> float:
     """beta -> infinity closed form for systems with no neighbor coupling.
 
-    (2 sqrt(q) |grad g|^2 / N) * ((e^{(l0+lh) t} - e^{l0 t}) S0
-        + ((e^{(l0+lh) t} - 1)/(l0+lh) - (e^{l0 t} - 1)/l0) S)
+    (2 sqrt(q) |grad g|^2 / N) * (G(l0 + lh) - G(l0))
     """
     c = inputs.constants
     if c.lambda_f != 0.0:
         raise MisuseError(
             f"mean-field-only bound requires lambda_f = 0, got {c.lambda_f}"
         )
-    t = inputs.t
-    lam0, eta0 = c.lambda_0, c.lambda_0 + c.lambda_h
-    e_eta, _ = _exp(eta0 * t)
-    e_lam, _ = _exp(lam0 * t)
-    k_eta, _ = _expm1_over(eta0, t)
-    k_lam, _ = _expm1_over(lam0, t)
-    pref = 2.0 * math.sqrt(inputs.q) * inputs.grad_g_sup**2 / inputs.n
-    return min(
-        pref
-        * ((e_eta - e_lam) * inputs.sigma0_sq_frob + (k_eta - k_lam) * inputs.sigma_sq_frob),
-        CAP,
-    )
+    growth = _mean_field_growth(c.lambda_0, c.lambda_0 + c.lambda_h, inputs)
+    return _cap(_prefactor(inputs) / inputs.n * growth)
 
 
 def diffusion_only_bound(i: int, j: int, beta: float, inputs: BoundInputs) -> float:
@@ -199,8 +201,7 @@ def diffusion_only_bound(i: int, j: int, beta: float, inputs: BoundInputs) -> fl
         raise MisuseError(
             f"diffusion-only bound requires lambda_h = 0, got {inputs.constants.lambda_h}"
         )
-    dist = cyclic_distance(i, j, inputs.n)
-    return min(local_coefficient(beta, inputs) * math.exp(-beta * dist), CAP)
+    return covariance_bound(i, j, beta, inputs).local_term
 
 
 def optimize_beta(
@@ -246,26 +247,14 @@ def optimize_beta(
 def estimator_variance_bound(inputs: BoundInputs, beta: float) -> float:
     """Variance bound for the spatially pooled estimator (block average).
 
-    (2 |grad g|^2 / ((1-e^-beta) N)) * (2 e^{2 lam t} S0 + (e^{2 lam t}-1) S / lam)
-    + (2 |grad g|^2 / ((1-e^-beta) N)) * ((e^{eta t} - e^{lam t}) S0
-          + ((e^{eta t}-1)/eta - (e^{lam t}-1)/lam) S)
+    (2 |grad g|^2 / ((1-e^-beta) N)) * (2 G(2 lam) + G(eta) - G(lam)),
+
+    where 2 G(2 lam) = 2 e^{2 lam t} S0 + (e^{2 lam t} - 1) S / lam.
     """
     lam, eta = growth_rates(beta, inputs.constants)
-    t = inputs.t
     pref = 2.0 * inputs.grad_g_sup**2 / ((1.0 - math.exp(-beta)) * inputs.n)
-
-    e_2lam, _ = _exp(2.0 * lam * t)
-    k_2lam, _ = _expm1_over(lam, 2.0 * t)  # (e^{2 lam t} - 1) / lam
-    term1 = pref * (2.0 * e_2lam * inputs.sigma0_sq_frob + k_2lam * inputs.sigma_sq_frob)
-
-    e_eta, _ = _exp(eta * t)
-    e_lam, _ = _exp(lam * t)
-    k_eta, _ = _expm1_over(eta, t)
-    k_lam, _ = _expm1_over(lam, t)
-    term2 = pref * (
-        (e_eta - e_lam) * inputs.sigma0_sq_frob + (k_eta - k_lam) * inputs.sigma_sq_frob
-    )
-    return min(term1 + term2, CAP)
+    growth = 2.0 * _growth(2.0 * lam, inputs.t, inputs) + _mean_field_growth(lam, eta, inputs)
+    return _cap(pref * growth)
 
 
 def longtime_bound(i: int, j: int, inputs: BoundInputs, beta: float):
@@ -291,12 +280,7 @@ def longtime_bound(i: int, j: int, inputs: BoundInputs, beta: float):
     dist = cyclic_distance(i, j, inputs.n)
     pref = math.sqrt(inputs.q) * inputs.grad_g_sup**2 * inputs.sigma_sq_frob
     local = (-2.0 / lam) * math.exp(-beta * dist)
-    global_ = (
-        2.0
-        * (1.0 + math.exp(-beta))
-        / ((1.0 - math.exp(-beta)) * inputs.n)
-        * (1.0 / lam - 1.0 / eta)
-    )
+    global_ = 2.0 * _global_factor(beta, inputs.n) * (1.0 / lam - 1.0 / eta)
     return pref * (local + global_)
 
 
@@ -329,8 +313,8 @@ def kernel_entry_bound(
     2 e^{lam_beta s} (e^{-beta d(i,j)} + (1+e^-beta)(e^{lam_h s} - 1) / ((1-e^-beta) N)).
     """
     lam, _ = growth_rates(beta, c)
+    if max(lam, c.lambda_h) * s > _LOG_CAP:
+        return CAP  # e^{lam_beta s} or e^{lam_h s} saturates
+    tail = _global_factor(beta, n) * math.expm1(c.lambda_h * s)
     dist = cyclic_distance(i, j, n)
-    e_lam, _ = _exp(lam * s)
-    e_h = math.expm1(c.lambda_h * s) if c.lambda_h * s <= _LOG_CAP else CAP
-    tail = (1.0 + math.exp(-beta)) * e_h / ((1.0 - math.exp(-beta)) * n)
-    return min(2.0 * e_lam * (math.exp(-beta * dist) + tail), CAP)
+    return _cap(2.0 * math.exp(lam * s) * (math.exp(-beta * dist) + tail))

@@ -26,10 +26,10 @@ from .storage import (
     FormatError,
     read_covariance,
     read_covariance_csv,
+    write_array,
     write_covariance,
     write_covariance_csv,
     write_csv,
-    write_ensemble,
     write_ensemble_csv,
     write_metadata,
 )
@@ -71,7 +71,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, ensemble = _run_ensemble(cfg)
-    write_ensemble(out_dir / "ensemble.cvl", ensemble)
+    write_array(out_dir / "ensemble.cvl", ensemble.samples, ensemble.time)
     write_ensemble_csv(out_dir / "ensemble.csv", ensemble)
     _write_run_metadata(out_dir, "simulate", cfg)
     print(f"wrote {out_dir / 'ensemble.cvl'} and {out_dir / 'ensemble.csv'}")

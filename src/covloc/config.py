@@ -7,7 +7,7 @@ parameter would otherwise invalidate a whole reproduction run.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 from .lattice import LatticeModelSpec
 from .models import (
@@ -28,26 +28,8 @@ PRODUCTS = (
     "localization-report",
 )
 
-_MODEL_KEYS = {
-    "preset",
-    "kind",
-    "a",
-    "d_u",
-    "w",
-    "sigma_u",
-    "epsilon",
-    "delta1",
-    "delta2",
-}
-_RUN_KEYS = {"n_blocks", "n_samples", "t_end", "step_size", "master_seed", "threads"}
-_OUTPUT_KEYS = {"products", "out_dir"}
-_BOUNDS_KEYS = {"betas", "grad_g_sup", "t"}
-_SECTIONS = {
-    "model": _MODEL_KEYS,
-    "run": _RUN_KEYS,
-    "outputs": _OUTPUT_KEYS,
-    "bounds": _BOUNDS_KEYS,
-}
+_PARAMS = {"linear": LinearParams, "fhn": FhnParams}
+_MODEL_KEYS = {"preset", "kind"} | {f.name for cls in _PARAMS.values() for f in fields(cls)}
 
 
 class ConfigError(ValueError):
@@ -58,9 +40,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     params: LinearParams | FhnParams
     n_blocks: int
-    n_samples: int
     t_end: float
     master_seed: int
+    n_samples: int = 1
     step_size: float | None = None
     threads: int = 1
     products: tuple[str, ...] = ()
@@ -102,11 +84,34 @@ class ExperimentConfig:
         return out
 
 
-def _get(section, key, convert, where, required=False, default=None):
+def _parse_list(raw: str) -> list[str]:
+    return [item.strip() for item in raw.split(",") if item.strip()]
+
+
+# (section, key) -> (ExperimentConfig field, converter); omitted keys take the
+# field's default, and fields without one are required
+_FIELDS = {
+    ("run", "n_blocks"): ("n_blocks", int),
+    ("run", "n_samples"): ("n_samples", int),
+    ("run", "t_end"): ("t_end", float),
+    ("run", "master_seed"): ("master_seed", int),
+    ("run", "step_size"): ("step_size", float),
+    ("run", "threads"): ("threads", int),
+    ("outputs", "products"): ("products", lambda raw: tuple(_parse_list(raw))),
+    ("outputs", "out_dir"): ("out_dir", str),
+    ("bounds", "betas"): ("betas", lambda raw: tuple(float(x) for x in _parse_list(raw))),
+    ("bounds", "grad_g_sup"): ("grad_g_sup", float),
+    ("bounds", "t"): ("bounds_t", float),
+}
+_REQUIRED = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+_SECTIONS = {"model": _MODEL_KEYS} | {
+    section: {key for s, key in _FIELDS if s == section} for section, _ in _FIELDS
+}
+
+
+def _get(section, key, convert, where):
     if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
+        raise ConfigError(f"missing required key {where}.{key}")
     raw = section[key]
     try:
         return convert(raw)
@@ -125,36 +130,16 @@ def _parse_model(section) -> LinearParams | FhnParams:
             return regime(section["preset"]).params
         except PresetNotFoundError as exc:
             raise ConfigError(f"model.preset: {exc}") from None
-    kind = _get(section, "kind", str, "model", required=True)
-    if kind == "linear":
-        allowed = {"kind", "a", "d_u", "w", "sigma_u"}
-        extra = set(section) - allowed
-        if extra:
-            raise ConfigError(f"unknown keys for a linear model: {sorted(extra)}")
-        return LinearParams(
-            a=_get(section, "a", float, "model", default=1.0),
-            d_u=_get(section, "d_u", float, "model", default=0.0),
-            w=_get(section, "w", float, "model", default=0.0),
-            sigma_u=_get(section, "sigma_u", float, "model", default=0.5),
-        )
-    if kind == "fhn":
-        allowed = {"kind", "epsilon", "a", "d_u", "w", "delta1", "delta2"}
-        extra = set(section) - allowed
-        if extra:
-            raise ConfigError(f"unknown keys for an fhn model: {sorted(extra)}")
-        return FhnParams(
-            epsilon=_get(section, "epsilon", float, "model", default=0.01),
-            a=_get(section, "a", float, "model", default=1.05),
-            d_u=_get(section, "d_u", float, "model", default=0.0),
-            w=_get(section, "w", float, "model", default=0.0),
-            delta1=_get(section, "delta1", float, "model", default=0.4),
-            delta2=_get(section, "delta2", float, "model", default=0.4),
-        )
-    raise ConfigError(f"model.kind must be 'linear' or 'fhn', got {kind!r}")
-
-
-def _parse_list(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(",") if item.strip()]
+    kind = _get(section, "kind", str, "model")
+    if kind not in _PARAMS:
+        raise ConfigError(f"model.kind must be 'linear' or 'fhn', got {kind!r}")
+    names = [f.name for f in fields(_PARAMS[kind])]
+    extra = set(section) - {"kind", *names}
+    if extra:
+        raise ConfigError(f"unknown keys for model.kind = {kind}: {sorted(extra)}")
+    return _PARAMS[kind](
+        **{key: _get(section, key, float, "model") for key in names if key in section}
+    )
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -174,42 +159,12 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"missing required section [{required}]")
 
     params = _parse_model(parser["model"])
-    run = parser["run"]
-    cfg = ExperimentConfig(
-        params=params,
-        n_blocks=_get(run, "n_blocks", int, "run", required=True),
-        n_samples=_get(run, "n_samples", int, "run", default=1),
-        t_end=_get(run, "t_end", float, "run", required=True),
-        master_seed=_get(run, "master_seed", int, "run", required=True),
-        step_size=_get(run, "step_size", float, "run"),
-        threads=_get(run, "threads", int, "run", default=1),
-        products=tuple(
-            _get(parser["outputs"], "products", _parse_list, "outputs", default=[])
-            if "outputs" in parser
-            else []
-        ),
-        out_dir=(
-            _get(parser["outputs"], "out_dir", str, "outputs", default="out")
-            if "outputs" in parser
-            else "out"
-        ),
-        betas=tuple(
-            float(x)
-            for x in (
-                _get(parser["bounds"], "betas", _parse_list, "bounds", default=["0.2"])
-                if "bounds" in parser
-                else ["0.2"]
-            )
-        ),
-        grad_g_sup=(
-            _get(parser["bounds"], "grad_g_sup", float, "bounds", default=1.0)
-            if "bounds" in parser
-            else 1.0
-        ),
-        bounds_t=(
-            _get(parser["bounds"], "t", float, "bounds") if "bounds" in parser else None
-        ),
-    )
+    values = {}
+    for (where, key), (name, convert) in _FIELDS.items():
+        section = parser[where] if where in parser else {}
+        if key in section or name in _REQUIRED:
+            values[name] = _get(section, key, convert, where)
+    cfg = ExperimentConfig(params=params, **values)
     for product in cfg.products:
         if product not in PRODUCTS:
             raise ConfigError(

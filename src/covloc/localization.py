@@ -124,9 +124,9 @@ def plan_localization(
     c_constant: float = 1.0,
 ) -> LocalizationPlan:
     """Bandwidth plus sample-size plan for a target accuracy epsilon."""
-    uncapped = choose_bandwidth(epsilon, beta, local_coefficient)
-    cap = n_blocks // 2
-    bandwidth = min(uncapped, cap)
+    bandwidth = choose_bandwidth(epsilon, beta, local_coefficient, n_blocks)
+    # the bound decreases in l, so it misses epsilon only at the floor(N/2) cap
+    error_bound = localization_error_bound(bandwidth, beta, local_coefficient)
     return LocalizationPlan(
         bandwidth=bandwidth,
         epsilon=epsilon,
@@ -134,5 +134,5 @@ def plan_localization(
             epsilon, bandwidth, n_blocks, cov_norm, delta, c_constant
         ),
         c_constant=c_constant,
-        bound_insufficient=uncapped > cap,
+        bound_insufficient=error_bound > epsilon,
     )

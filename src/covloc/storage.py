@@ -61,14 +61,6 @@ def read_array(path) -> tuple[np.ndarray, float]:
     return data.copy(), time
 
 
-def write_ensemble(path, ensemble: EnsembleState) -> None:
-    write_array(path, ensemble.samples, ensemble.time)
-
-
-def read_ensemble(path) -> tuple[np.ndarray, float]:
-    return read_array(path)
-
-
 def write_covariance(path, cov: BlockCovariance, time: float = 0.0) -> None:
     d = cov.n_blocks * cov.block_dim
     write_array(path, cov.data.reshape(d, d, 1), time)

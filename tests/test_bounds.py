@@ -9,6 +9,7 @@ from covloc import (
     LinearParams,
     LipschitzConstants,
     MisuseError,
+    REGIMES,
     StabilityWindowError,
     UNSTABLE,
     analytic_covariance,
@@ -28,6 +29,7 @@ from covloc import (
     regime,
     surrogate_kernel,
 )
+from covloc.bounds import CAP
 
 from oracles import taylor_expm
 
@@ -42,6 +44,10 @@ def _inputs(c, sigma_sq=0.25, sigma0_sq=0.0, q=1, grad=1.0, t=5.0, n=64):
         t=t,
         n=n,
     )
+
+
+def _preset_inputs(name, t, n=64):
+    return bound_inputs_from_model(fhn_model(regime(name).params, n), t)
 
 
 class TestGrowthRates:
@@ -76,6 +82,11 @@ class TestCovarianceBound:
             ev = covariance_bound(1, j, 0.2, inputs)
             assert ev.global_term == 0.0
             assert ev.total == pytest.approx(diffusion_only_bound(1, j, 0.2, inputs), rel=1e-15)
+        # e^{lambda_beta t} passes CAP: the specialization saturates like the local term
+        saturated = _preset_inputs("regime-a", 0.5)
+        ev = covariance_bound(1, 2, 0.5, saturated)
+        assert diffusion_only_bound(1, 2, 0.5, saturated) == ev.local_term == CAP
+        assert ev.global_term == 0.0
 
     def test_large_beta_converges_to_meanfield_closed_form(self):
         c = LipschitzConstants(-6.0, 0.0, 5.0)
@@ -104,6 +115,12 @@ class TestCovarianceBound:
         assert ev.vacuous
         assert ev.total <= 1e300 and math.isfinite(ev.total)
 
+    def test_saturated_global_term_reads_cap(self):
+        # eta_beta t = 1400: G(eta) and G(lambda) both saturate and must not cancel
+        ev = covariance_bound(1, 2, 0.5, _preset_inputs("meanfield-strong", 14.0))
+        assert ev.global_term == CAP
+        assert ev.vacuous
+
 
 class TestMeanfieldOnlyBound:
     def test_zero_time(self):
@@ -118,6 +135,9 @@ class TestMeanfieldOnlyBound:
     def test_rejects_neighbor_coupling(self):
         with pytest.raises(MisuseError):
             meanfield_only_bound(_inputs(LipschitzConstants(-2.0, 0.5, 1.0)))
+
+    def test_saturates_to_cap_not_zero(self):
+        assert meanfield_only_bound(_preset_inputs("meanfield-strong", 14.0)) == CAP
 
 
 class TestDiffusionOnlyBound:
@@ -317,3 +337,45 @@ def test_dominance_counterexample_outside_validity_window():
     lam, _ = growth_rates(0.5, inputs.constants)
     assert lam > 0
     assert abs(exact) > covariance_bound(1, 33, 0.5, inputs).total
+
+
+def test_saturated_bounds_read_cap_and_never_nan():
+    """Every bound whose exponent passes log(CAP) reads exactly CAP; none is NaN
+    or negative.  beta = 30 at d = 32 underflows e^{-beta d} to 0, where the
+    naive saturated product inf * 0 is NaN."""
+    models = [fhn_model(r.params, 64) for r in REGIMES.values()] + [
+        linear_model(LinearParams(a=1.0, d_u=d_u, w=w), 64)
+        for d_u, w in ((0.0, 5.0), (20.0, 0.0), (20.0, 5.0))
+    ]
+    log_cap = math.log(CAP)
+    n_saturated = 0
+
+    def check(value, exponent):
+        nonlocal n_saturated
+        assert not math.isnan(value) and 0.0 <= value <= CAP
+        if exponent > log_cap:
+            assert value == CAP
+            n_saturated += 1
+
+    for model in models:
+        c = model.lipschitz
+        for t in (0.0, 0.5, 14.0, 50.0):
+            inputs = bound_inputs_from_model(model, t)
+            for beta in (0.05, 0.5, 30.0):
+                lam, eta = growth_rates(beta, c)
+                # G(eta) - G(lambda) vanishes identically without mean field
+                gap = eta * t if c.lambda_h > 0 else -math.inf
+                if c.lambda_f == 0.0:
+                    check(meanfield_only_bound(inputs), gap)
+                check(local_coefficient(beta, inputs), lam * t)
+                check(estimator_variance_bound(inputs, beta), max(2.0 * lam * t, gap))
+                for d in (0, 1, 32):
+                    ev = covariance_bound(1, 1 + d, beta, inputs)
+                    check(ev.local_term, lam * t)
+                    check(ev.global_term, gap)
+                    check(ev.total, max(lam * t, gap))
+                    assert ev.vacuous == (max(ev.local_term, ev.global_term) == CAP)
+                    if c.lambda_h == 0.0:
+                        check(diffusion_only_bound(1, 1 + d, beta, inputs), lam * t)
+                    check(kernel_entry_bound(1, 1 + d, c, 64, t, beta), max(lam, c.lambda_h) * t)
+    assert n_saturated > 1000

@@ -118,15 +118,24 @@ class TestCliCommands:
         # one row per (beta, j)
         assert len(lines) == 1 + 2 * 16
 
+    def test_bounds_saturated_global_term_reads_cap(self, tmp_path):
+        out = tmp_path / "bounds"
+        text = PRESET_CFG.replace("regime-f", "meanfield-strong") + "\n[bounds]\nt = 14\n"
+        assert main(["bounds", "--config", _write(tmp_path, text, out=out)]) == 0
+        header, *rows = (out / "bounds.csv").read_text().splitlines()
+        assert header.split(",")[4] == "global"
+        assert rows and all(row.split(",")[4] == "1e+300" for row in rows)
+        assert json.loads((out / "bounds_metadata.json").read_text())["any_vacuous"]
+
     def test_localize_via_files(self, tmp_path):
         out = tmp_path / "cov"
         cfg = _write(tmp_path, LINEAR_CFG, out=out)
         main(["simulate", "--config", cfg])
         # build a covariance csv from the ensemble via the library, then truncate
         from covloc import BlockCovariance, EnsembleState, sample_covariance
-        from covloc.storage import read_ensemble, write_covariance_csv
+        from covloc.storage import read_array, write_covariance_csv
 
-        samples, _ = read_ensemble(out / "ensemble.cvl")
+        samples, _ = read_array(out / "ensemble.cvl")
         ens = EnsembleState(samples=samples, time=0.2, seeds=tuple(range(len(samples))))
         cov = sample_covariance(ens)
         cov_path = tmp_path / "cov.csv"

@@ -7,12 +7,10 @@ from covloc.storage import (
     read_array,
     read_covariance,
     read_covariance_csv,
-    read_ensemble,
     write_array,
     write_covariance,
     write_covariance_csv,
     write_csv,
-    write_ensemble,
     write_ensemble_csv,
 )
 
@@ -43,8 +41,8 @@ def test_ensemble_roundtrip(tmp_path):
     samples = np.arange(24, dtype=float).reshape(3, 4, 2)
     ens = EnsembleState(samples=samples, time=2.0, seeds=(1, 2, 3))
     path = tmp_path / "e.cvl"
-    write_ensemble(path, ens)
-    back, t = read_ensemble(path)
+    write_array(path, ens.samples, ens.time)
+    back, t = read_array(path)
     np.testing.assert_array_equal(back, samples)
     assert t == 2.0
 
