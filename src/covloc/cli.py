@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import bound_inputs_from_model, covariance_bound, local_coefficient
+from .bounds import bound_inputs_from_model, covariance_bound
 from .config import ConfigError, ExperimentConfig, parse_config
 from .estimators import monte_carlo_pair_covariance, shifted_pair_covariance
 from .figures import DEFAULT_SEED, FIGURES, UnknownFigureError, run_figure
@@ -59,18 +59,17 @@ def _write_run_metadata(out_dir: Path, name: str, cfg: ExperimentConfig, **extra
 
 
 def _run_ensemble(cfg: ExperimentConfig):
-    model = cfg.build_model()
     run = IntegratorConfig(
         step_size=cfg.resolved_step_size(), t_end=cfg.t_end, master_seed=cfg.master_seed
     )
-    return model, simulate_ensemble(model, run, cfg.n_samples, n_workers=cfg.threads)
+    return simulate_ensemble(cfg.build_model(), run, cfg.n_samples, n_workers=cfg.threads)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, ensemble = _run_ensemble(cfg)
+    ensemble = _run_ensemble(cfg)
     write_array(out_dir / "ensemble.cvl", ensemble.samples, ensemble.time)
     write_ensemble_csv(out_dir / "ensemble.csv", ensemble)
     _write_run_metadata(out_dir, "simulate", cfg)
@@ -80,11 +79,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_cov(args) -> int:
     cfg = _load_config(args)
+    max_lag = args.max_lag if args.max_lag is not None else cfg.n_blocks // 2
+    if max_lag < 0:
+        raise ConfigError(f"--max-lag must be >= 0, got {max_lag}")
+    max_lag = min(max_lag, cfg.n_blocks // 2)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, ensemble = _run_ensemble(cfg)
-    max_lag = args.max_lag if args.max_lag is not None else cfg.n_blocks // 2
-    max_lag = min(max_lag, cfg.n_blocks // 2)
+    ensemble = _run_ensemble(cfg)
     rows = []
     for lag in range(max_lag + 1):
         sa = shifted_pair_covariance(ensemble, lag)
@@ -193,13 +194,13 @@ def _cmd_figure(args) -> int:
         threads=1 if args.threads is None else args.threads,
     )
     if args.svg:
-        _render_svgs(args.figure_id, files)
+        _render_svgs(files)
     for path in files:
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _render_svgs(figure_id: str, files) -> None:
+def _render_svgs(files) -> None:
     import csv as _csv
 
     from .svgplot import write_line_plot

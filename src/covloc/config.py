@@ -20,14 +20,6 @@ from .models import (
     regime,
 )
 
-PRODUCTS = (
-    "cov-curve",
-    "cov-vs-n",
-    "bounds-overlay",
-    "spatial-vs-mc",
-    "localization-report",
-)
-
 _PARAMS = {"linear": LinearParams, "fhn": FhnParams}
 _MODEL_KEYS = {"preset", "kind"} | {f.name for cls in _PARAMS.values() for f in fields(cls)}
 
@@ -45,7 +37,6 @@ class ExperimentConfig:
     n_samples: int = 1
     step_size: float | None = None
     threads: int = 1
-    products: tuple[str, ...] = ()
     out_dir: str = "out"
     betas: tuple[float, ...] = (0.2,)
     grad_g_sup: float = 1.0
@@ -75,7 +66,6 @@ class ExperimentConfig:
             "step_size": self.resolved_step_size(),
             "master_seed": self.master_seed,
         }
-        out["outputs"] = {"products": list(self.products)}
         out["bounds"] = {
             "betas": list(self.betas),
             "grad_g_sup": self.grad_g_sup,
@@ -97,7 +87,6 @@ _FIELDS = {
     ("run", "master_seed"): ("master_seed", int),
     ("run", "step_size"): ("step_size", float),
     ("run", "threads"): ("threads", int),
-    ("outputs", "products"): ("products", lambda raw: tuple(_parse_list(raw))),
     ("outputs", "out_dir"): ("out_dir", str),
     ("bounds", "betas"): ("betas", lambda raw: tuple(float(x) for x in _parse_list(raw))),
     ("bounds", "grad_g_sup"): ("grad_g_sup", float),
@@ -165,11 +154,6 @@ def parse_config(path) -> ExperimentConfig:
         if key in section or name in _REQUIRED:
             values[name] = _get(section, key, convert, where)
     cfg = ExperimentConfig(params=params, **values)
-    for product in cfg.products:
-        if product not in PRODUCTS:
-            raise ConfigError(
-                f"unknown product {product!r} in outputs.products; valid: {PRODUCTS}"
-            )
     if cfg.n_blocks < 3:
         raise ConfigError(f"run.n_blocks must be >= 3, got {cfg.n_blocks}")
     if cfg.n_samples < 1:

@@ -18,11 +18,19 @@ Figure map:
   F10 FHN, mean-field regimes: single-path space-time fields
   F11 FHN, regimes (a)-(e): spatial-average vs Monte Carlo covariance curves
   F12 FHN, regime (f): spatial-average vs Monte Carlo covariance curves
+
+Builder contract: each figure's builder is a pure function
+``builder(cfg, seed, threads)`` that does no I/O and returns
+``(stem, header, rows, settings)``.  ``cfg`` is ``SCALES[figure_id][scale]``,
+or None for a figure without a scale table.  ``run_figure`` is the one place
+that writes figure data: ``<id>_<stem>.csv`` with ``header`` and ``rows``,
+then ``<id>_metadata.json`` recording ``settings``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -31,21 +39,14 @@ import numpy as np
 from .analytic import analytic_covariance, build_system_matrix
 from .bounds import bound_inputs_from_model, diffusion_only_bound, meanfield_only_bound
 from .estimators import (
+    InsufficientSamplesError,
     monte_carlo_pair_covariance,
     sample_covariance,
     shifted_pair_covariance,
 )
 from .integrator import IntegratorConfig, simulate_ensemble, simulate_path
 from .lattice import ContractViolationError
-from .models import (
-    FhnParams,
-    LinearParams,
-    build_model,
-    default_step_size,
-    fhn_model,
-    linear_model,
-    regime,
-)
+from .models import FhnParams, LinearParams, build_model, fhn_model, linear_model, regime
 from .storage import write_csv, write_metadata
 
 
@@ -128,159 +129,120 @@ def _fhn_step(params, base_h: float) -> float:
     return _H_GRID[-1]
 
 
-def _linear_profile_rows(params: LinearParams, n: int, t: float):
-    sys = build_system_matrix(params, n)
-    cov = analytic_covariance(sys, None, params.sigma_u, t)
-    return [(i, cov.entry(1, i)) for i in range(1, n + 1)]
+def _linear_row(params: LinearParams, n: int, t: float = 5.0) -> np.ndarray:
+    """cov(u_1, u_i) for i = 1..n: the first row of the exact linear covariance."""
+    return analytic_covariance(build_system_matrix(params, n), None, params.sigma_u, t).data[0]
 
 
-def _figure_f1(scale, seed, out_dir, threads):
+def _fhn_run(params: FhnParams, base_h: float, t_end: float, seed: int, *tags: int):
+    """Integrator settings for one FHN sub-experiment, seeded by ``tags``."""
+    step = _fhn_step(params, base_h)
+    return IntegratorConfig(step_size=step, t_end=t_end, master_seed=_derived_seed(seed, *tags))
+
+
+def _figure_f1(cfg, seed, threads):
+    rows = [
+        (n, i, value)
+        for n in _F1_N_LIST
+        for i, value in enumerate(_linear_row(LINEAR_MEANFIELD, n), 1)
+    ]
+    settings = {"params": vars(LINEAR_MEANFIELD), "t": 5.0, "n_list": _F1_N_LIST}
+    return "meanfield_profiles", ["n", "i", "covariance"], rows, settings
+
+
+def _figure_f2(cfg, seed, threads):
     rows = []
-    for n in _F1_N_LIST:
-        for i, value in _linear_profile_rows(LINEAR_MEANFIELD, n, 5.0):
-            rows.append((n, i, value))
-    path = out_dir / "F1_meanfield_profiles.csv"
-    write_csv(path, ["n", "i", "covariance"], rows)
-    return [path], {"params": vars(LINEAR_MEANFIELD), "t": 5.0, "n_list": _F1_N_LIST}
-
-
-def _figure_f2(scale, seed, out_dir, threads):
-    n_list = SCALES["F2"][scale]["n_list"]
-    rows = []
-    for n in n_list:
-        sys = build_system_matrix(LINEAR_MEANFIELD, n)
-        cov12 = analytic_covariance(sys, None, LINEAR_MEANFIELD.sigma_u, 5.0).entry(1, 2)
+    for n in cfg["n_list"]:
         model = linear_model(LINEAR_MEANFIELD, n)
         bound = meanfield_only_bound(bound_inputs_from_model(model, 5.0))
-        rows.append((n, cov12, bound))
-    path = out_dir / "F2_meanfield_vs_n.csv"
-    write_csv(path, ["n", "covariance", "bound"], rows)
-    return [path], {"params": vars(LINEAR_MEANFIELD), "t": 5.0, "n_list": n_list}
+        rows.append((n, _linear_row(LINEAR_MEANFIELD, n)[1], bound))
+    settings = {"params": vars(LINEAR_MEANFIELD), "t": 5.0, "n_list": cfg["n_list"]}
+    return "meanfield_vs_n", ["n", "covariance", "bound"], rows, settings
 
 
-def _figure_f3(scale, seed, out_dir, threads):
+def _figure_f3(cfg, seed, threads):
     rows = []
     for d_u in (1.0, 5.0, 20.0):
         params = LinearParams(a=1.0, d_u=d_u, w=0.0, sigma_u=0.5)
-        for i, value in _linear_profile_rows(params, 64, 5.0):
-            rows.append((d_u, i, value))
-    path = out_dir / "F3_diffusion_profiles.csv"
-    write_csv(path, ["d_u", "i", "covariance"], rows)
-    return [path], {"a": 1.0, "sigma_u": 0.5, "n": 64, "t": 5.0, "d_u_list": [1, 5, 20]}
+        rows.extend((d_u, i, value) for i, value in enumerate(_linear_row(params, 64), 1))
+    settings = {"a": 1.0, "sigma_u": 0.5, "n": 64, "t": 5.0, "d_u_list": [1, 5, 20]}
+    return "diffusion_profiles", ["d_u", "i", "covariance"], rows, settings
 
 
-def _figure_f4(scale, seed, out_dir, threads):
+def _figure_f4(cfg, seed, threads):
     n, t, beta = 64, 5.0, 0.2
-    sys = build_system_matrix(LINEAR_DIFFUSION, n)
-    cov = analytic_covariance(sys, None, LINEAR_DIFFUSION.sigma_u, t)
+    row = _linear_row(LINEAR_DIFFUSION, n, t)
     inputs = bound_inputs_from_model(linear_model(LINEAR_DIFFUSION, n), t)
-    rows = []
-    for k in range(n // 2 + 1):
-        value = cov.entry(1, 1 + k)
-        bound = diffusion_only_bound(1, 1 + k, beta, inputs)
-        rows.append((k, value, float(np.log(abs(value))), bound))
-    path = out_dir / "F4_diffusion_decay.csv"
-    write_csv(path, ["k", "covariance", "log_abs_covariance", "bound"], rows)
-    return [path], {"params": vars(LINEAR_DIFFUSION), "n": n, "t": t, "beta": beta}
+    rows = [
+        (k, row[k], float(np.log(abs(row[k]))), diffusion_only_bound(1, 1 + k, beta, inputs))
+        for k in range(n // 2 + 1)
+    ]
+    header = ["k", "covariance", "log_abs_covariance", "bound"]
+    settings = {"params": vars(LINEAR_DIFFUSION), "n": n, "t": t, "beta": beta}
+    return "diffusion_decay", header, rows, settings
 
 
-def _figure_f5(scale, seed, out_dir, threads):
-    rows = _linear_profile_rows(LINEAR_BOTH, 64, 5.0)
-    path = out_dir / "F5_combined_profile.csv"
-    write_csv(path, ["i", "covariance"], rows)
-    return [path], {"params": vars(LINEAR_BOTH), "n": 64, "t": 5.0}
+def _figure_f5(cfg, seed, threads):
+    rows = list(enumerate(_linear_row(LINEAR_BOTH, 64), 1))
+    settings = {"params": vars(LINEAR_BOTH), "n": 64, "t": 5.0}
+    return "combined_profile", ["i", "covariance"], rows, settings
 
 
-def _figure_f6(scale, seed, out_dir, threads):
-    sys = build_system_matrix(LINEAR_BOTH, 64)
-    cov = analytic_covariance(sys, None, LINEAR_BOTH.sigma_u, 5.0)
-    rows = [(k, cov.entry(1, 1 + k)) for k in range(33)]
-    path = out_dir / "F6_combined_decay.csv"
-    write_csv(path, ["k", "covariance"], rows)
-    return [path], {"params": vars(LINEAR_BOTH), "n": 64, "t": 5.0}
+def _figure_f6(cfg, seed, threads):
+    rows = list(enumerate(_linear_row(LINEAR_BOTH, 64)[:33]))
+    settings = {"params": vars(LINEAR_BOTH), "n": 64, "t": 5.0}
+    return "combined_decay", ["k", "covariance"], rows, settings
 
 
-def _figure_f7(scale, seed, out_dir, threads):
-    cfg = SCALES["F7"][scale]
-    n, k = cfg["n"], cfg["k"]
+def _figure_f7(cfg, seed, threads):
+    n = cfg["n"]
     rows = []
     for ridx, name in enumerate(_DIFFUSION_REGIMES):
         params = regime(name).params
-        model = fhn_model(params, n)
-        run = IntegratorConfig(
-            step_size=_fhn_step(params, cfg["h"]),
-            t_end=5.0,
-            master_seed=_derived_seed(seed, 7, ridx),
+        run = _fhn_run(params, cfg["h"], 5.0, seed, 7, ridx)
+        cov = sample_covariance(
+            simulate_ensemble(fhn_model(params, n), run, cfg["k"], n_workers=threads)
         )
-        ensemble = simulate_ensemble(model, run, k, n_workers=threads)
-        cov = sample_covariance(ensemble)
         for comp, label in ((1, "u"), (2, "v")):
-            for i in range(1, n + 1):
-                rows.append((name, label, i, cov.entry(1, i, comp, comp)))
-    path = out_dir / "F7_fhn_diffusion_covariance.csv"
-    write_csv(path, ["regime", "component", "i", "covariance"], rows)
-    return [path], {"t": 5.0, **cfg, "regimes": list(_DIFFUSION_REGIMES)}
+            rows.extend((name, label, i, cov.entry(1, i, comp, comp)) for i in range(1, n + 1))
+    header = ["regime", "component", "i", "covariance"]
+    settings = {"t": 5.0, **cfg, "regimes": list(_DIFFUSION_REGIMES)}
+    return "fhn_diffusion_covariance", header, rows, settings
 
 
-def _space_time_rows(name, n, base_h, seed, times):
-    params = regime(name).params
-    model = fhn_model(params, n)
-    run = IntegratorConfig(
-        step_size=_fhn_step(params, base_h), t_end=times[-1], master_seed=seed
-    )
-    path_result = simulate_path(model, run, output_times=times)
-    for t, state in zip(path_result.times, path_result.states):
-        for i in range(n):
-            yield (name, float(t), i + 1, state[i, 0], state[i, 1])
-
-
-def _figure_fields(figure_id, regimes, scale, seed, out_dir):
-    cfg = SCALES[figure_id][scale]
-    n, h = cfg["n"], cfg["h"]
+def _figure_fields(regimes, cfg, seed, threads):
+    n = cfg["n"]
     times = [round(0.05 * m, 10) for m in range(101)]
     rows = []
     for ridx, name in enumerate(regimes):
-        rows.extend(_space_time_rows(name, n, h, _derived_seed(seed, 8, ridx), times))
-    path = out_dir / f"{figure_id}_fhn_fields.csv"
-    write_csv(path, ["regime", "time", "block", "u", "v"], rows)
-    return [path], {"t_end": 5.0, **cfg, "regimes": list(regimes)}
+        params = regime(name).params
+        run = _fhn_run(params, cfg["h"], times[-1], seed, 8, ridx)
+        path = simulate_path(fhn_model(params, n), run, output_times=times)
+        for t, state in zip(path.times, path.states):
+            rows.extend((name, float(t), i, u, v) for i, (u, v) in enumerate(state, 1))
+    settings = {"t_end": 5.0, **cfg, "regimes": list(regimes)}
+    return "fhn_fields", ["regime", "time", "block", "u", "v"], rows, settings
 
 
-def _figure_f8(scale, seed, out_dir, threads):
-    return _figure_fields("F8", _DIFFUSION_REGIMES, scale, seed, out_dir)
-
-
-def _figure_f9(scale, seed, out_dir, threads):
-    cfg = SCALES["F9"][scale]
+def _figure_f9(cfg, seed, threads):
     rows = []
-    for widx, w in enumerate((0.3, 0.5)):
-        preset = "meanfield-moderate" if w == 0.3 else "meanfield-strong"
+    for widx, (w, preset) in enumerate(((0.3, "meanfield-moderate"), (0.5, "meanfield-strong"))):
         params = regime(preset).params
         for nidx, n in enumerate(cfg["n_list"]):
-            model = fhn_model(params, n)
-            run = IntegratorConfig(
-                step_size=_fhn_step(params, cfg["h"]),
-                t_end=5.0,
-                master_seed=_derived_seed(seed, 9, widx, nidx),
-            )
+            run = _fhn_run(params, cfg["h"], 5.0, seed, 9, widx, nidx)
             states = simulate_ensemble(
-                model, run, cfg["k"], n_workers=threads, output_times=[3.0, 5.0]
+                fhn_model(params, n), run, cfg["k"], n_workers=threads, output_times=[3.0, 5.0]
             )
             for state in states:
                 cov = sample_covariance(state)
                 for comp, label in ((1, "u"), (2, "v")):
                     rows.append((w, float(state.time), n, label, cov.entry(1, 2, comp, comp)))
-    path = out_dir / "F9_fhn_meanfield_vs_n.csv"
-    write_csv(path, ["w", "t", "n", "component", "covariance"], rows)
-    return [path], {**cfg, "w_list": [0.3, 0.5], "t_list": [3.0, 5.0]}
-
-
-def _figure_f10(scale, seed, out_dir, threads):
-    return _figure_fields("F10", _MEANFIELD_REGIMES, scale, seed, out_dir)
+    settings = {**cfg, "w_list": [0.3, 0.5], "t_list": [3.0, 5.0]}
+    return "fhn_meanfield_vs_n", ["w", "t", "n", "component", "covariance"], rows, settings
 
 
 def spatial_vs_mc_rows(
-    params,
+    preset: str,
     n: int,
     times: list[float],
     k_mc: int,
@@ -289,110 +251,91 @@ def spatial_vs_mc_rows(
     seed: int,
     threads: int = 1,
     max_lag: int | None = None,
-    label: str | None = None,
 ):
-    """Spatial-average vs Monte Carlo covariance curves for one model.
+    """Spatial-average vs Monte Carlo covariance curves for one FHN preset.
 
-    ``params`` is a preset name or a parameter set.  The Monte Carlo
-    reference is one ensemble of ``k_mc`` paths and the per-pair estimator
-    cov(u_1, u_{1+k}); the spatial-average estimate pools one path over all
-    positions (the shift trick) and is replicated ``sa_replicates`` times for
-    an honest replicate standard error.  Yields rows
-    (label, time, lag, method, estimate, std_error).
+    The Monte Carlo reference is one ensemble of ``k_mc`` paths and the
+    per-pair estimator cov(u_1, u_{1+k}); the spatial-average estimate pools
+    one path over all positions (the shift trick) and is replicated
+    ``sa_replicates`` times for an honest replicate standard error.  ``h`` is
+    a base step, refined by ``_fhn_step``.  The arguments are checked when
+    iteration starts, before anything is integrated.  Yields rows
+    (preset, time, lag, method, estimate, std_error).
     """
-    if isinstance(params, str):
-        label = params if label is None else label
-        params = regime(params).params
-    if label is None:
-        label = "model"
-    model = build_model(params, n)
     max_lag = n // 2 if max_lag is None else max_lag
+    if not 0 <= max_lag <= n // 2:
+        raise ContractViolationError(f"max_lag must lie in 0..{n // 2}, got {max_lag}")
+    if k_mc < 2 or sa_replicates < 2:
+        raise InsufficientSamplesError(
+            f"need k_mc >= 2 and sa_replicates >= 2, got {k_mc} and {sa_replicates}"
+        )
+    params = regime(preset).params
+    model = build_model(params, n)
     lags = range(max_lag + 1)
-    if isinstance(params, FhnParams):
-        h = _fhn_step(params, h)
 
-    mc_cfg = IntegratorConfig(step_size=h, t_end=times[-1], master_seed=_derived_seed(seed, 11))
-    mc_states = simulate_ensemble(model, mc_cfg, k_mc, n_workers=threads, output_times=times)
-
+    mc_run = _fhn_run(params, h, times[-1], seed, 11)
+    mc_states = simulate_ensemble(model, mc_run, k_mc, n_workers=threads, output_times=times)
     sa_states: dict[float, list] = {t: [] for t in times}
     for r in range(sa_replicates):
-        cfg = IntegratorConfig(
-            step_size=h, t_end=times[-1], master_seed=_derived_seed(seed, 12, r)
-        )
-        for state in simulate_ensemble(model, cfg, 1, output_times=times):
+        run = _fhn_run(params, h, times[-1], seed, 12, r)
+        for state in simulate_ensemble(model, run, 1, output_times=times):
             sa_states[float(state.time)].append(state)
 
     for state in mc_states:
         for lag in lags:
             rep = monte_carlo_pair_covariance(state, lag)
-            yield (label, float(state.time), lag, rep.method, rep.estimate, rep.std_error)
+            yield (preset, float(state.time), lag, rep.method, rep.estimate, rep.std_error)
     for t in times:
         replicates = sa_states[float(t)]
         for lag in lags:
-            values = np.array(
-                [shifted_pair_covariance(s, lag).estimate for s in replicates]
-            )
-            yield (
-                label,
-                float(t),
-                lag,
-                "spatial-average",
-                float(values.mean()),
-                float(values.std(ddof=1) / np.sqrt(len(values))),
-            )
+            values = np.array([shifted_pair_covariance(s, lag).estimate for s in replicates])
+            mean, se = values.mean(), values.std(ddof=1) / np.sqrt(len(values))
+            yield (preset, float(t), lag, "spatial-average", float(mean), float(se))
 
 
-def _figure_comparison(figure_id, regimes, scale, seed, out_dir, threads):
-    cfg = SCALES[figure_id][scale]
+def _figure_comparison(regimes, cfg, seed, threads):
     times = [0.5, 1.0, 2.0, 5.0]
-    rows = []
-    for ridx, name in enumerate(regimes):
-        rows.extend(
-            spatial_vs_mc_rows(
-                name,
-                cfg["n"],
-                times,
-                cfg["k_mc"],
-                cfg["sa_replicates"],
-                cfg["h"],
-                _derived_seed(seed, 13, ridx),
-                threads=threads,
-            )
+    n, k_mc, replicates, h = cfg["n"], cfg["k_mc"], cfg["sa_replicates"], cfg["h"]
+    rows = [
+        row
+        for ridx, name in enumerate(regimes)
+        for row in spatial_vs_mc_rows(
+            name, n, times, k_mc, replicates, h, _derived_seed(seed, 13, ridx), threads=threads
         )
-    path = out_dir / f"{figure_id}_spatial_vs_mc.csv"
-    write_csv(path, ["regime", "time", "lag", "method", "estimate", "std_error"], rows)
-    return [path], {**cfg, "times": times, "regimes": list(regimes)}
-
-
-def _figure_f11(scale, seed, out_dir, threads):
-    regimes = ("regime-a", "regime-b", "regime-c", "regime-d", "regime-e")
-    return _figure_comparison("F11", regimes, scale, seed, out_dir, threads)
-
-
-def _figure_f12(scale, seed, out_dir, threads):
-    return _figure_comparison("F12", ("regime-f",), scale, seed, out_dir, threads)
+    ]
+    header = ["regime", "time", "lag", "method", "estimate", "std_error"]
+    return "spatial_vs_mc", header, rows, {**cfg, "times": times, "regimes": list(regimes)}
 
 
 @dataclass(frozen=True)
 class FigureSpec:
-    figure_id: str
     description: str
     builder: Callable
 
 
 FIGURES: dict[str, FigureSpec] = {
-    "F1": FigureSpec("F1", "linear mean-field-only covariance profiles", _figure_f1),
-    "F2": FigureSpec("F2", "linear mean-field-only cov(u1,u2) vs N with bound", _figure_f2),
-    "F3": FigureSpec("F3", "linear diffusion-only covariance profiles", _figure_f3),
-    "F4": FigureSpec("F4", "linear diffusion-only decay with bound overlay", _figure_f4),
-    "F5": FigureSpec("F5", "linear combined-coupling covariance profile", _figure_f5),
-    "F6": FigureSpec("F6", "linear combined-coupling decay curve", _figure_f6),
-    "F7": FigureSpec("F7", "FHN diffusion-regime Monte Carlo covariance", _figure_f7),
-    "F8": FigureSpec("F8", "FHN diffusion-regime space-time fields", _figure_f8),
-    "F9": FigureSpec("F9", "FHN mean-field covariance vs N", _figure_f9),
-    "F10": FigureSpec("F10", "FHN mean-field-regime space-time fields", _figure_f10),
-    "F11": FigureSpec("F11", "FHN spatial-average vs Monte Carlo, regimes a-e", _figure_f11),
-    "F12": FigureSpec("F12", "FHN spatial-average vs Monte Carlo, regime f", _figure_f12),
+    "F1": FigureSpec("linear mean-field-only covariance profiles", _figure_f1),
+    "F2": FigureSpec("linear mean-field-only cov(u1,u2) vs N with bound", _figure_f2),
+    "F3": FigureSpec("linear diffusion-only covariance profiles", _figure_f3),
+    "F4": FigureSpec("linear diffusion-only decay with bound overlay", _figure_f4),
+    "F5": FigureSpec("linear combined-coupling covariance profile", _figure_f5),
+    "F6": FigureSpec("linear combined-coupling decay curve", _figure_f6),
+    "F7": FigureSpec("FHN diffusion-regime Monte Carlo covariance", _figure_f7),
+    "F8": FigureSpec(
+        "FHN diffusion-regime space-time fields", partial(_figure_fields, _DIFFUSION_REGIMES)
+    ),
+    "F9": FigureSpec("FHN mean-field covariance vs N", _figure_f9),
+    "F10": FigureSpec(
+        "FHN mean-field-regime space-time fields", partial(_figure_fields, _MEANFIELD_REGIMES)
+    ),
+    "F11": FigureSpec(
+        "FHN spatial-average vs Monte Carlo, regimes a-e",
+        partial(_figure_comparison, ("regime-a", "regime-b", "regime-c", "regime-d", "regime-e")),
+    ),
+    "F12": FigureSpec(
+        "FHN spatial-average vs Monte Carlo, regime f",
+        partial(_figure_comparison, ("regime-f",)),
+    ),
 }
 
 
@@ -403,7 +346,7 @@ def run_figure(
     out_dir="figures",
     threads: int = 1,
 ) -> list[Path]:
-    """Regenerate the data files behind one figure; returns the written paths."""
+    """Regenerate the data behind one figure; returns [<id>_<stem>.csv, <id>_metadata.json]."""
     if figure_id not in FIGURES:
         raise UnknownFigureError(
             f"unknown figure {figure_id!r}; valid: {', '.join(sorted(FIGURES))}"
@@ -412,10 +355,13 @@ def run_figure(
         raise ContractViolationError(f"scale must be 'paper' or 'desk', got {scale!r}")
     if threads < 1:
         raise ContractViolationError(f"threads must be >= 1, got {threads}")
+    spec = FIGURES[figure_id]
+    cfg = SCALES[figure_id][scale] if figure_id in SCALES else None
+    stem, header, rows, settings = spec.builder(cfg, seed, threads)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = FIGURES[figure_id]
-    files, settings = spec.builder(scale, seed, out_dir, threads)
+    path = out_dir / f"{figure_id}_{stem}.csv"
+    write_csv(path, header, rows)
     meta = write_metadata(
         out_dir,
         figure_id,
@@ -427,4 +373,4 @@ def run_figure(
             "settings": settings,
         },
     )
-    return list(files) + [meta]
+    return [path, meta]

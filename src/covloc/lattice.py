@@ -7,7 +7,7 @@ ring, and distances between blocks are measured along the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

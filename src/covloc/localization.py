@@ -50,12 +50,14 @@ def localization_error_bound(l: int, beta: float, local_coefficient: float) -> f
 
     Valid when the covariance obeys the local decay |C_ij| <= c e^{-beta d(i,j)}.
     """
-    if beta <= 0:
-        raise ContractViolationError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ContractViolationError(f"beta must be positive and finite, got {beta}")
     if l < 0:
         raise ContractViolationError(f"bandwidth must be nonnegative, got {l}")
-    if local_coefficient < 0:
-        raise ContractViolationError("local_coefficient must be nonnegative")
+    if not 0 <= local_coefficient < math.inf:
+        raise ContractViolationError(
+            f"local_coefficient must be finite and nonnegative, got {local_coefficient}"
+        )
     return 2.0 * local_coefficient * math.exp(-beta * l) / (1.0 - math.exp(-beta))
 
 
@@ -71,7 +73,7 @@ def choose_bandwidth(
     truncation does nothing); use a LocalizationPlan to see whether the cap
     was hit.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ContractViolationError(f"epsilon must be positive, got {epsilon}")
     if localization_error_bound(0, beta, local_coefficient) <= epsilon:
         l = 0

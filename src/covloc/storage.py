@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,14 +67,21 @@ def write_covariance(path, cov: BlockCovariance, time: float = 0.0) -> None:
     write_array(path, cov.data.reshape(d, d, 1), time)
 
 
+def _n_blocks(path, d: int, block_dim: int) -> int:
+    """Block count of a d x d covariance read from ``path``."""
+    if block_dim < 1:
+        raise FormatError(f"{path}: block_dim must be >= 1, got {block_dim}")
+    if d % block_dim:
+        raise FormatError(f"{path}: dimension {d} is not a multiple of block_dim {block_dim}")
+    return d // block_dim
+
+
 def read_covariance(path, block_dim: int = 1) -> tuple[BlockCovariance, float]:
     data, time = read_array(path)
     k, n, q = data.shape
     if q != 1 or k != n:
         raise FormatError(f"{path}: not a covariance container, shape {data.shape}")
-    if k % block_dim:
-        raise FormatError(f"{path}: dimension {k} is not a multiple of block_dim {block_dim}")
-    return BlockCovariance(data[:, :, 0], k // block_dim, block_dim), time
+    return BlockCovariance(data[:, :, 0], _n_blocks(path, k, block_dim), block_dim), time
 
 
 def write_metadata(out_dir, name: str, payload: dict) -> Path:
@@ -120,19 +128,34 @@ def write_covariance_csv(path, cov: BlockCovariance) -> None:
     write_csv(path, ["row", "col", "value"], rows())
 
 
+_CSV_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
 def read_covariance_csv(path, block_dim: int = 1) -> BlockCovariance:
+    """Inverse of ``write_covariance_csv``: each of the d*d entries exactly once."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != ["row", "col", "value"]:
             raise FormatError(f"{path}: expected header row,col,value, got {header}")
-        entries = [(int(r), int(c), float(v)) for r, c, v in reader]
-    if not entries:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body is reported below
+                entries = np.loadtxt(fh, _CSV_ENTRY, comments=None, delimiter=",", ndmin=1)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc} (data rows count from 0)") from None
+    if not len(entries):
         raise FormatError(f"{path}: no entries")
-    d = max(max(r, c) for r, c, _ in entries)
-    data = np.zeros((d, d))
-    for r, c, v in entries:
-        data[r - 1, c - 1] = v
-    if d % block_dim:
-        raise FormatError(f"{path}: dimension {d} is not a multiple of block_dim {block_dim}")
-    return BlockCovariance(data, d // block_dim, block_dim)
+    rows, cols = entries["row"] - 1, entries["col"] - 1
+    if min(rows.min(), cols.min()) < 0:
+        raise FormatError(f"{path}: row and col indices must be >= 1")
+    d = int(max(rows.max(), cols.max())) + 1
+    flat = rows * d + cols
+    # d*d entries with no repeat means every entry appears exactly once
+    if len(entries) != d * d or np.bincount(flat).max() > 1:
+        raise FormatError(
+            f"{path}: {len(entries)} entries for a {d}x{d} covariance, "
+            "which needs each of its entries exactly once"
+        )
+    data = np.empty(d * d)
+    data[flat] = entries["value"]
+    return BlockCovariance(data.reshape(d, d), _n_blocks(path, d, block_dim), block_dim)

@@ -261,3 +261,54 @@ class TestDeterminism:
         ba = self._run_and_fingerprint(tmp_path, "ba", ["bounds", "--config", cfg, "--seed", "1"], ["bounds.csv"])
         bb = self._run_and_fingerprint(tmp_path, "bb", ["bounds", "--config", cfg, "--seed", "2"], ["bounds.csv"])
         assert ba == bb
+
+
+class TestRejectsBadInput:
+    def test_negative_max_lag_is_2_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "cov"
+        cfg = _write(tmp_path, LINEAR_CFG, out=out)
+        assert main(["cov", "--config", cfg, "--max-lag", "-3"]) == 2
+        assert not out.exists()
+
+    @staticmethod
+    def _inputs(tmp_path):
+        from covloc import BlockCovariance
+        from covloc.storage import write_covariance, write_covariance_csv
+
+        m = np.random.default_rng(6).standard_normal((8, 8))
+        cov = BlockCovariance(m + m.T, 8, 1)
+        write_covariance(tmp_path / "c.cvl", cov)
+        write_covariance_csv(tmp_path / "c.csv", cov)
+        return tmp_path / "c.cvl", tmp_path / "c.csv"
+
+    def _localize(self, tmp_path, path, *extra):
+        out = tmp_path / "loc"
+        return main(["localize", "--input", str(path), "--out", str(out), *extra]), out
+
+    def test_block_dim_zero_is_2(self, tmp_path):
+        for path in self._inputs(tmp_path):
+            rc, out = self._localize(tmp_path, path, "--bandwidth", "1", "--block-dim", "0")
+            assert rc == 2 and not out.exists()
+
+    @pytest.mark.parametrize("coefficient", ["nan", "inf"])
+    def test_nonfinite_coefficient_is_2(self, tmp_path, coefficient):
+        _, path = self._inputs(tmp_path)
+        choose = ["--epsilon", "0.01", "--beta", "0.2", "--coefficient", coefficient]
+        assert self._localize(tmp_path, path, *choose)[0] == 2
+        fixed = ["--bandwidth", "2", "--beta", "0.2", "--coefficient", coefficient]
+        assert self._localize(tmp_path, path, *fixed)[0] == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines + ["1,1,9.0"],
+            lambda lines: [line for line in lines if not line.startswith(("1,6,", "6,1,"))],
+        ],
+        ids=["repeat", "missing"],
+    )
+    def test_csv_that_is_not_every_entry_once_is_2(self, tmp_path, edit):
+        _, path = self._inputs(tmp_path)
+        header, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, *edit(lines)]) + "\n")
+        rc, out = self._localize(tmp_path, path, "--bandwidth", "2")
+        assert rc == 2 and not out.exists()

@@ -1,0 +1,160 @@
+"""Figure registry: exact linear figures against the dense oracle, the FHN
+figures' files, headers and row counts at tiny scales, and the argument
+checks of the spatial-average comparison."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from covloc import figures
+from covloc.estimators import InsufficientSamplesError
+from covloc.figures import (
+    LINEAR_BOTH,
+    LINEAR_DIFFUSION,
+    LINEAR_MEANFIELD,
+    run_figure,
+    spatial_vs_mc_rows,
+)
+from covloc.lattice import ContractViolationError
+from covloc.models import LinearParams
+from oracles import dense_covariance
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+def _column(rows, index):
+    return np.array([float(r[index]) for r in rows])
+
+
+def _cell(x):
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+
+def _oracle_row(params, n):
+    return dense_covariance(params, n, 5.0)[0]
+
+
+def _run(tmp_path, figure_id, stem):
+    files = run_figure(figure_id, scale="desk", seed=3, out_dir=tmp_path)
+    assert files == [tmp_path / f"{figure_id}_{stem}.csv", tmp_path / f"{figure_id}_metadata.json"]
+    return _read(files[0])
+
+
+def test_f1_profiles_match_the_dense_oracle(tmp_path):
+    header, rows = _run(tmp_path, "F1", "meanfield_profiles")
+    assert header == ["n", "i", "covariance"]
+    for n in (16, 32, 64, 128):
+        mine = [r for r in rows if r[0] == str(n)]
+        assert [int(r[1]) for r in mine] == list(range(1, n + 1))
+        np.testing.assert_allclose(
+            _column(mine, 2), _oracle_row(LINEAR_MEANFIELD, n), rtol=0, atol=1e-12
+        )
+
+
+def test_f2_covariance_matches_the_dense_oracle(tmp_path):
+    header, rows = _run(tmp_path, "F2", "meanfield_vs_n")
+    assert header == ["n", "covariance", "bound"]
+    expected = [_oracle_row(LINEAR_MEANFIELD, int(r[0]))[1] for r in rows]
+    np.testing.assert_allclose(_column(rows, 1), expected, rtol=0, atol=1e-12)
+
+
+def test_f3_profiles_match_the_dense_oracle(tmp_path):
+    header, rows = _run(tmp_path, "F3", "diffusion_profiles")
+    assert header == ["d_u", "i", "covariance"]
+    for d_u in (1.0, 5.0, 20.0):
+        mine = [r for r in rows if float(r[0]) == d_u]
+        expected = _oracle_row(LinearParams(a=1.0, d_u=d_u, w=0.0, sigma_u=0.5), 64)
+        np.testing.assert_allclose(_column(mine, 2), expected, rtol=0, atol=1e-12)
+
+
+def test_f4_decay_matches_the_dense_oracle(tmp_path):
+    header, rows = _run(tmp_path, "F4", "diffusion_decay")
+    assert header == ["k", "covariance", "log_abs_covariance", "bound"]
+    expected = _oracle_row(LINEAR_DIFFUSION, 64)[:33]
+    np.testing.assert_allclose(_column(rows, 1), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_column(rows, 2), np.log(np.abs(_column(rows, 1))), rtol=1e-15)
+
+
+def test_f5_and_f6_match_the_dense_oracle(tmp_path):
+    expected = _oracle_row(LINEAR_BOTH, 64)
+    header, rows = _run(tmp_path, "F5", "combined_profile")
+    assert header == ["i", "covariance"] and len(rows) == 64
+    np.testing.assert_allclose(_column(rows, 1), expected, rtol=0, atol=1e-12)
+    header, rows = _run(tmp_path, "F6", "combined_decay")
+    assert header == ["k", "covariance"] and len(rows) == 33
+    np.testing.assert_allclose(_column(rows, 1), expected[:33], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("figure_id", ["F1", "F2", "F3", "F4", "F5", "F6"])
+def test_builders_return_the_data_and_write_nothing(tmp_path, monkeypatch, figure_id):
+    monkeypatch.chdir(tmp_path)
+    cfg = figures.SCALES[figure_id]["desk"] if figure_id in figures.SCALES else None
+    stem, header, rows, settings = figures.FIGURES[figure_id].builder(cfg, 3, 1)
+    assert list(tmp_path.iterdir()) == []
+    files = run_figure(figure_id, seed=3, out_dir=tmp_path / "out")
+    assert files[0].name == f"{figure_id}_{stem}.csv"
+    assert _read(files[0]) == (header, [[_cell(x) for x in row] for row in rows])
+    assert json.loads(files[1].read_text())["settings"] == json.loads(json.dumps(settings))
+
+
+_SA_HEADER = ["regime", "time", "lag", "method", "estimate", "std_error"]
+_SA_TINY = {"n": 8, "k_mc": 2, "sa_replicates": 2, "h": 5e-4}
+# figure -> (tiny desk scale, stem, header, row count)
+TINY = {
+    "F7": (
+        {"n": 8, "k": 4, "h": 5e-4},
+        "fhn_diffusion_covariance",
+        ["regime", "component", "i", "covariance"],
+        3 * 2 * 8,  # regimes x components x blocks
+    ),
+    "F9": (
+        {"n_list": [8], "k": 4, "h": 5e-4},
+        "fhn_meanfield_vs_n",
+        ["w", "t", "n", "component", "covariance"],
+        2 * 1 * 2 * 2,  # w values x lattice sizes x times x components
+    ),
+    "F10": (
+        {"n": 8, "h": 5e-4},
+        "fhn_fields",
+        ["regime", "time", "block", "u", "v"],
+        3 * 101 * 8,  # regimes x snapshots x blocks
+    ),
+    # regimes x times x lags 0..4 x methods
+    "F11": (_SA_TINY, "spatial_vs_mc", _SA_HEADER, 5 * 4 * 5 * 2),
+    "F12": (_SA_TINY, "spatial_vs_mc", _SA_HEADER, 1 * 4 * 5 * 2),
+}
+
+
+@pytest.mark.parametrize("figure_id", sorted(TINY))
+def test_fhn_figures_write_one_csv_and_metadata(tmp_path, monkeypatch, figure_id):
+    scale, stem, header, n_rows = TINY[figure_id]
+    monkeypatch.setitem(figures.SCALES[figure_id], "desk", scale)
+    got_header, rows = _run(tmp_path, figure_id, stem)
+    assert got_header == header
+    assert len(rows) == n_rows
+
+
+def _refuse_to_integrate(*args, **kwargs):
+    raise AssertionError("integrated before checking its arguments")
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"max_lag": 9}, ContractViolationError),
+        ({"max_lag": -1}, ContractViolationError),
+        ({"k_mc": 1}, InsufficientSamplesError),
+        ({"sa_replicates": 1}, InsufficientSamplesError),
+    ],
+)
+def test_spatial_vs_mc_rejects_bad_arguments_before_integrating(monkeypatch, kwargs, error):
+    monkeypatch.setattr(figures, "simulate_ensemble", _refuse_to_integrate)
+    args = {"n": 16, "times": [0.01], "k_mc": 4, "sa_replicates": 3, "h": 5e-4, "seed": 1}
+    with pytest.raises(error):
+        list(spatial_vs_mc_rows("regime-f", **{**args, **kwargs}))

@@ -158,3 +158,22 @@ def test_end_to_end_bandwidth_meets_target_on_exact_covariance():
         l = choose_bandwidth(eps, 0.2, coeff, n_blocks=n)
         err = np.linalg.norm(exact.data - localize(exact, l).data, ord=2)
         assert err <= eps
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_error_bound_rejects_a_nonfinite_or_negative_coefficient(bad):
+    with pytest.raises(ContractViolationError, match="local_coefficient"):
+        localization_error_bound(3, 0.2, bad)
+    with pytest.raises(ContractViolationError, match="local_coefficient"):
+        choose_bandwidth(0.01, 0.2, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_error_bound_rejects_a_nonfinite_or_nonpositive_beta(bad):
+    with pytest.raises(ContractViolationError, match="beta"):
+        choose_bandwidth(0.01, bad, 1.0)
+
+
+def test_choose_bandwidth_rejects_a_nan_epsilon():
+    with pytest.raises(ContractViolationError, match="epsilon"):
+        choose_bandwidth(math.nan, 0.2, 1.0)

@@ -106,3 +106,45 @@ def test_covariance_reader_checks_shape(tmp_path):
     write_array(path, np.zeros((3, 4, 2)), 0.0)
     with pytest.raises(FormatError):
         read_covariance(path)
+
+
+def _small_covariance(d=8):
+    m = np.random.default_rng(4).standard_normal((d, d))
+    return BlockCovariance(m + m.T, d, 1)
+
+
+def test_readers_reject_a_nonpositive_block_dim(tmp_path):
+    write_covariance(tmp_path / "c.cvl", _small_covariance())
+    write_covariance_csv(tmp_path / "c.csv", _small_covariance())
+    for block_dim in (0, -2):
+        with pytest.raises(FormatError, match="block_dim"):
+            read_covariance(tmp_path / "c.cvl", block_dim)
+        with pytest.raises(FormatError, match="block_dim"):
+            read_covariance_csv(tmp_path / "c.csv", block_dim)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines + ["1,1,9.0"],  # a repeated entry
+        lambda lines: [line for line in lines if not line.startswith(("1,6,", "6,1,"))],
+        lambda lines: lines[:-1],  # the last entry missing
+        lambda lines: lines + ["0,1,0.0"],  # a zero index
+    ],
+    ids=["duplicate", "missing-pair", "missing-last", "zero-index"],
+)
+def test_covariance_csv_needs_every_entry_exactly_once(tmp_path, edit):
+    path = tmp_path / "c.csv"
+    write_covariance_csv(path, _small_covariance())
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([header] + edit(lines)) + "\n")
+    with pytest.raises(FormatError):
+        read_covariance_csv(path)
+
+
+def test_covariance_csv_rejects_malformed_rows(tmp_path):
+    path = tmp_path / "c.csv"
+    for body in ("", "1,1\n", "1,x,0.5\n", "1,1.5,0.5\n"):
+        path.write_text("row,col,value\n" + body)
+        with pytest.raises(FormatError):
+            read_covariance_csv(path)
