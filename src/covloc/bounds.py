@@ -39,6 +39,8 @@ from .lattice import (
 
 CAP = 1e300
 _LOG_CAP = math.log(CAP)
+# golden-section steps in optimize_beta
+_GOLDEN_ITERATIONS = 60
 
 UNSTABLE = "unstable"
 
@@ -209,7 +211,6 @@ def optimize_beta(
     j: int,
     inputs: BoundInputs,
     beta_range: tuple[float, float] = (1e-3, 30.0),
-    iterations: int = 60,
 ) -> tuple[float, BoundEvaluation]:
     """Minimize the covariance bound over beta by golden-section on log beta.
 
@@ -229,7 +230,7 @@ def optimize_beta(
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = objective(c), objective(d)
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_ITERATIONS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

@@ -79,10 +79,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_cov(args) -> int:
     cfg = _load_config(args)
-    max_lag = args.max_lag if args.max_lag is not None else cfg.n_blocks // 2
-    if max_lag < 0:
-        raise ConfigError(f"--max-lag must be >= 0, got {max_lag}")
-    max_lag = min(max_lag, cfg.n_blocks // 2)
+    half = cfg.n_blocks // 2
+    max_lag = half if args.max_lag is None else args.max_lag
+    if not 0 <= max_lag <= half:
+        raise ConfigError(f"--max-lag must lie in 0..{half}, got {max_lag}")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ensemble = _run_ensemble(cfg)

@@ -10,7 +10,6 @@ different lattice positions within one sample are correlated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,24 +43,14 @@ def sample_covariance(ensemble: EnsembleState) -> BlockCovariance:
     return BlockCovariance(cov, ensemble.samples.shape[1], ensemble.samples.shape[2])
 
 
-def spatial_average(
-    ensemble: EnsembleState,
-    g: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> EstimatorReport:
-    """Mean of g over samples and lattice positions, (1/K) sum_j (1/N) sum_i g(x_i^j).
+def spatial_average(ensemble: EnsembleState) -> EstimatorReport:
+    """Mean of the first block component u over samples and lattice positions,
+    (1/K) sum_j (1/N) sum_i u_i^j.
 
-    ``g`` maps (..., q) block states to scalars, vectorized; by default it
-    selects the first component.  Unbiased for E g(x_1(t)); the effective
-    sample count is K*N.  The standard error comes from the K independent
-    per-sample spatial means.
+    Unbiased for E u_1(t); the effective sample count is K*N.  The standard
+    error comes from the K independent per-sample spatial means.
     """
-    if g is None:
-        g = lambda x: x[..., 0]
-    values = np.asarray(g(ensemble.samples), dtype=float)
-    if values.shape != ensemble.samples.shape[:2]:
-        raise ContractViolationError(
-            f"g must map (..., q) blocks to scalars; got output shape {values.shape}"
-        )
+    values = ensemble.samples[:, :, 0]
     k, n = values.shape
     per_sample = values.mean(axis=1)
     std_error = float(per_sample.std(ddof=1) / np.sqrt(k)) if k >= 2 else float("nan")
@@ -73,27 +62,22 @@ def spatial_average(
     )
 
 
-def shifted_pair_covariance(
-    ensemble: EnsembleState,
-    lag: int,
-    component: int = 1,
-) -> EstimatorReport:
-    """Covariance at a given ring lag, pooled over samples and positions.
+def shifted_pair_covariance(ensemble: EnsembleState, lag: int) -> EstimatorReport:
+    """Covariance of the first block component u at a given ring lag, pooled
+    over samples and positions.
 
     With m the pooled mean over all samples and positions,
 
-        c_hat = (1/(KN-1)) sum_{j,i} (x_i^j - m)(x_{i+lag}^j - m),
+        c_hat = (1/(KN-1)) sum_{j,i} (u_i^j - m)(u_{i+lag}^j - m),
 
-    the cyclic shift estimator of cov(x_1, x_{1+lag}).  Exactly symmetric
+    the cyclic shift estimator of cov(u_1, u_{1+lag}).  Exactly symmetric
     under lag -> N - lag.  The standard error scales the spread of the K
     per-sample lag products.
     """
-    k, n, q = ensemble.samples.shape
+    k, n, _ = ensemble.samples.shape
     if not (0 <= lag <= n // 2):
         raise ContractViolationError(f"lag must lie in 0..{n // 2}, got {lag}")
-    if not (1 <= component <= q):
-        raise ContractViolationError(f"component must lie in 1..{q}, got {component}")
-    x = ensemble.samples[:, :, component - 1]
+    x = ensemble.samples[:, :, 0]
     centered = x - x.mean()
     products = centered * np.roll(centered, -lag, axis=1)
     per_sample = products.mean(axis=1)  # (K,)
@@ -110,24 +94,21 @@ def shifted_pair_covariance(
     )
 
 
-def monte_carlo_pair_covariance(
-    ensemble: EnsembleState,
-    lag: int,
-    component: int = 1,
-) -> EstimatorReport:
-    """Classic per-pair covariance between positions 1 and 1+lag across samples.
+def monte_carlo_pair_covariance(ensemble: EnsembleState, lag: int) -> EstimatorReport:
+    """Classic per-pair covariance of the first block component u between
+    positions 1 and 1+lag across samples.
 
     No spatial pooling: this is the direct Monte Carlo reference the pooled
     estimators are compared against.  Standard error by the delta method on
     the centered products.
     """
-    k, n, q = ensemble.samples.shape
+    k, n, _ = ensemble.samples.shape
     if k < 2:
         raise InsufficientSamplesError(f"need K >= 2 samples, got K={k}")
     if not (0 <= lag <= n - 1):
         raise ContractViolationError(f"lag must lie in 0..{n - 1}, got {lag}")
-    x = ensemble.samples[:, 0, component - 1]
-    y = ensemble.samples[:, lag % n, component - 1]
+    x = ensemble.samples[:, 0, 0]
+    y = ensemble.samples[:, lag, 0]
     products = (x - x.mean()) * (y - y.mean())
     estimate = float(products.sum() / (k - 1))
     std_error = float(products.std(ddof=1) / np.sqrt(k) * (k / (k - 1)))

@@ -96,10 +96,6 @@ class EnsembleState:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    def component(self, c: int = 1) -> np.ndarray:
-        """(K, N) view of one block component, 1-based."""
-        return self.samples[:, :, c - 1]
-
 
 def sample_stream_key(master_seed: int, sample_index: int) -> int:
     """128-bit Philox key for one sample: (master_seed << 64) | sample_index."""

@@ -86,7 +86,8 @@ class LatticeModelSpec:
     and may hold garbage on entry; the drift is autonomous and deterministic.
 
     ``sigma`` scales the per-block Brownian increments, ``sigma0``/``m0``
-    define the i.i.d. initial law N(m0, sigma0 sigma0^T).
+    define the i.i.d. initial law N(m0, sigma0 sigma0^T); the reference model
+    constructors set both.
     """
 
     n_blocks: int
@@ -97,11 +98,10 @@ class LatticeModelSpec:
     m0: np.ndarray
     lipschitz: LipschitzConstants | None = None
     label: str = "custom"
-    # Frobenius norms of sigma^2 / sigma0^2 in the convention the bounds
-    # expect.  None means "compute from sigma directly"; reference models with
-    # a rescaled bound convention (FHN) override these.
+    # Frobenius norm of sigma^2 in the convention the bounds expect.  None
+    # means "compute from sigma directly"; only FHN, whose bound convention
+    # rescales the inhibitor, overrides it.
     bound_sigma_sq_frob: float | None = None
-    bound_sigma0_sq_frob: float | None = None
 
     def __post_init__(self):
         if self.n_blocks < 3:
@@ -133,9 +133,7 @@ class LatticeModelSpec:
         return float(np.linalg.norm(self.sigma @ self.sigma))
 
     def sigma0_sq_frob(self) -> float:
-        """||sigma0^2||_F in the bound convention."""
-        if self.bound_sigma0_sq_frob is not None:
-            return self.bound_sigma0_sq_frob
+        """||sigma0^2||_F."""
         return float(np.linalg.norm(self.sigma0 @ self.sigma0))
 
 
@@ -191,16 +189,9 @@ class BlockCovariance:
         """Scalar entry (m, n) of block (i, j); all indices 1-based."""
         return float(self.block(i, j)[m - 1, n - 1])
 
-    def lag_profile(self, component: int = 1) -> np.ndarray:
-        """cov(x_1[c], x_{1+k}[c]) for k = 0..floor(N/2)."""
-        if not (1 <= component <= self.block_dim):
-            raise ContractViolationError(
-                f"component must lie in 1..{self.block_dim}, got {component}"
-            )
-        half = self.n_blocks // 2
-        return np.array(
-            [self.entry(1, 1 + k, component, component) for k in range(half + 1)]
-        )
+    def lag_profile(self) -> np.ndarray:
+        """cov(u_1, u_{1+k}) for k = 0..floor(N/2), u the first block component."""
+        return np.array([self.entry(1, 1 + k) for k in range(self.n_blocks // 2 + 1)])
 
     def norm2(self) -> float:
         """Spectral (l2) norm: the largest |eigenvalue| of the symmetric matrix."""

@@ -88,16 +88,12 @@ class RegimePreset:
     description: str
 
 
-def linear_model(
-    params: LinearParams,
-    n: int,
-    m0: float = 0.0,
-    sigma0: float = 0.0,
-) -> LatticeModelSpec:
+def linear_model(params: LinearParams, n: int, m0: float = 0.0) -> LatticeModelSpec:
     """Linear lattice: du_i = (-a u_i + d_u (u_{i+1} - 2u_i + u_{i-1}) + w (ubar - u_i)) dt + sigma_u dW_i.
 
     The mean-field coupling is split as a local -w*u_i term plus the lattice
     average w*ubar, the (1/N) sum_j h(x_j) structure the bounds assume.
+    Initial law: a point mass at u_i = m0 (zero spread).
     """
     a, d_u, w = params.a, params.d_u, params.w
     rate = a + w + 2.0 * d_u
@@ -117,19 +113,14 @@ def linear_model(
         block_dim=1,
         drift=drift,
         sigma=np.array([[params.sigma_u]]),
-        sigma0=np.array([[sigma0]]),
+        sigma0=np.zeros((1, 1)),
         m0=np.array([m0]),
         lipschitz=LipschitzConstants(-a - 2.0 * d_u - w, d_u, w),
         label=f"linear(a={a}, d_u={d_u}, w={w}, sigma_u={params.sigma_u})",
     )
 
 
-def fhn_model(
-    params: FhnParams,
-    n: int,
-    m0: tuple[float, float] | None = None,
-    sigma0: np.ndarray | None = None,
-) -> LatticeModelSpec:
+def fhn_model(params: FhnParams, n: int) -> LatticeModelSpec:
     """Stochastic FHN lattice with diffusive and mean-field coupling.
 
     Simulated form (per block, after dividing the activator equation by
@@ -142,7 +133,7 @@ def fhn_model(
     The attached coupling constants and the bound-side ||sigma^2||_F use the
     rescaled-inhibitor convention under which the cross terms of the
     self-Jacobian are antisymmetric; covariances of u are identical in both
-    conventions.  Default initial law: a point mass at the rest point.
+    conventions.  Initial law: a point mass at the rest point (zero spread).
     """
     eps, a, d_u, w = params.epsilon, params.a, params.d_u, params.w
     inv_eps = 1.0 / eps
@@ -165,28 +156,18 @@ def fhn_model(
         du *= inv_eps
         np.add(u, a, out=dv)
 
-    if m0 is None:
-        m0 = params.rest_point()
-    if sigma0 is None:
-        sigma0 = np.zeros((2, 2))
-    sigma0 = np.asarray(sigma0, dtype=float)
-    # Bound convention rescales the inhibitor by sqrt(eps); for diagonal
-    # initial noise that multiplies the v-amplitude by eps^-1/2.
-    s0u, s0v = sigma0[0, 0], sigma0[1, 1]
-    bound_sigma0 = math.sqrt(s0u**4 + (s0v / math.sqrt(eps)) ** 4)
     return LatticeModelSpec(
         n_blocks=n,
         block_dim=2,
         drift=drift,
         sigma=np.diag([params.delta1 / math.sqrt(eps), params.delta2]),
-        sigma0=sigma0,
-        m0=np.asarray(m0, dtype=float),
+        sigma0=np.zeros((2, 2)),
+        m0=np.array(params.rest_point()),
         lipschitz=LipschitzConstants(
             inv_eps * max(1.0 - 2.0 * d_u - w, 0.0), inv_eps * d_u, inv_eps * w
         ),
         label=f"fhn(eps={eps}, a={a}, d_u={d_u}, w={w})",
         bound_sigma_sq_frob=math.sqrt(params.delta1**4 + params.delta2**4) / eps,
-        bound_sigma0_sq_frob=bound_sigma0,
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -26,14 +27,11 @@ from .lattice import BlockCovariance
 
 MAGIC = b"CVL1"
 _HEADER = struct.Struct("<4sQQQd")
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 class FormatError(ValueError):
     """The file does not follow the documented layout."""
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def write_array(path, array: np.ndarray, time: float) -> None:
@@ -92,26 +90,42 @@ def write_metadata(out_dir, name: str, payload: dict) -> Path:
     return path
 
 
+def _cell(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    text = str(x)
+    if _NEEDS_QUOTES.search(text):
+        raise FormatError(f"CSV cell {text!r} would need quoting")
+    return text
+
+
+def _csv_line(row) -> str:
+    # exact ints and floats skip _cell: their repr is already the cell text
+    return ",".join([repr(x) if type(x) in (int, float) else _cell(x) for x in row]) + "\n"
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    """CSV with a header row and deterministic float formatting."""
+    """CSV with a header row and deterministic formatting.
+
+    Floats are written as their shortest round-trip repr, every other cell
+    as its str(); no cell is quoted, so a cell holding a comma, a double
+    quote or a line break raises FormatError.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt(x) if isinstance(x, (float, np.floating)) else x for x in row]
-            )
+        fh.write(_csv_line(header))
+        fh.writelines(map(_csv_line, rows))
 
 
 def write_ensemble_csv(path, ensemble: EnsembleState) -> None:
     """Columns: sample, block, component, value (1-based indices)."""
-    k, n, q = ensemble.samples.shape
+    _, n, q = ensemble.samples.shape
+    blocks = [i for i in range(1, n + 1) for _ in range(q)]
+    components = list(range(1, q + 1)) * n
 
     def rows():
-        for j in range(k):
-            for i in range(n):
-                for c in range(q):
-                    yield (j + 1, i + 1, c + 1, ensemble.samples[j, i, c])
+        # one sample at a time, so only one (N, q) slice is ever a list
+        for j, sample in enumerate(ensemble.samples, 1):
+            yield from zip([j] * (n * q), blocks, components, sample.ravel().tolist())
 
     write_csv(path, ["sample", "block", "component", "value"], rows())
 
@@ -119,11 +133,11 @@ def write_ensemble_csv(path, ensemble: EnsembleState) -> None:
 def write_covariance_csv(path, cov: BlockCovariance) -> None:
     """Columns: row, col, value (1-based scalar indices)."""
     d = cov.n_blocks * cov.block_dim
+    cols = range(1, d + 1)
 
     def rows():
-        for r in range(d):
-            for c in range(d):
-                yield (r + 1, c + 1, cov.data[r, c])
+        for r, values in enumerate(cov.data, 1):
+            yield from zip([r] * d, cols, values.tolist())
 
     write_csv(path, ["row", "col", "value"], rows())
 

@@ -9,37 +9,24 @@ from __future__ import annotations
 import math
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH, _HEIGHT = 640, 420
+_TICKS = 5
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + step * i for i in range(count)]
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + step * i for i in range(_TICKS)]
 
 
-def write_line_plot(
-    path,
-    x,
-    series: dict[str, list[float]],
-    title: str = "",
-    log_y: bool = False,
-    width: int = 640,
-    height: int = 420,
-) -> None:
-    """Write one SVG with a line per entry of ``series`` against shared x."""
-    margin = 56
+def write_line_plot(path, x, series: dict[str, list[float]], title: str = "") -> None:
+    """Write one 640x420 SVG with a linear-axis line per entry of ``series``
+    against shared x; non-finite y values are left out of their line."""
+    width, height, margin = _WIDTH, _HEIGHT, 56
     xs = [float(v) for v in x]
-    transformed = {}
-    for name, ys in series.items():
-        vals = []
-        for v in ys:
-            v = float(v)
-            if log_y:
-                v = math.log10(abs(v)) if v != 0 else float("nan")
-            vals.append(v)
-        transformed[name] = vals
-    finite = [v for ys in transformed.values() for v in ys if math.isfinite(v)]
+    curves = {name: [float(v) for v in ys] for name, ys in series.items()}
+    finite = [v for ys in curves.values() for v in ys if math.isfinite(v)]
     if not xs or not finite:
         raise ValueError("nothing to plot")
     x0, x1 = min(xs), max(xs)
@@ -72,12 +59,11 @@ def write_line_plot(
             f' font-family="monospace" font-size="10">{tick:.4g}</text>'
         )
     for tick in _ticks(y0, y1):
-        label = f"1e{tick:.2f}" if log_y else f"{tick:.4g}"
         parts.append(
             f'<text x="{margin - 6:.1f}" y="{py(tick):.1f}" text-anchor="end"'
-            f' font-family="monospace" font-size="10">{label}</text>'
+            f' font-family="monospace" font-size="10">{tick:.4g}</text>'
         )
-    for idx, (name, ys) in enumerate(transformed.items()):
+    for idx, (name, ys) in enumerate(curves.items()):
         color = _COLORS[idx % len(_COLORS)]
         points = " ".join(
             f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(xs, ys) if math.isfinite(yv)

@@ -3,8 +3,11 @@
 These deliberately avoid the library's FFT routes: the linear drift matrix
 is built entry by entry and diagonalised densely with eigh, the matrix
 exponential is a scaled-and-squared Taylor series, and the noise covariance
-integral is brute-force trapezoid quadrature.
+integral is brute-force trapezoid quadrature.  The CSV writers go through
+csv.writer one numpy scalar at a time, with no line building.
 """
+
+import csv
 
 import numpy as np
 import scipy.linalg
@@ -108,3 +111,33 @@ def fhn_reference_drift(params, state: np.ndarray) -> np.ndarray:
     mean_field = np.zeros_like(state)
     mean_field[..., 0] = inv_eps * w * u
     return local + mean_field.mean(axis=-2, keepdims=True)
+
+
+def reference_csv(path, header, rows) -> None:
+    """csv.writer route: floats as repr(float(x)), every other cell as given."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
+            )
+
+
+def reference_covariance_csv(path, data: np.ndarray) -> None:
+    """row, col, value for a d x d matrix, one indexed entry at a time."""
+    d = data.shape[0]
+    rows = ((r + 1, c + 1, data[r, c]) for r in range(d) for c in range(d))
+    reference_csv(path, ["row", "col", "value"], rows)
+
+
+def reference_ensemble_csv(path, samples: np.ndarray) -> None:
+    """sample, block, component, value for (K, N, q) samples, one indexed entry at a time."""
+    k, n, q = samples.shape
+    rows = (
+        (j + 1, i + 1, c + 1, samples[j, i, c])
+        for j in range(k)
+        for i in range(n)
+        for c in range(q)
+    )
+    reference_csv(path, ["sample", "block", "component", "value"], rows)

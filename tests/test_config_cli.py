@@ -270,6 +270,13 @@ class TestRejectsBadInput:
         assert main(["cov", "--config", cfg, "--max-lag", "-3"]) == 2
         assert not out.exists()
 
+    def test_max_lag_above_half_ring_is_2_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "cov"
+        cfg = _write(tmp_path, LINEAR_CFG, out=out)
+        # n_blocks = 16, so the largest ring lag is 8
+        assert main(["cov", "--config", cfg, "--max-lag", "9"]) == 2
+        assert not out.exists()
+
     @staticmethod
     def _inputs(tmp_path):
         from covloc import BlockCovariance

@@ -1,13 +1,18 @@
-"""Static checks on the library source: no module imports a name it never uses."""
+"""Static checks on the library source: no module imports a name it never
+uses, and every defaulted parameter is set by at least one caller."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "covloc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "covloc"
 # __init__.py imports names only to export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CALLER_SOURCES = sorted(
+    p for d in (SRC, ROOT / "tests", ROOT / "perfbench") for p in d.glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +39,84 @@ def test_unused_imports_finds_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def _defaulted_parameters(tree):
+    """(function name, parameter, position or None) for every defaulted
+    parameter; positions count after ``self``/``cls``, and a class's
+    ``__init__`` goes by the class name, as its callers spell it."""
+    found = []
+    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    init_owner = {
+        id(f): c.name for c in classes for f in c.body if getattr(f, "name", None) == "__init__"
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = init_owner.get(id(fn), fn.name)
+        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        if positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        for pos in range(len(positional) - len(fn.args.defaults), len(positional)):
+            found.append((name, positional[pos], pos))
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                found.append((name, arg.arg, None))
+    return found
+
+
+def _set_by_calls(trees):
+    """Function name -> (parameters set by keyword, most positions set,
+    whether some call passes ``*args`` or ``**kwargs``)."""
+    calls = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            keywords, positions, splat = calls.get(name, (set(), 0, False))
+            keywords |= {k.arg for k in call.keywords if k.arg}
+            splat |= any(isinstance(a, ast.Starred) for a in call.args)
+            splat |= any(k.arg is None for k in call.keywords)
+            calls[name] = (keywords, max(positions, len(call.args)), splat)
+    return calls
+
+
+def unset_defaults(definitions: str, callers: list[str]) -> list[str]:
+    """``function.parameter`` for each defaulted parameter in ``definitions``
+    that no call in ``callers`` sets, by keyword or by position.  Calls match
+    by function name alone, so a name collision can only hide a finding."""
+    calls = _set_by_calls(ast.parse(c) for c in callers)
+    unset = []
+    for name, param, pos in _defaulted_parameters(ast.parse(definitions)):
+        keywords, positions, splat = calls.get(name, (set(), 0, False))
+        if not (splat or param in keywords or (pos is not None and pos < positions)):
+            unset.append(f"{name}.{param}")
+    return sorted(unset)
+
+
+def test_unset_defaults_finds_only_parameters_no_call_sets():
+    definitions = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "def g(x=0):\n    pass\n"
+        "def h(y=0):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, p, q=None):\n        pass\n"
+        "    def m(self, r=1, s=2):\n        pass\n"
+    )
+    callers = [
+        "f(0, 5)\nmod.f(0, e=6)\n",
+        "g(*args)\nK(1, 2)\nk.m(3)\n",
+    ]
+    assert unset_defaults(definitions, callers) == ["f.c", "f.d", "h.y", "m.s"]
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    callers = [p.read_text() for p in CALLER_SOURCES]
+    unset = [
+        f"{path.name}:{name}" for path in MODULES for name in unset_defaults(path.read_text(), callers)
+    ]
+    assert unset == []

@@ -145,6 +145,14 @@ class TestSampleSizeRecommendation:
     def test_never_below_two(self):
         assert recommended_sample_size(100.0, 1, 4, 0.01, 0.5) >= 2
 
+    def test_plan_passes_delta_and_c_constant_through(self):
+        plan = plan_localization(0.5, 0.2, 1.6, n_blocks=64, cov_norm=1.0, delta=0.1, c_constant=2.0)
+        assert plan.c_constant == 2.0
+        assert plan.recommended_k == recommended_sample_size(
+            0.5, plan.bandwidth, 64, 1.0, 0.1, 2.0
+        )
+        assert plan.recommended_k != plan_localization(0.5, 0.2, 1.6, 64, 1.0).recommended_k
+
 
 def test_end_to_end_bandwidth_meets_target_on_exact_covariance():
     """Theory-driven bandwidth choice keeps the measured truncation error

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import reference_covariance_csv, reference_csv, reference_ensemble_csv
 
 from covloc import BlockCovariance, EnsembleState
 from covloc.storage import (
@@ -83,6 +84,45 @@ def test_csv_floats_roundtrip_exactly(tmp_path):
     write_csv(path, ["v"], [(v,) for v in values])
     back = [float(line) for line in path.read_text().splitlines()[1:]]
     assert back == values
+
+
+def _wide_values(shape, seed):
+    """Values from 1e-300 to 1e300 of both signs, with -0.0 and a subnormal."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+    flat = values.reshape(-1)
+    flat[:4] = (-0.0, 5e-324, 1e-300, -1e300)
+    return values
+
+
+def test_covariance_csv_matches_the_csv_writer_reference(tmp_path):
+    m = _wide_values((12, 12), 7)
+    cov = BlockCovariance(np.triu(m) + np.triu(m, 1).T, 6, 2)
+    write_covariance_csv(tmp_path / "new.csv", cov)
+    reference_covariance_csv(tmp_path / "ref.csv", cov.data)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_ensemble_csv_matches_the_csv_writer_reference(tmp_path):
+    ens = EnsembleState(samples=_wide_values((3, 5, 2), 8), time=0.5, seeds=(4, 5, 6))
+    write_ensemble_csv(tmp_path / "new.csv", ens)
+    reference_ensemble_csv(tmp_path / "ref.csv", ens.samples)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_mixed_cells_match_the_csv_writer_reference(tmp_path):
+    rows = [(1, np.int64(2), np.float64(0.1), np.float32(0.1), True, "spatial-average", -0.0)]
+    write_csv(tmp_path / "new.csv", ["i", "j", "a", "b", "flag", "method", "z"], rows)
+    reference_csv(tmp_path / "ref.csv", ["i", "j", "a", "b", "flag", "method", "z"], rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "line\nbreak", "cr\r"])
+def test_csv_rejects_a_cell_that_needs_quoting(tmp_path, cell):
+    with pytest.raises(FormatError, match="quoting"):
+        write_csv(tmp_path / "bad.csv", ["label"], [(cell,)])
+    with pytest.raises(FormatError, match="quoting"):
+        write_csv(tmp_path / "bad.csv", [cell], [])
 
 
 def test_bad_magic_rejected(tmp_path):
