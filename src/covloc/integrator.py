@@ -5,10 +5,12 @@ of (master_seed, j), realized by a counter-based Philox generator keyed with
 the pair.  Results are therefore bit-identical across worker counts and
 execution orders; reductions over samples happen in fixed index order.
 
-One kernel, ``_advance``, steps a (C, N, q) block of samples in place: on
-chunks of _CHUNK_SAMPLES samples across min(n_workers, chunks, os.cpu_count())
-threads for ensembles, on one sample for ``simulate_path``.  ``euler_step``
-takes one step with the same step function; blow-ups: see ``_advance``.
+One kernel, ``_advance``, steps a (C, N, q) block of samples in place: for
+ensembles, on chunks of at most _CHUNK_SAMPLES samples, one thread per worker
+(``_pool_size``); on one sample for ``simulate_path``.  Each worker draws its
+chunk's noise on its own thread, and all workers share one _NOISE_BUDGET.
+``euler_step`` takes one step with the same step function; blow-ups: see
+``_advance``.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ import numpy as np
 
 from .lattice import ContractViolationError, LatticeModelSpec
 
-SAMPLE_INITIAL_LAW = "sample-initial-law"
-
 # Finite-ness is checked every _CHECK_EVERY steps and at the end of each noise
 # block; NaNs and infs persist under the update, so nothing escapes detection.
 _CHECK_EVERY = 8
 # Noise is pre-generated in blocks of steps sized to keep the buffer small;
 # block size never affects results (each sample is one continuous stream).
-_NOISE_BUDGET = 8_000_000  # doubles per buffer
+_NOISE_BUDGET = 8_000_000  # doubles, shared by all workers of one call
 _CHUNK_SAMPLES = 256
 
 
@@ -180,9 +180,7 @@ def _resolve_output_steps(config: IntegratorConfig, output_times) -> list[int]:
 
 def _initial_state(model, gen, initial):
     n, q = model.n_blocks, model.block_dim
-    if isinstance(initial, str):
-        if initial != SAMPLE_INITIAL_LAW:
-            raise ContractViolationError(f"unknown initial condition {initial!r}")
+    if initial is None:
         zeta = gen.standard_normal((n, q))
         return model.m0 + zeta @ model.sigma0.T
     state = np.asarray(initial, dtype=float)
@@ -194,39 +192,41 @@ def _initial_state(model, gen, initial):
 def simulate_path(
     model: LatticeModelSpec,
     config: IntegratorConfig,
-    initial=SAMPLE_INITIAL_LAW,
+    initial=None,
     output_times=None,
 ) -> PathResult:
     """Integrate one path; a deterministic function of (model, config, initial).
 
-    ``initial`` is an (N, q) array or the literal "sample-initial-law", in
-    which case the initial state is drawn from N(m0, sigma0 sigma0^T) using
-    the path's own stream (master_seed, 0), so a path is sample 0 of the
-    ensemble with the same config.  Output times must be multiples of h.
+    ``initial`` is an (N, q) array or None, in which case the initial state
+    is drawn from N(m0, sigma0 sigma0^T) using the path's own stream
+    (master_seed, 0), so a path is sample 0 of the ensemble with the same
+    config.  Output times must be multiples of h.
     """
     out_steps = _resolve_output_steps(config, output_times)
     gen = _sample_generator(config.master_seed, 0)
     state = _initial_state(model, gen, initial)[None]
-    snapshots = _advance(model, config, state, [gen], set(out_steps))
+    snapshots = _advance(model, config, state, [gen], set(out_steps), _NOISE_BUDGET)
     times = np.array([s * config.step_size for s in out_steps])
     states = np.concatenate([snapshots[s] for s in out_steps]) if out_steps else state[:0]
     return PathResult(times=times, states=states)
 
 
-def _advance(model, config, state, gens, snapshot_steps, sample_lo=None):
+def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None):
     """The stepping kernel: advance the (C, N, q) block ``state`` in place
     to t_end, sample c drawing its noise from ``gens[c]``; returns
     {step: copy of the state} for ``snapshot_steps``.
 
-    The next noise block is drawn on a helper thread while the current one
-    is stepped.  The state is saved at each passing finite check; a failed
-    check re-steps from there with the same buffered noise, checking every
-    step, and reports sample ``sample_lo`` + c (None for a single path).
-    Checking at each block's end keeps that replay within one noise block.
+    Noise is drawn into one buffer of about ``budget`` doubles, a block of
+    steps at a time, on the calling thread.  The state is saved at each
+    passing finite check; a failed check re-steps from there with the same
+    buffered noise, checking every step, and reports sample ``sample_lo`` + c
+    (None for a single path).  Checking at each block's end keeps that replay
+    within one noise block.
     """
     count, n, q = state.shape
     h, n_steps = config.step_size, config.n_steps
-    block_steps = max(1, min(256, _NOISE_BUDGET // (count * n * q)))
+    block_steps = max(1, min(256, budget // (count * n * q)))
+    noise = np.empty((count, min(block_steps, n_steps), n, q))
     noise_scale = math.sqrt(h) * model.sigma.T
     work = np.empty_like(state)
 
@@ -234,20 +234,11 @@ def _advance(model, config, state, gens, snapshot_steps, sample_lo=None):
     checked, checked_step = state.copy(), 0
     snapshots = {0: state.copy()} if 0 in snapshot_steps else {}
 
-    def generate(steps):
-        buf = np.empty((count, steps, n, q))
-        for c, gen in enumerate(gens):
-            gen.standard_normal(out=buf[c])
-        return buf
-
-    with ThreadPoolExecutor(max_workers=1) as prefetch, np.errstate(
-        over="ignore", invalid="ignore"
-    ):
-        pending = prefetch.submit(generate, min(block_steps, n_steps)) if n_steps else None
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, block_steps):
             hi = min(lo + block_steps, n_steps)
-            noise = pending.result()
-            pending = prefetch.submit(generate, min(block_steps, n_steps - hi)) if hi < n_steps else None
+            for c, gen in enumerate(gens):
+                gen.standard_normal(out=noise[c, : hi - lo])
             for k in range(lo + 1, hi + 1):
                 _step(model, state, noise[:, k - lo - 1], h, noise_scale, work)
                 if k % _CHECK_EVERY == 0 or k == hi:
@@ -263,38 +254,44 @@ def _advance(model, config, state, gens, snapshot_steps, sample_lo=None):
     return snapshots
 
 
-def _pool_size(n_workers: int, n_chunks: int) -> int:
-    """Worker threads: each in-flight chunk holds two noise buffers."""
-    if n_workers < 1:
+def _pool_size(n_workers: int | None, n_samples: int) -> int:
+    """Worker threads: ``n_workers`` (every core when None), capped by the
+    samples and the cores; the workers split one noise budget."""
+    if n_workers is not None and n_workers < 1:
         raise ContractViolationError(f"n_workers must be >= 1, got {n_workers}")
-    return min(n_workers, n_chunks, os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    return min(cores if n_workers is None else n_workers, n_samples, cores)
 
 
 def simulate_ensemble(
     model: LatticeModelSpec,
     config: IntegratorConfig,
     n_samples: int,
-    n_workers: int = 1,
+    n_workers: int | None = None,
     output_times=None,
 ) -> EnsembleState | list[EnsembleState]:
     """Integrate K independent samples of the lattice SDE to t_end.
 
     Per-sample noise streams are derived from (master_seed, sample index), so
-    the result is independent of chunking, scheduling, and ``n_workers``.
+    the result is independent of chunking, scheduling, and ``n_workers``
+    (every core when None).
     With ``output_times`` given, returns one EnsembleState per time
     (nondecreasing multiples of h); otherwise a single EnsembleState at t_end.
     """
     if n_samples < 1:
         raise ContractViolationError(f"n_samples must be >= 1, got {n_samples}")
     snapshot_steps = _resolve_output_steps(config, output_times)
-    starts = range(0, n_samples, _CHUNK_SAMPLES)
-    workers = _pool_size(n_workers, len(starts))
+    workers = _pool_size(n_workers, n_samples)
+    chunk = min(_CHUNK_SAMPLES, math.ceil(n_samples / workers))
+    starts = range(0, n_samples, chunk)
 
     def run(lo):
-        hi = min(lo + _CHUNK_SAMPLES, n_samples)
+        hi = min(lo + chunk, n_samples)
         gens = [_sample_generator(config.master_seed, j) for j in range(lo, hi)]
-        state = np.stack([_initial_state(model, gen, SAMPLE_INITIAL_LAW) for gen in gens])
-        return _advance(model, config, state, gens, set(snapshot_steps), lo)
+        state = np.stack([_initial_state(model, gen, None) for gen in gens])
+        return _advance(
+            model, config, state, gens, set(snapshot_steps), _NOISE_BUDGET // workers, lo
+        )
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

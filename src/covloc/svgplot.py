@@ -14,21 +14,22 @@ _TICKS = 5
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (_TICKS - 1)
     return [lo + step * i for i in range(_TICKS)]
 
 
 def write_line_plot(path, x, series: dict[str, list[float]], title: str = "") -> None:
     """Write one 640x420 SVG with a linear-axis line per entry of ``series``
-    against shared x; non-finite y values are left out of their line."""
+    against shared x, which must be finite; non-finite y values are left out
+    of their line."""
     width, height, margin = _WIDTH, _HEIGHT, 56
     xs = [float(v) for v in x]
     curves = {name: [float(v) for v in ys] for name, ys in series.items()}
     finite = [v for ys in curves.values() for v in ys if math.isfinite(v)]
     if not xs or not finite:
         raise ValueError("nothing to plot")
+    if not all(math.isfinite(v) for v in xs):
+        raise ValueError("x values must be finite")
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(finite), max(finite)
     if x1 == x0:

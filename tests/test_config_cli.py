@@ -7,6 +7,7 @@ import pytest
 from covloc.cli import main
 from covloc.config import ConfigError, parse_config
 from covloc.models import FhnParams, LinearParams
+from covloc.svgplot import write_line_plot
 
 LINEAR_CFG = """
 [model]
@@ -319,3 +320,10 @@ class TestRejectsBadInput:
         path.write_text("\n".join([header, *edit(lines)]) + "\n")
         rc, out = self._localize(tmp_path, path, "--bandwidth", "2")
         assert rc == 2 and not out.exists()
+
+    @pytest.mark.parametrize("x", [[np.inf] * 3, [0.0, np.nan, 1.0]], ids=["all-inf", "one-nan"])
+    def test_line_plot_rejects_non_finite_x(self, tmp_path, x):
+        # such x used to write "nan" ticks and polyline points, an invalid SVG
+        with pytest.raises(ValueError, match="finite"):
+            write_line_plot(tmp_path / "p.svg", x, {"y": [1.0, 2.0, 3.0]})
+        assert not (tmp_path / "p.svg").exists()
