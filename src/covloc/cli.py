@@ -191,7 +191,7 @@ def _cmd_figure(args) -> int:
         scale=args.scale,
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
         out_dir=args.out or "figures",
-        threads=args.threads,
+        threads=1 if args.threads is None else args.threads,
     )
     if args.svg:
         _render_svgs(files)
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config file (INI sections)")
         p.add_argument("--seed", type=int, help="override run.master_seed")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--threads", type=int, help="threads to use (default: every core)")
+        p.add_argument("--threads", type=int, help="ensemble worker threads")
 
     p = sub.add_parser("simulate", help="run an ensemble and write the snapshot")
     common(p)
@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=("paper", "desk"), default="desk")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--threads", type=int, help="threads to use (default: every core)")
+    p.add_argument("--threads", type=int, help="ensemble worker threads")
     p.add_argument("--svg", action="store_true", help="also write quick-look SVG plots")
     p.set_defaults(func=_cmd_figure)
 

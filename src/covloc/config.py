@@ -36,7 +36,7 @@ class ExperimentConfig:
     master_seed: int
     n_samples: int = 1
     step_size: float | None = None
-    threads: int | None = None
+    threads: int = 1
     out_dir: str = "out"
     betas: tuple[float, ...] = (0.2,)
     grad_g_sup: float = 1.0
@@ -160,6 +160,6 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"run.n_samples must be >= 1, got {cfg.n_samples}")
     if cfg.t_end < 0:
         raise ConfigError(f"run.t_end must be nonnegative, got {cfg.t_end}")
-    if cfg.threads is not None and cfg.threads < 1:
+    if cfg.threads < 1:
         raise ConfigError(f"run.threads must be >= 1, got {cfg.threads}")
     return cfg

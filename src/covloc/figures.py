@@ -249,7 +249,7 @@ def spatial_vs_mc_rows(
     sa_replicates: int,
     h: float,
     seed: int,
-    threads: int | None = None,
+    threads: int = 1,
     max_lag: int | None = None,
 ):
     """Spatial-average vs Monte Carlo covariance curves for one FHN preset.
@@ -344,7 +344,7 @@ def run_figure(
     scale: str = "desk",
     seed: int = DEFAULT_SEED,
     out_dir="figures",
-    threads: int | None = None,
+    threads: int = 1,
 ) -> list[Path]:
     """Regenerate the data behind one figure; returns [<id>_<stem>.csv, <id>_metadata.json]."""
     if figure_id not in FIGURES:
@@ -353,7 +353,7 @@ def run_figure(
         )
     if scale not in ("paper", "desk"):
         raise ContractViolationError(f"scale must be 'paper' or 'desk', got {scale!r}")
-    if threads is not None and threads < 1:
+    if threads < 1:
         raise ContractViolationError(f"threads must be >= 1, got {threads}")
     spec = FIGURES[figure_id]
     cfg = SCALES[figure_id][scale] if figure_id in SCALES else None

@@ -5,12 +5,10 @@ of (master_seed, j), realized by a counter-based Philox generator keyed with
 the pair.  Results are therefore bit-identical across worker counts and
 execution orders; reductions over samples happen in fixed index order.
 
-One kernel, ``_advance``, steps a (C, N, q) block of samples in place: for
-ensembles, on chunks of at most _CHUNK_SAMPLES samples, one thread per worker
-(``_pool_size``); on one sample for ``simulate_path``.  Each worker draws its
-chunk's noise on its own thread, and all workers share one _NOISE_BUDGET.
-``euler_step`` takes one step with the same step function; blow-ups: see
-``_advance``.
+One kernel, ``_advance``, steps a (C, N, q) block of samples in place: on
+chunks of _CHUNK_SAMPLES samples across min(n_workers, chunks, os.cpu_count())
+threads for ensembles, on one sample for ``simulate_path``.  ``euler_step``
+takes one step with the same step function; noise and blow-ups: see ``_advance``.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from .lattice import ContractViolationError, LatticeModelSpec
 # Finite-ness is checked every _CHECK_EVERY steps and at the end of each noise
 # block; NaNs and infs persist under the update, so nothing escapes detection.
 _CHECK_EVERY = 8
-# Noise is pre-generated in blocks of steps sized to keep the buffer small;
+# Noise is pre-generated in blocks of steps sized to keep the buffers small;
 # block size never affects results (each sample is one continuous stream).
-_NOISE_BUDGET = 8_000_000  # doubles, shared by all workers of one call
+_NOISE_BUDGET = 8_000_000  # doubles, shared by all noise buffers of one call
 _CHUNK_SAMPLES = 256
 
 
@@ -216,17 +214,18 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
     to t_end, sample c drawing its noise from ``gens[c]``; returns
     {step: copy of the state} for ``snapshot_steps``.
 
-    Noise is drawn into one buffer of about ``budget`` doubles, a block of
-    steps at a time, on the calling thread.  The state is saved at each
-    passing finite check; a failed check re-steps from there with the same
-    buffered noise, checking every step, and reports sample ``sample_lo`` + c
-    (None for a single path).  Checking at each block's end keeps that replay
-    within one noise block.
+    A helper thread draws the next block of noise into one of two reused
+    buffers while the other is stepped; the two split ``budget`` doubles,
+    but a block never holds fewer than _CHECK_EVERY steps.  The state is
+    saved at each passing finite check; a failed check re-steps from there
+    with the same buffered noise, checking every step, and reports sample
+    ``sample_lo`` + c (None for a single path).  Checking at each block's
+    end keeps that replay within one noise block.
     """
     count, n, q = state.shape
     h, n_steps = config.step_size, config.n_steps
-    block_steps = max(1, min(256, budget // (count * n * q)))
-    noise = np.empty((count, min(block_steps, n_steps), n, q))
+    block_steps = max(_CHECK_EVERY, min(256, budget // (2 * count * n * q)))
+    buffers = np.empty((2, count, min(block_steps, n_steps), n, q))
     noise_scale = math.sqrt(h) * model.sigma.T
     work = np.empty_like(state)
 
@@ -234,11 +233,18 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
     checked, checked_step = state.copy(), 0
     snapshots = {0: state.copy()} if 0 in snapshot_steps else {}
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    def generate(lo):
+        buf = buffers[lo // block_steps % 2]
+        for c, gen in enumerate(gens):
+            gen.standard_normal(out=buf[c, : min(block_steps, n_steps - lo)])
+        return buf
+
+    with ThreadPoolExecutor(1) as prefetch, np.errstate(over="ignore", invalid="ignore"):
+        pending = prefetch.submit(generate, 0)
         for lo in range(0, n_steps, block_steps):
             hi = min(lo + block_steps, n_steps)
-            for c, gen in enumerate(gens):
-                gen.standard_normal(out=noise[c, : hi - lo])
+            noise = pending.result()
+            pending = prefetch.submit(generate, hi) if hi < n_steps else None
             for k in range(lo + 1, hi + 1):
                 _step(model, state, noise[:, k - lo - 1], h, noise_scale, work)
                 if k % _CHECK_EVERY == 0 or k == hi:
@@ -254,44 +260,39 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
     return snapshots
 
 
-def _pool_size(n_workers: int | None, n_samples: int) -> int:
-    """Worker threads: ``n_workers`` (every core when None), capped by the
-    samples and the cores; the workers split one noise budget."""
-    if n_workers is not None and n_workers < 1:
+def _pool_size(n_workers: int, n_chunks: int) -> int:
+    """Worker threads: each in-flight chunk holds two noise buffers."""
+    if n_workers < 1:
         raise ContractViolationError(f"n_workers must be >= 1, got {n_workers}")
-    cores = os.cpu_count() or 1
-    return min(cores if n_workers is None else n_workers, n_samples, cores)
+    return min(n_workers, n_chunks, os.cpu_count() or 1)
 
 
 def simulate_ensemble(
     model: LatticeModelSpec,
     config: IntegratorConfig,
     n_samples: int,
-    n_workers: int | None = None,
+    n_workers: int = 1,
     output_times=None,
 ) -> EnsembleState | list[EnsembleState]:
     """Integrate K independent samples of the lattice SDE to t_end.
 
     Per-sample noise streams are derived from (master_seed, sample index), so
-    the result is independent of chunking, scheduling, and ``n_workers``
-    (every core when None).
+    the result is independent of chunking, scheduling, and ``n_workers``.
     With ``output_times`` given, returns one EnsembleState per time
     (nondecreasing multiples of h); otherwise a single EnsembleState at t_end.
     """
     if n_samples < 1:
         raise ContractViolationError(f"n_samples must be >= 1, got {n_samples}")
     snapshot_steps = _resolve_output_steps(config, output_times)
-    workers = _pool_size(n_workers, n_samples)
-    chunk = min(_CHUNK_SAMPLES, math.ceil(n_samples / workers))
-    starts = range(0, n_samples, chunk)
+    starts = range(0, n_samples, _CHUNK_SAMPLES)
+    workers = _pool_size(n_workers, len(starts))
+    budget = _NOISE_BUDGET // workers
 
     def run(lo):
-        hi = min(lo + chunk, n_samples)
+        hi = min(lo + _CHUNK_SAMPLES, n_samples)
         gens = [_sample_generator(config.master_seed, j) for j in range(lo, hi)]
         state = np.stack([_initial_state(model, gen, None) for gen in gens])
-        return _advance(
-            model, config, state, gens, set(snapshot_steps), _NOISE_BUDGET // workers, lo
-        )
+        return _advance(model, config, state, gens, set(snapshot_steps), budget, lo)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

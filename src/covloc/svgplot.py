@@ -20,8 +20,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 def write_line_plot(path, x, series: dict[str, list[float]], title: str = "") -> None:
     """Write one 640x420 SVG with a linear-axis line per entry of ``series``
-    against shared x, which must be finite; non-finite y values are left out
-    of their line."""
+    against finite shared x; non-finite y values are left out of their line."""
     width, height, margin = _WIDTH, _HEIGHT, 56
     xs = [float(v) for v in x]
     curves = {name: [float(v) for v in ys] for name, ys in series.items()}

@@ -183,25 +183,37 @@ class TestSimulateEnsemble:
         np.testing.assert_array_equal(ens.samples[0], path.states[-1])
         assert ens.time == pytest.approx(0.1)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    def test_worker_count_does_not_change_results(self):
         model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 8)
         cfg = IntegratorConfig(step_size=1e-3, t_end=0.1, master_seed=7)
         # 600 samples span multiple scheduling chunks
         seq = simulate_ensemble(model, cfg, 600, n_workers=1)
         par = simulate_ensemble(model, cfg, 600, n_workers=8)
         assert np.array_equal(seq.samples, par.samples)
-        # sample j is the same in every ensemble size and chunking; three
-        # cores split 37, 256 and 300 samples into uneven chunks
-        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 3)
+        # sample j is the same in every ensemble size: 300 samples end in a
+        # 44-sample chunk where the 600-sample run has a full one
         for k in (1, 37, 256, 300):
-            for n_workers in (1, 2, None):
+            for n_workers in (1, 2):
                 ens = simulate_ensemble(model, cfg, k, n_workers=n_workers)
                 assert np.array_equal(ens.samples, seq.samples[:k]), (k, n_workers)
 
+    @pytest.mark.parametrize("budget", [2**10, 3 * 2**11])
+    def test_noise_block_length_does_not_change_results(self, monkeypatch, budget):
+        # 8-step blocks (the floor) and 12-step blocks, whose ends fall between
+        # the every-8-step checks, against the default 256-step blocks
+        model = fhn_model(regime("regime-c").params, 16)
+        cfg = IntegratorConfig(step_size=1e-4, t_end=50e-4, master_seed=3)
+        times = [0.0, 9e-4, 20e-4, 50e-4]
+        expected = simulate_ensemble(model, cfg, 8, output_times=times)
+        monkeypatch.setattr(integrator, "_NOISE_BUDGET", budget)
+        states = simulate_ensemble(model, cfg, 8, output_times=times)
+        for got, want in zip(states, expected):
+            assert np.array_equal(got.samples, want.samples)
+
     def test_workers_share_one_noise_budget(self, monkeypatch):
-        # 2 workers split a 2**20-double (8 MiB) budget into one 4 MiB noise
-        # buffer each; a full budget per worker, or a second buffer per
-        # worker, would pass 12 MiB
+        # 2 workers split a 2**20-double (8 MiB) budget: each worker's two
+        # noise buffers, the one being stepped and the one being drawn, hold
+        # 2 MiB each; a full budget per worker or per buffer would pass 12 MiB
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**20)
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
         model = fhn_model(regime("regime-c").params, 32)
@@ -234,10 +246,9 @@ class TestSimulateEnsemble:
         x0 = simulate_ensemble(_ramp_model(np.inf, sigma0=1.0), start, k)
         values = np.sort(x0.samples.ravel())
         sample, block, _ = np.unravel_index(np.argmax(x0.samples), x0.samples.shape)
-        # precondition of the scenario: the largest initial value sits past
-        # sample 255, outside the first chunk at any worker count, and leads
-        # the runner-up by more than the 20-step horizon, so exactly one
-        # sample crosses the threshold
+        # precondition of the scenario: the largest initial value sits in the
+        # second 256-sample chunk and leads the runner-up by more than the
+        # 20-step horizon, so exactly one sample crosses the threshold
         assert sample >= 256 and values[-1] - values[-2] > 20 * h
         model = _ramp_model(values[-1] + 11.5 * h, sigma0=1.0)
         cfg = IntegratorConfig(step_size=h, t_end=20 * h, master_seed=seed)
@@ -273,20 +284,14 @@ class TestSimulateEnsemble:
             simulate_ensemble(model, cfg, 4, n_workers=n_workers)
 
     def test_pool_is_capped_by_chunks_and_cores(self, monkeypatch):
-        # _pool_size(n_workers, n_samples): a worker needs at least one sample
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
         assert integrator._pool_size(32, 32) == 2
         assert integrator._pool_size(32, 1) == 1
         assert integrator._pool_size(1, 32) == 1
-        assert integrator._pool_size(None, 32) == 2
-        assert integrator._pool_size(None, 1) == 1
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: None)
         assert integrator._pool_size(8, 4) == 1
-        assert integrator._pool_size(None, 4) == 1
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 64)
         assert integrator._pool_size(8, 4) == 4
-        assert integrator._pool_size(None, 4) == 4
-        assert integrator._pool_size(None, 512) == 64
         with pytest.raises(ContractViolationError):
             integrator._pool_size(0, 4)
 
