@@ -10,8 +10,14 @@ control the two parts.  Both parts are built from one growth kernel
 
     G(r) = e^{r t} S0 + (e^{r t} - 1) S / r,
 
-the local part from G(lambda_beta), the global part from
-G(eta_beta) - G(lambda_beta), which is exactly 0 without mean field.
+evaluated at the doubled rates r^ = max(r, 2r): the local part from
+G(lambda_beta^), the global part from G(eta_beta^) - G(lambda_beta^), which
+is exactly 0 without mean field.  The covariance grows with the propagator
+squared, sigma^2 int e^{2As} ds, and the Chernoff bound on the lattice heat
+kernel, I_d(x) <= e^{x cosh beta - beta d}, puts the local rate of e^{2As}
+at 2 lambda_beta.  A rate r <= 0 is kept as r, which already dominates since
+G is increasing in r; a positive rate is doubled.  The surrogate kernel
+Q(s) = e^{2Gs} takes the same doubled rates.
 
 Saturation rule: G is +inf once r t passes log(CAP), and every bound is
 clamped to CAP at the end, so a saturated evaluation reads exactly CAP = 1e300
@@ -122,6 +128,11 @@ def _growth(rate: float, t: float, inputs: BoundInputs) -> float:
     return math.exp(x) * inputs.sigma0_sq_frob + k * inputs.sigma_sq_frob
 
 
+def _doubled(rate: float) -> float:
+    """max(rate, 2 rate): a growth rate of the propagator, as a rate of its square."""
+    return max(rate, 2.0 * rate)
+
+
 def _mean_field_growth(lam: float, eta: float, inputs: BoundInputs) -> float:
     """G(eta) - G(lam), the growth of the global term.
 
@@ -154,24 +165,25 @@ def local_coefficient(beta: float, inputs: BoundInputs) -> float:
     This is the constant the localization-error bound needs.
     """
     lam, _ = growth_rates(beta, inputs.constants)
-    return _cap(_prefactor(inputs) * _growth(lam, inputs.t, inputs))
+    return _cap(_prefactor(inputs) * _growth(_doubled(lam), inputs.t, inputs))
 
 
 def covariance_bound(i: int, j: int, beta: float, inputs: BoundInputs) -> BoundEvaluation:
     """Full two-term covariance bound between blocks i and j at time t.
 
-    local  = 2 sqrt(q) |grad g|^2 G(lam) e^{-beta d}
-    global = 2 sqrt(q) |grad g|^2 (1+e^-beta) / ((1-e^-beta) N) * (G(eta) - G(lam))
+    local  = 2 sqrt(q) |grad g|^2 G(lam^) e^{-beta d}
+    global = 2 sqrt(q) |grad g|^2 (1+e^-beta) / ((1-e^-beta) N) * (G(eta^) - G(lam^))
 
-    with G(r) = e^{r t} S0 + (e^{r t} - 1) S / r, S = ||Sigma^2||_F and
-    S0 = ||Sigma0^2||_F.
+    with G(r) = e^{r t} S0 + (e^{r t} - 1) S / r, S = ||Sigma^2||_F,
+    S0 = ||Sigma0^2||_F and the doubled rates r^ = max(r, 2r).
     """
     lam, eta = growth_rates(beta, inputs.constants)
+    lam2, eta2 = _doubled(lam), _doubled(eta)
     pref = _prefactor(inputs)
     dist = cyclic_distance(i, j, inputs.n)
-    local = _cap(pref * _growth(lam, inputs.t, inputs) * math.exp(-beta * dist))
+    local = _cap(pref * _growth(lam2, inputs.t, inputs) * math.exp(-beta * dist))
     global_ = _cap(
-        pref * _global_factor(beta, inputs.n) * _mean_field_growth(lam, eta, inputs)
+        pref * _global_factor(beta, inputs.n) * _mean_field_growth(lam2, eta2, inputs)
     )
     return BoundEvaluation(
         beta=beta,
@@ -186,14 +198,14 @@ def covariance_bound(i: int, j: int, beta: float, inputs: BoundInputs) -> BoundE
 def meanfield_only_bound(inputs: BoundInputs) -> float:
     """beta -> infinity closed form for systems with no neighbor coupling.
 
-    (2 sqrt(q) |grad g|^2 / N) * (G(l0 + lh) - G(l0))
+    (2 sqrt(q) |grad g|^2 / N) * (G((l0 + lh)^) - G(l0^)), r^ = max(r, 2r)
     """
     c = inputs.constants
     if c.lambda_f != 0.0:
         raise MisuseError(
             f"mean-field-only bound requires lambda_f = 0, got {c.lambda_f}"
         )
-    growth = _mean_field_growth(c.lambda_0, c.lambda_0 + c.lambda_h, inputs)
+    growth = _mean_field_growth(_doubled(c.lambda_0), _doubled(c.lambda_0 + c.lambda_h), inputs)
     return _cap(_prefactor(inputs) / inputs.n * growth)
 
 
@@ -311,11 +323,17 @@ def kernel_entry_bound(
 ) -> float:
     """Closed-form entrywise upper bound for the surrogate kernel:
 
-    2 e^{lam_beta s} (e^{-beta d(i,j)} + (1+e^-beta)(e^{lam_h s} - 1) / ((1-e^-beta) N)).
+    2 e^{lam^ s} (e^{-beta d(i,j)} + (1+e^-beta)(e^{(eta^ - lam^) s} - 1) / ((1-e^-beta) N))
+
+    with the doubled rates lam^ = max(lam_beta, 2 lam_beta) and
+    eta^ = max(eta_beta, 2 eta_beta); eta^ - lam^ is lam_h when both rates
+    are nonpositive.
     """
-    lam, _ = growth_rates(beta, c)
-    if max(lam, c.lambda_h) * s > _LOG_CAP:
-        return CAP  # e^{lam_beta s} or e^{lam_h s} saturates
-    tail = _global_factor(beta, n) * math.expm1(c.lambda_h * s)
+    lam, eta = growth_rates(beta, c)
+    lam2 = _doubled(lam)
+    rise = _doubled(eta) - lam2
+    if max(lam2, rise) * s > _LOG_CAP:
+        return CAP  # e^{lam^ s} or e^{(eta^ - lam^) s} saturates
+    tail = _global_factor(beta, n) * math.expm1(rise * s)
     dist = cyclic_distance(i, j, n)
-    return _cap(2.0 * math.exp(lam * s) * (math.exp(-beta * dist) + tail))
+    return _cap(2.0 * math.exp(lam2 * s) * (math.exp(-beta * dist) + tail))

@@ -44,7 +44,7 @@ from .estimators import (
     sample_covariance,
     shifted_pair_covariance,
 )
-from .integrator import IntegratorConfig, simulate_ensemble, simulate_path
+from .integrator import EnsembleState, IntegratorConfig, simulate_ensemble, simulate_path
 from .lattice import ContractViolationError
 from .models import FhnParams, LinearParams, build_model, fhn_model, linear_model, regime
 from .storage import write_csv, write_metadata
@@ -241,6 +241,11 @@ def _figure_f9(cfg, seed, threads):
     return "fhn_meanfield_vs_n", ["w", "t", "n", "component", "covariance"], rows, settings
 
 
+def _samples(state: EnsembleState, lo: int, hi: int) -> EnsembleState:
+    """Samples lo..hi-1 of an ensemble state, as an ensemble of their own."""
+    return EnsembleState(state.samples[lo:hi], state.time, state.seeds[lo:hi])
+
+
 def spatial_vs_mc_rows(
     preset: str,
     n: int,
@@ -257,10 +262,11 @@ def spatial_vs_mc_rows(
     The Monte Carlo reference is one ensemble of ``k_mc`` paths and the
     per-pair estimator cov(u_1, u_{1+k}); the spatial-average estimate pools
     one path over all positions (the shift trick) and is replicated
-    ``sa_replicates`` times for an honest replicate standard error.  ``h`` is
-    a base step, refined by ``_fhn_step``.  The arguments are checked when
-    iteration starts, before anything is integrated.  Yields rows
-    (preset, time, lag, method, estimate, std_error).
+    ``sa_replicates`` times for an honest replicate standard error.  Replicate
+    r is the single path seeded by ``(seed, 12, r)``, and one ensemble call
+    steps all paths.  ``h`` is a base step, refined by ``_fhn_step``.  The
+    arguments are checked when iteration starts, before anything is
+    integrated.  Yields rows (preset, time, lag, method, estimate, std_error).
     """
     max_lag = n // 2 if max_lag is None else max_lag
     if not 0 <= max_lag <= n // 2:
@@ -273,24 +279,26 @@ def spatial_vs_mc_rows(
     model = build_model(params, n)
     lags = range(max_lag + 1)
 
+    # the replicates share the Monte Carlo run's step and horizon, so one
+    # call steps both, each sample on its own stream
     mc_run = _fhn_run(params, h, times[-1], seed, 11)
-    mc_states = simulate_ensemble(model, mc_run, k_mc, n_workers=threads, output_times=times)
-    sa_states: dict[float, list] = {t: [] for t in times}
-    for r in range(sa_replicates):
-        run = _fhn_run(params, h, times[-1], seed, 12, r)
-        for state in simulate_ensemble(model, run, 1, output_times=times):
-            sa_states[float(state.time)].append(state)
-
-    for state in mc_states:
+    streams = [(mc_run.master_seed, j) for j in range(k_mc)] + [
+        (_derived_seed(seed, 12, r), 0) for r in range(sa_replicates)
+    ]
+    states = simulate_ensemble(
+        model, mc_run, len(streams), n_workers=threads, output_times=times, streams=streams
+    )
+    for state in states:
+        mc = _samples(state, 0, k_mc)
         for lag in lags:
-            rep = monte_carlo_pair_covariance(state, lag)
+            rep = monte_carlo_pair_covariance(mc, lag)
             yield (preset, float(state.time), lag, rep.method, rep.estimate, rep.std_error)
-    for t in times:
-        replicates = sa_states[float(t)]
+    for state in states:
+        replicates = [_samples(state, j, j + 1) for j in range(k_mc, len(streams))]
         for lag in lags:
             values = np.array([shifted_pair_covariance(s, lag).estimate for s in replicates])
             mean, se = values.mean(), values.std(ddof=1) / np.sqrt(len(values))
-            yield (preset, float(t), lag, "spatial-average", float(mean), float(se))
+            yield (preset, float(state.time), lag, "spatial-average", float(mean), float(se))
 
 
 def _figure_comparison(regimes, cfg, seed, threads):

@@ -1,14 +1,23 @@
 """Reproducible Euler-Maruyama stepping for single paths and parallel ensembles.
 
 Reproducibility contract: sample j's entire noise stream is a pure function
-of (master_seed, j), realized by a counter-based Philox generator keyed with
-the pair.  Results are therefore bit-identical across worker counts and
+of its stream pair (master_seed, index), (master_seed, j) unless the caller
+names the pairs, realized by a counter-based Philox generator keyed with the
+pair.  Results are therefore bit-identical across worker counts and
 execution orders; reductions over samples happen in fixed index order.
 
 One kernel, ``_advance``, steps a (C, N, q) block of samples in place: on
-chunks of _CHUNK_SAMPLES samples across min(n_workers, chunks, os.cpu_count())
-threads for ensembles, on one sample for ``simulate_path``.  ``euler_step``
-takes one step with the same step function; noise and blow-ups: see ``_advance``.
+one sample for ``simulate_path``, and for ensembles on chunks across
+min(n_workers, chunks, os.cpu_count()) threads.  K samples are cut into
+chunks of ceil(K / ceil(K / _CHUNK_SAMPLES)) samples, the last one shorter.
+No chunk exceeds _CHUNK_SAMPLES and the chunks are balanced: a small
+remainder chunk would get buffers below malloc's mmap threshold, which stay
+resident after the call.  Within a chunk, a helper thread and the stepping
+thread share the drawing of each noise block row by row: the helper starts a
+block while the previous one is stepped, and the stepper takes the rows left
+before it steps it.  Either way sample c's rows come from its own stream, in
+order.  ``euler_step`` takes one step with the same step function; noise and
+blow-ups: see ``_advance``.
 """
 
 from __future__ import annotations
@@ -32,7 +41,11 @@ _CHUNK_SAMPLES = 256
 
 
 class NumericalBlowupError(RuntimeError):
-    """A state or drift evaluation left the finite range."""
+    """A state or drift evaluation left the finite range.
+
+    ``sample_index`` is the failing sample's position in the ensemble call's
+    ``streams`` (None for a single path); ``block_index`` is 1-based.
+    """
 
     def __init__(self, time: float, block_index: int, sample_index: int | None = None):
         self.time = time
@@ -214,13 +227,16 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
     to t_end, sample c drawing its noise from ``gens[c]``; returns
     {step: copy of the state} for ``snapshot_steps``.
 
-    A helper thread draws the next block of noise into one of two reused
-    buffers while the other is stepped; the two split ``budget`` doubles,
-    but a block never holds fewer than _CHECK_EVERY steps.  The state is
-    saved at each passing finite check; a failed check re-steps from there
-    with the same buffered noise, checking every step, and reports sample
-    ``sample_lo`` + c (None for a single path).  Checking at each block's
-    end keeps that replay within one noise block.
+    Noise comes in blocks of steps, drawn into two reused buffers that split
+    ``budget`` doubles, but a block never holds fewer than _CHECK_EVERY
+    steps.  A helper thread starts drawing the next block, one sample's row
+    at a time, while the current one is stepped; at the top of each block
+    the stepping thread draws the rows the helper has not taken, then waits
+    for the helper's last row.  The state is saved at each passing finite
+    check; a failed check re-steps from there with the same buffered noise,
+    checking every step, and reports sample ``sample_lo`` + c (None for a
+    single path), an index into the caller's streams.  Checking at each
+    block's end keeps that replay within one noise block.
     """
     count, n, q = state.shape
     h, n_steps = config.step_size, config.n_steps
@@ -233,18 +249,26 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
     checked, checked_step = state.copy(), 0
     snapshots = {0: state.copy()} if 0 in snapshot_steps else {}
 
-    def generate(lo):
-        buf = buffers[lo // block_steps % 2]
-        for c, gen in enumerate(gens):
-            gen.standard_normal(out=buf[c, : min(block_steps, n_steps - lo)])
-        return buf
+    def draw(rows, buf, steps):
+        # next() on a shared range iterator is atomic under the GIL, so the
+        # helper and the stepper never take the same row
+        for c in rows:
+            gens[c].standard_normal(out=buf[c, :steps])
 
-    with ThreadPoolExecutor(1) as prefetch, np.errstate(over="ignore", invalid="ignore"):
-        pending = prefetch.submit(generate, 0)
+    def start(lo):
+        rows = iter(range(count))
+        buf = buffers[lo // block_steps % 2]
+        steps = min(block_steps, n_steps - lo)
+        return rows, buf, steps, helper.submit(draw, rows, buf, steps)
+
+    with ThreadPoolExecutor(1) as helper, np.errstate(over="ignore", invalid="ignore"):
+        pending = start(0)
         for lo in range(0, n_steps, block_steps):
             hi = min(lo + block_steps, n_steps)
-            noise = pending.result()
-            pending = prefetch.submit(generate, hi) if hi < n_steps else None
+            rows, noise, steps, drawing = pending
+            draw(rows, noise, steps)
+            drawing.result()
+            pending = start(hi) if hi < n_steps else None
             for k in range(lo + 1, hi + 1):
                 _step(model, state, noise[:, k - lo - 1], h, noise_scale, work)
                 if k % _CHECK_EVERY == 0 or k == hi:
@@ -261,10 +285,32 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
 
 
 def _pool_size(n_workers: int, n_chunks: int) -> int:
-    """Worker threads: each in-flight chunk holds two noise buffers."""
+    """Worker threads: each in-flight chunk holds two noise buffers.
+
+    A chunk is a run of consecutive entries of the call's ``streams``, so the
+    pool never outgrows the number of those runs.
+    """
     if n_workers < 1:
         raise ContractViolationError(f"n_workers must be >= 1, got {n_workers}")
     return min(n_workers, n_chunks, os.cpu_count() or 1)
+
+
+def _stream_keys(streams, n_samples: int) -> tuple[int, ...]:
+    """Philox keys of explicit (master_seed, index) streams, checked before
+    anything is integrated."""
+    if len(streams) != n_samples:
+        raise ContractViolationError(
+            f"need one stream per sample: {len(streams)} streams for {n_samples} samples"
+        )
+    for seed, index in streams:
+        if not 0 <= seed < 2**64:
+            raise ContractViolationError(f"stream seed {seed} does not fit in 64 unsigned bits")
+        if not 0 <= index < 2**64:
+            raise ContractViolationError(f"stream index {index} does not fit in 64 unsigned bits")
+    keys = tuple(sample_stream_key(seed, index) for seed, index in streams)
+    if len(set(keys)) != len(keys):
+        raise ContractViolationError("streams must be pairwise distinct")
+    return keys
 
 
 def simulate_ensemble(
@@ -273,24 +319,35 @@ def simulate_ensemble(
     n_samples: int,
     n_workers: int = 1,
     output_times=None,
+    streams=None,
 ) -> EnsembleState | list[EnsembleState]:
     """Integrate K independent samples of the lattice SDE to t_end.
 
-    Per-sample noise streams are derived from (master_seed, sample index), so
-    the result is independent of chunking, scheduling, and ``n_workers``.
-    With ``output_times`` given, returns one EnsembleState per time
-    (nondecreasing multiples of h); otherwise a single EnsembleState at t_end.
+    Sample j draws its initial state and noise from the Philox stream
+    ``streams[j]``, a (master_seed, index) pair; the default is
+    (config.master_seed, j) for j < n_samples.  Samples with different
+    master seeds can so share one call, and each gives the same result as
+    in a call of its own.  The streams are checked before any stepping:
+    one per sample, pairwise distinct, seed and index in [0, 2**64).  The
+    result is independent of chunking, scheduling, and ``n_workers``; a
+    blow-up's ``sample_index`` indexes ``streams``.  With ``output_times``
+    given, returns one EnsembleState per time (nondecreasing multiples of h);
+    otherwise a single EnsembleState at t_end.
     """
     if n_samples < 1:
         raise ContractViolationError(f"n_samples must be >= 1, got {n_samples}")
+    if streams is None:
+        streams = [(config.master_seed, j) for j in range(n_samples)]
+    seeds = _stream_keys(streams, n_samples)
     snapshot_steps = _resolve_output_steps(config, output_times)
-    starts = range(0, n_samples, _CHUNK_SAMPLES)
+    n_chunks = -(-n_samples // _CHUNK_SAMPLES)
+    size = -(-n_samples // n_chunks)
+    starts = range(0, n_samples, size)
     workers = _pool_size(n_workers, len(starts))
     budget = _NOISE_BUDGET // workers
 
     def run(lo):
-        hi = min(lo + _CHUNK_SAMPLES, n_samples)
-        gens = [_sample_generator(config.master_seed, j) for j in range(lo, hi)]
+        gens = [_sample_generator(*stream) for stream in streams[lo : lo + size]]
         state = np.stack([_initial_state(model, gen, None) for gen in gens])
         return _advance(model, config, state, gens, set(snapshot_steps), budget, lo)
 
@@ -299,7 +356,6 @@ def simulate_ensemble(
             chunks = list(pool.map(run, starts))
     else:
         chunks = [run(lo) for lo in starts]
-    seeds = tuple(sample_stream_key(config.master_seed, j) for j in range(n_samples))
     states = [
         EnsembleState(np.concatenate([c[s] for c in chunks]), s * config.step_size, seeds)
         for s in snapshot_steps

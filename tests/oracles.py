@@ -4,13 +4,20 @@ These deliberately avoid the library's FFT routes: the linear drift matrix
 is built entry by entry and diagonalised densely with eigh, the matrix
 exponential is a scaled-and-squared Taylor series, and the noise covariance
 integral is brute-force trapezoid quadrature.  The CSV writers go through
-csv.writer one numpy scalar at a time, with no line building.
+csv.writer one numpy scalar at a time, with no line building.  The
+spatial-average comparison runs each replicate as an ensemble call of its
+own.
 """
 
 import csv
 
 import numpy as np
 import scipy.linalg
+
+from covloc.estimators import monte_carlo_pair_covariance, shifted_pair_covariance
+from covloc.figures import _derived_seed, _fhn_run
+from covloc.integrator import simulate_ensemble
+from covloc.models import build_model, regime
 
 
 def dense_drift_matrix(params, n: int) -> np.ndarray:
@@ -141,3 +148,29 @@ def reference_ensemble_csv(path, samples: np.ndarray) -> None:
         for c in range(q)
     )
     reference_csv(path, ["sample", "block", "component", "value"], rows)
+
+
+def replicate_loop_rows(preset, n, times, k_mc, sa_replicates, h, seed, threads=1):
+    """Rows of ``figures.spatial_vs_mc_rows`` with every lag, one ensemble
+    call for the Monte Carlo samples and one K=1 call per replicate."""
+    params = regime(preset).params
+    model = build_model(params, n)
+    lags = range(n // 2 + 1)
+    mc_run = _fhn_run(params, h, times[-1], seed, 11)
+    mc_states = simulate_ensemble(model, mc_run, k_mc, n_workers=threads, output_times=times)
+    sa_states = {t: [] for t in times}
+    for r in range(sa_replicates):
+        run = _fhn_run(params, h, times[-1], seed, 12, r)
+        for state in simulate_ensemble(model, run, 1, output_times=times):
+            sa_states[float(state.time)].append(state)
+    rows = []
+    for state in mc_states:
+        for lag in lags:
+            rep = monte_carlo_pair_covariance(state, lag)
+            rows.append((preset, float(state.time), lag, rep.method, rep.estimate, rep.std_error))
+    for t in times:
+        for lag in lags:
+            values = np.array([shifted_pair_covariance(s, lag).estimate for s in sa_states[t]])
+            mean, se = values.mean(), values.std(ddof=1) / np.sqrt(len(values))
+            rows.append((preset, float(t), lag, "spatial-average", float(mean), float(se)))
+    return rows

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covloc import (
     BoundInputs,
@@ -29,6 +31,7 @@ from covloc import (
     regime,
     surrogate_kernel,
 )
+from covloc.analytic import circulant_covariance_row
 from covloc.bounds import CAP
 
 from oracles import taylor_expm
@@ -296,14 +299,9 @@ class TestKernelEntryBound:
 
 def test_dominance_on_exact_linear_covariances():
     """The two-term bound dominates the exact covariance of all three linear
-    parameter sets, every pair and horizon, wherever lambda_beta <= 0.
-
-    The restriction is load-bearing: the local term grows like e^{lambda t}
-    while the exact propagator squares the rate, so for lambda_beta > 0 the
-    closed form undercuts the true decay envelope at large distance (see the
-    pinned counterexample below).  All published overlays use beta = 1/5,
-    squarely inside the valid window.
-    """
+    parameter sets, every pair and horizon, for every beta: lambda_beta is
+    positive at beta = 1 with d_u = 20, where the local term grows at the
+    doubled rate of the squared propagator."""
     for params in (
         LinearParams(a=1.0, d_u=0.0, w=5.0),
         LinearParams(a=1.0, d_u=20.0, w=0.0),
@@ -312,31 +310,104 @@ def test_dominance_on_exact_linear_covariances():
         n = 64
         sysm = build_system_matrix(params, n)
         model = linear_model(params, n)
-        constants = model.lipschitz
         for t in (1.0, 5.0):
             cov = analytic_covariance(sysm, None, params.sigma_u, t)
             profile = cov.lag_profile()
             inputs = bound_inputs_from_model(model, t)
             for beta in (0.1, 0.2, 0.5, 1.0):
-                lam, _ = growth_rates(beta, constants)
-                if lam > 0:
-                    continue
                 bound = np.array(
                     [covariance_bound(1, 1 + k, beta, inputs).total for k in range(33)]
                 )
                 assert (np.abs(profile) <= bound).all(), (params, t, beta)
 
 
-def test_dominance_counterexample_outside_validity_window():
-    # with lambda_beta = +4.1 (beta = 0.5, d_u = 20) the closed form dips
-    # below the exact covariance at the far side of the ring at t = 1
+# Exact entries below this fraction of C(1, 1) are FFT round-off, which a
+# bound decaying like e^{-beta d} may legitimately undercut.
+_ROUNDOFF = 1e-12
+
+
+def _exceedance(params, n, t, beta):
+    """max |C(1, 1+k)| / bound(1, 1+k) over lags k <= n/2 above round-off."""
+    row = circulant_covariance_row(params, n, t)[: n // 2 + 1]
+    inputs = bound_inputs_from_model(linear_model(params, n), t)
+    lags = np.flatnonzero(np.abs(row) > _ROUNDOFF * row[0])
+    bound = np.array([covariance_bound(1, 1 + k, beta, inputs).total for k in lags])
+    return float((np.abs(row[lags]) / bound).max())
+
+
+def _kernel_exceedance(c, n, s, beta):
+    """max |Q(1, 1+d)| / kernel_entry_bound over d above round-off."""
+    row = surrogate_kernel(c, n, s)[0]
+    lags = np.flatnonzero(np.abs(row) > _ROUNDOFF * row[0])
+    bound = np.array([kernel_entry_bound(1, 1 + d, c, n, s, beta) for d in lags])
+    return float((np.abs(row[lags]) / bound).max())
+
+
+def test_bound_dominates_at_a_positive_rate_far_across_the_ring():
+    # lambda_beta = +4.1 (beta = 0.5, d_u = 20): a local term growing like
+    # e^{lambda t} dipped below the exact covariance at the far side at t = 1
     params = LinearParams(a=1.0, d_u=20.0, w=0.0)
     sysm = build_system_matrix(params, 64)
     exact = analytic_covariance(sysm, None, 0.5, 1.0).entry(1, 33)
     inputs = bound_inputs_from_model(linear_model(params, 64), 1.0)
     lam, _ = growth_rates(0.5, inputs.constants)
     assert lam > 0
-    assert abs(exact) > covariance_bound(1, 33, 0.5, inputs).total
+    assert abs(exact) <= covariance_bound(1, 33, 0.5, inputs).total
+
+
+def test_bound_dominates_a_random_sweep_counterexample():
+    # exact 6.18e-8 against 5.28e-8 when the local rate was lambda_beta
+    params = LinearParams(a=0.378, d_u=23.09, w=0.0, sigma_u=0.663)
+    exact = circulant_covariance_row(params, 257, 5.0)[85]
+    inputs = bound_inputs_from_model(linear_model(params, 257), 5.0)
+    assert growth_rates(0.5, inputs.constants)[0] > 0
+    assert exact == pytest.approx(6.18e-8, rel=1e-3)
+    assert exact <= covariance_bound(1, 86, 0.5, inputs).total
+
+
+def test_bound_dominates_criterion_2_model_at_beta_half():
+    # criterion 2's model on a larger ring was up to 576x over the bound
+    assert _exceedance(LinearParams(a=1.0, d_u=20.0, w=0.0), 1025, 5.0, 0.5) <= 1.0
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_kernel_entry_bound_dominates_at_a_positive_rate(n):
+    # lambda_beta = -1 + 0.25 (e^3 + e^-3) > 0: hundreds of times over at the parent
+    c = LipschitzConstants(-1.0, 0.25, 0.0)
+    assert growth_rates(3.0, c)[0] > 0
+    assert _kernel_exceedance(c, n, 5.0, 3.0) <= 1.0
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_kernel_entry_bound_dominates_when_only_eta_is_positive(beta):
+    # lambda_beta < 0 < eta_beta: the mean-field tail grew like e^{lambda_h s}
+    # against the kernel's e^{2 lambda_h s}, a hundred times over at s = 5
+    c = LipschitzConstants(-1.0, 0.25, 2.0)
+    lam, eta = growth_rates(beta, c)
+    assert lam < 0 < eta
+    assert _kernel_exceedance(c, 64, 5.0, beta) <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(0.05, 5.0),
+    d_u=st.floats(0.0, 30.0),
+    w=st.floats(0.0, 10.0),
+    sigma_u=st.floats(0.1, 2.0),
+    log2_n=st.floats(np.log2(3), 12.0),
+    t=st.floats(0.01, 20.0),
+    beta=st.floats(0.05, 5.0),
+)
+def test_bounds_dominate_exact_linear_covariances_and_kernels(a, d_u, w, sigma_u, log2_n, t, beta):
+    """Every bound dominates on the linear lattice, for either sign of
+    lambda_beta: the exact covariance row (N up to 2^12, row route) stays
+    at or below covariance_bound, and the surrogate kernel built from the
+    same constants (N up to 2^9) at or below kernel_entry_bound."""
+    params = LinearParams(a=a, d_u=d_u, w=w, sigma_u=sigma_u)
+    n = int(round(2.0**log2_n))
+    assert _exceedance(params, n, t, beta) <= 1.0
+    c = linear_model(params, 3).lipschitz
+    assert _kernel_exceedance(c, min(n, 512), t, beta) <= 1.0
 
 
 def test_saturated_bounds_read_cap_and_never_nan():
@@ -363,19 +434,22 @@ def test_saturated_bounds_read_cap_and_never_nan():
             inputs = bound_inputs_from_model(model, t)
             for beta in (0.05, 0.5, 30.0):
                 lam, eta = growth_rates(beta, c)
+                lam2, eta2 = max(lam, 2.0 * lam), max(eta, 2.0 * eta)
                 # G(eta) - G(lambda) vanishes identically without mean field
-                gap = eta * t if c.lambda_h > 0 else -math.inf
+                gap = eta2 * t if c.lambda_h > 0 else -math.inf
                 if c.lambda_f == 0.0:
                     check(meanfield_only_bound(inputs), gap)
-                check(local_coefficient(beta, inputs), lam * t)
-                check(estimator_variance_bound(inputs, beta), max(2.0 * lam * t, gap))
+                check(local_coefficient(beta, inputs), lam2 * t)
+                variance_gap = eta * t if c.lambda_h > 0 else -math.inf
+                check(estimator_variance_bound(inputs, beta), max(2.0 * lam * t, variance_gap))
                 for d in (0, 1, 32):
                     ev = covariance_bound(1, 1 + d, beta, inputs)
-                    check(ev.local_term, lam * t)
+                    check(ev.local_term, lam2 * t)
                     check(ev.global_term, gap)
-                    check(ev.total, max(lam * t, gap))
+                    check(ev.total, max(lam2 * t, gap))
                     assert ev.vacuous == (max(ev.local_term, ev.global_term) == CAP)
                     if c.lambda_h == 0.0:
-                        check(diffusion_only_bound(1, 1 + d, beta, inputs), lam * t)
-                    check(kernel_entry_bound(1, 1 + d, c, 64, t, beta), max(lam, c.lambda_h) * t)
+                        check(diffusion_only_bound(1, 1 + d, beta, inputs), lam2 * t)
+                    rise = eta2 - lam2
+                    check(kernel_entry_bound(1, 1 + d, c, 64, t, beta), max(lam2, rise) * t)
     assert n_saturated > 1000

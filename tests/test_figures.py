@@ -19,7 +19,7 @@ from covloc.figures import (
 )
 from covloc.lattice import ContractViolationError
 from covloc.models import LinearParams
-from oracles import dense_covariance
+from oracles import dense_covariance, replicate_loop_rows
 
 
 def _read(path):
@@ -158,3 +158,24 @@ def test_spatial_vs_mc_rejects_bad_arguments_before_integrating(monkeypatch, kwa
     args = {"n": 16, "times": [0.01], "k_mc": 4, "sa_replicates": 3, "h": 5e-4, "seed": 1}
     with pytest.raises(error):
         list(spatial_vs_mc_rows("regime-f", **{**args, **kwargs}))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_spatial_vs_mc_matches_the_replicate_loop(threads):
+    args = ("regime-f", 16, [0.01, 0.02], 30, 3, 5e-4, 17)
+    rows = list(spatial_vs_mc_rows(*args, threads=threads))
+    assert len(rows) == 2 * 2 * 9  # times x methods x lags 0..8
+    assert rows == replicate_loop_rows(*args, threads=threads)
+
+
+def test_spatial_vs_mc_steps_all_paths_in_one_call(monkeypatch):
+    calls = []
+    original = figures.simulate_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["streams"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(figures, "simulate_ensemble", counted)
+    list(spatial_vs_mc_rows("regime-f", 16, [0.01], 4, 3, 5e-4, 1))
+    assert len(calls) == 1 and len(calls[0]) == 4 + 3

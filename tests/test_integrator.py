@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -55,6 +57,19 @@ def _ramp_model(threshold, n=3, sigma0=0.0):
         sigma0=np.array([[sigma0]]),
         m0=np.zeros(1),
     )
+
+
+def _drawn_up_front(model, cfg, k):
+    """Reference ensemble: each sample's initial state and all its noise drawn
+    in one go from its own stream, then stepped by the kernel's step."""
+    gens = [integrator._sample_generator(cfg.master_seed, j) for j in range(k)]
+    state = np.stack([integrator._initial_state(model, gen, None) for gen in gens])
+    noise = np.stack([gen.standard_normal((cfg.n_steps,) + state.shape[1:]) for gen in gens])
+    scale = math.sqrt(cfg.step_size) * model.sigma.T
+    work = np.empty_like(state)
+    for step in range(cfg.n_steps):
+        integrator._step(model, state, noise[:, step], cfg.step_size, scale, work)
+    return state
 
 
 class TestEulerStep:
@@ -190,9 +205,10 @@ class TestSimulateEnsemble:
         seq = simulate_ensemble(model, cfg, 600, n_workers=1)
         par = simulate_ensemble(model, cfg, 600, n_workers=8)
         assert np.array_equal(seq.samples, par.samples)
-        # sample j is the same in every ensemble size: 300 samples end in a
-        # 44-sample chunk where the 600-sample run has a full one
-        for k in (1, 37, 256, 300):
+        # sample j is the same in every ensemble size, however the chunks
+        # fall: 600 samples run in three 200-sample chunks, 300 in two of 150,
+        # 257 in chunks of 129 and 128, 532 in chunks of 178, 178 and 176
+        for k in (1, 37, 256, 257, 300, 532):
             for n_workers in (1, 2):
                 ens = simulate_ensemble(model, cfg, k, n_workers=n_workers)
                 assert np.array_equal(ens.samples, seq.samples[:k]), (k, n_workers)
@@ -226,6 +242,79 @@ class TestSimulateEnsemble:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_explicit_streams_match_their_own_runs(self):
+        model = fhn_model(regime("regime-c").params, 16)
+        cfg = IntegratorConfig(step_size=1e-4, t_end=30e-4, master_seed=5)
+        streams = [(5, 2), (9, 0), (5, 0), (2**64 - 1, 7)]
+        times = [10e-4, 30e-4]
+        states = simulate_ensemble(
+            model, cfg, 4, n_workers=2, output_times=times, streams=streams
+        )
+        for j, (seed, index) in enumerate(streams):
+            own = IntegratorConfig(step_size=1e-4, t_end=30e-4, master_seed=seed)
+            alone = simulate_ensemble(model, own, index + 1, output_times=times)
+            for got, want in zip(states, alone):
+                assert np.array_equal(got.samples[j], want.samples[index]), (j, got.time)
+        assert states[0].seeds == tuple(integrator.sample_stream_key(*s) for s in streams)
+
+    @pytest.mark.parametrize(
+        "streams, match",
+        [
+            ([(1, 0), (1, 1)], "one stream per sample"),
+            ([(1, 0), (2, 0), (1, 0)], "distinct"),
+            ([(1, 0), (2**64, 1), (1, 2)], "seed"),
+            ([(1, 0), (-1, 1), (1, 2)], "seed"),
+            ([(1, 0), (1, -1), (1, 2)], "index"),
+        ],
+    )
+    def test_bad_streams_are_rejected_before_stepping(self, monkeypatch, streams, match):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stepped before checking the streams")
+
+        monkeypatch.setattr(integrator, "_advance", refuse)
+        model = linear_model(LinearParams(), 4)
+        cfg = IntegratorConfig(step_size=0.01, t_end=0.05, master_seed=1)
+        with pytest.raises(ContractViolationError, match=match):
+            simulate_ensemble(model, cfg, 3, streams=streams)
+
+    def test_stepper_draws_the_rows_the_helper_leaves(self, monkeypatch):
+        # a helper that takes no row: the stepping thread draws every row of
+        # every block itself, into the same buffers, from the same streams
+        class IdleHelper(integrator.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(None)
+                return done
+
+        model = fhn_model(regime("regime-c").params, 16)
+        cfg = IntegratorConfig(step_size=1e-4, t_end=50e-4, master_seed=3)
+        times = [20e-4, 50e-4]
+        monkeypatch.setattr(integrator, "_NOISE_BUDGET", 3 * 2**11)  # 12-step blocks
+        expected = simulate_ensemble(model, cfg, 8, output_times=times)
+        path = simulate_path(model, cfg, output_times=times)
+        monkeypatch.setattr(integrator, "ThreadPoolExecutor", IdleHelper)
+        for got, want in zip(simulate_ensemble(model, cfg, 8, output_times=times), expected):
+            assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(simulate_path(model, cfg, output_times=times).states, path.states)
+
+    def test_shared_row_drawing_survives_frequent_thread_switches(self, monkeypatch):
+        # three workers, each with its helper, on a 2-core box and with the
+        # interpreter switching threads every microsecond: a row taken twice
+        # or skipped would shift or garble a stream and break the equality
+        model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 4)
+        cfg = IntegratorConfig(step_size=1e-3, t_end=40e-3, master_seed=11)
+        monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**10)  # 8-step blocks
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 3)
+        expected = _drawn_up_front(model, cfg, 600)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = simulate_ensemble(model, cfg, 600, n_workers=3)
+                assert np.array_equal(got.samples, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_seeds_are_distinct_and_recorded(self):
         model = linear_model(LinearParams(), 4)
         cfg = IntegratorConfig(step_size=0.01, t_end=0.05, master_seed=123)
@@ -246,9 +335,10 @@ class TestSimulateEnsemble:
         x0 = simulate_ensemble(_ramp_model(np.inf, sigma0=1.0), start, k)
         values = np.sort(x0.samples.ravel())
         sample, block, _ = np.unravel_index(np.argmax(x0.samples), x0.samples.shape)
-        # precondition of the scenario: the largest initial value sits in the
-        # second 256-sample chunk and leads the runner-up by more than the
-        # 20-step horizon, so exactly one sample crosses the threshold
+        # precondition of the scenario: the largest initial value sits past
+        # sample 256, in the second chunk however the 300 samples are cut,
+        # and leads the runner-up by more than the 20-step horizon, so
+        # exactly one sample crosses the threshold
         assert sample >= 256 and values[-1] - values[-2] > 20 * h
         model = _ramp_model(values[-1] + 11.5 * h, sigma0=1.0)
         cfg = IntegratorConfig(step_size=h, t_end=20 * h, master_seed=seed)
@@ -257,6 +347,11 @@ class TestSimulateEnsemble:
         assert err.value.time == pytest.approx(13 * h, abs=1e-15)
         assert err.value.sample_index == sample
         assert err.value.block_index == block + 1
+        # the index points into the call's streams, whatever their order
+        reverse = [(seed, j) for j in reversed(range(k))]
+        with pytest.raises(NumericalBlowupError) as err:
+            simulate_ensemble(model, cfg, k, n_workers=2, streams=reverse)
+        assert err.value.sample_index == k - 1 - sample
 
     def test_blowup_reports_sample_index(self):
         model = fhn_model(FhnParams(), 4)
