@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical blowup,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -33,6 +34,7 @@ from .storage import (
     write_ensemble_csv,
     write_metadata,
 )
+from .svgplot import write_line_plot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,9 +69,9 @@ def _run_ensemble(cfg: ExperimentConfig):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    ensemble = _run_ensemble(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ensemble = _run_ensemble(cfg)
     write_array(out_dir / "ensemble.cvl", ensemble.samples, ensemble.time)
     write_ensemble_csv(out_dir / "ensemble.csv", ensemble)
     _write_run_metadata(out_dir, "simulate", cfg)
@@ -83,8 +85,6 @@ def _cmd_cov(args) -> int:
     max_lag = half if args.max_lag is None else args.max_lag
     if not 0 <= max_lag <= half:
         raise ConfigError(f"--max-lag must lie in 0..{half}, got {max_lag}")
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ensemble = _run_ensemble(cfg)
     rows = []
     for lag in range(max_lag + 1):
@@ -94,6 +94,8 @@ def _cmd_cov(args) -> int:
         for lag in range(max_lag + 1):
             mc = monte_carlo_pair_covariance(ensemble, lag)
             rows.append((lag, mc.estimate, mc.std_error, mc.method))
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "cov_curve.csv"
     write_csv(path, ["lag", "estimate", "std_error", "method"], rows)
     # pooled-mean convention: the shift estimator centers with one mean over
@@ -105,8 +107,6 @@ def _cmd_cov(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = cfg.build_model()
     t = cfg.bounds_t if cfg.bounds_t is not None else cfg.t_end
     inputs = bound_inputs_from_model(model, t, grad_g_sup=cfg.grad_g_sup)
@@ -117,6 +117,8 @@ def _cmd_bounds(args) -> int:
             ev = covariance_bound(1, j, beta, inputs)
             vacuous = vacuous or ev.vacuous
             rows.append((1, j, beta, ev.local_term, ev.global_term, ev.total))
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "bounds.csv"
     write_csv(path, ["i", "j", "beta", "local", "global", "total"], rows)
     _write_run_metadata(out_dir, "bounds", cfg, t=t, any_vacuous=vacuous)
@@ -201,47 +203,37 @@ def _cmd_figure(args) -> int:
 
 
 def _render_svgs(files) -> None:
-    import csv as _csv
+    """Write a quick-look SVG next to each CSV in ``files`` that holds one curve.
 
-    from .svgplot import write_line_plot
-
-    for path in files:
-        path = Path(path)
+    A CSV holds one curve when every data cell parses as a float and its first
+    column strictly increases.  x is that column and the series are the next
+    columns, at most four.  Any other CSV is named on stderr and not plotted.
+    """
+    for path in map(Path, files):
         if path.suffix != ".csv":
             continue
         with open(path, newline="") as fh:
-            rows = list(_csv.DictReader(fh))
-        if not rows:
+            header, *rows = csv.reader(fh)
+        try:
+            xs, *ys = [[float(cell) for cell in column] for column in zip(*rows)]
+        except ValueError:  # a cell that is not a number, or no data rows
+            xs, ys = [], []
+        if not ys or not all(a < b for a, b in zip(xs, xs[1:])):
+            print(f"no SVG for {path}: not one curve of numeric columns", file=sys.stderr)
             continue
-        header = rows[0].keys()
-        x_key = next((k for k in ("k", "i", "n", "lag") if k in header), None)
-        y_keys = [k for k in header if k not in (x_key,) and _is_float_col(rows, k)]
-        if x_key is None or not y_keys:
-            continue
-        xs = [float(r[x_key]) for r in rows]
-        series = {k: [float(r[k]) for r in rows] for k in y_keys[:4]}
+        series = dict(zip(header[1:5], ys))
         write_line_plot(path.with_suffix(".svg"), xs, series, title=path.stem)
-
-
-def _is_float_col(rows, key) -> bool:
-    try:
-        for r in rows[:5]:
-            float(r[key])
-        return True
-    except (TypeError, ValueError):
-        return False
 
 
 def _cmd_models(args) -> int:
     if not args.list:
         raise ConfigError("models requires --list")
-    print("name,epsilon,a,d_u,w,delta1,delta2,description")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["name", "epsilon", "a", "d_u", "w", "delta1", "delta2", "description"])
     for name in sorted(REGIMES):
         p = REGIMES[name].params
-        print(
-            f"{name},{p.epsilon!r},{p.a!r},{p.d_u!r},{p.w!r},{p.delta1!r},{p.delta2!r},"
-            f"{REGIMES[name].description}"
-        )
+        numbers = (p.epsilon, p.a, p.d_u, p.w, p.delta1, p.delta2)
+        out.writerow([name, *map(repr, numbers), REGIMES[name].description])
     return EXIT_OK
 
 
@@ -290,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--threads", type=int, help="ensemble worker threads")
-    p.add_argument("--svg", action="store_true", help="also write quick-look SVG plots")
+    svg_help = "also plot each CSV that holds one curve: numeric cells, increasing first column"
+    p.add_argument("--svg", action="store_true", help=svg_help)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("models", help="list the regime presets")

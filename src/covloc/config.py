@@ -7,6 +7,7 @@ parameter would otherwise invalidate a whole reproduction run.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, fields
 
 from .lattice import LatticeModelSpec
@@ -43,7 +44,12 @@ class ExperimentConfig:
     bounds_t: float | None = None
 
     def resolved_step_size(self) -> float:
-        return self.step_size if self.step_size is not None else default_step_size(self.params)
+        """The configured step; else the model default, shortened to divide t_end."""
+        if self.step_size is not None:
+            return self.step_size
+        h = default_step_size(self.params)
+        steps = self.t_end / h
+        return h if abs(steps - round(steps)) <= 1e-9 else self.t_end / math.ceil(steps)
 
     def build_model(self) -> LatticeModelSpec:
         if isinstance(self.params, LinearParams):

@@ -65,6 +65,7 @@ def fig34_run():
     }
 
 
+@pytest.mark.slow
 def test_criterion_1_analytic_vs_monte_carlo(fig34_run):
     exact = fig34_run["exact"]
     for k, rep in enumerate(fig34_run["reports"]):
@@ -75,6 +76,7 @@ def test_criterion_1_analytic_vs_monte_carlo(fig34_run):
     _ok(1, "analytic-vs-MC equivalence, K=8192, <= 2 min")
 
 
+@pytest.mark.slow
 def test_criterion_2_exponential_decay_and_bound_dominance(fig34_run):
     exact = fig34_run["exact"]
     profile = exact.lag_profile()
@@ -207,6 +209,7 @@ def _comparison_z_scores(regime_name, t_end, seed):
     return zs
 
 
+@pytest.mark.slow
 def test_criterion_8_spatial_averaging_consistency_and_failure():
     consistent = _comparison_z_scores("regime-f", 1.0, seed=777001)
     assert max(consistent.values()) <= 5.0, consistent

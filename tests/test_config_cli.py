@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 
 from covloc.cli import main
 from covloc.config import ConfigError, parse_config
-from covloc.models import FhnParams, LinearParams
+from covloc.localization import choose_bandwidth, localization_error_bound
+from covloc.models import REGIMES, FhnParams, LinearParams
 from covloc.svgplot import write_line_plot
 
 LINEAR_CFG = """
@@ -167,6 +169,30 @@ class TestCliCommands:
         assert outp[0].startswith("name,epsilon,a,d_u,w")
         assert len(outp) == 1 + 12
         assert any(line.startswith("regime-f,") for line in outp)
+        # every description holds commas, so its cell must be quoted
+        header, *rows = csv.reader(outp)
+        assert len(rows) == 12 and all(len(row) == len(header) == 8 for row in [header, *rows])
+        assert {row[0]: row[-1] for row in rows} == {
+            name: preset.description for name, preset in REGIMES.items()
+        }
+
+    @pytest.mark.parametrize(
+        "model",
+        ["kind = fhn\nepsilon = 0.013", "kind = linear\na = 1.37\nd_u = 30"],
+        ids=["fhn", "linear"],
+    )
+    def test_default_step_is_shortened_to_divide_t_end(self, tmp_path, model):
+        # the model defaults give t_end/h = 7692.3 and 1213.7 steps
+        out = tmp_path / "sim"
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            f"[model]\n{model}\n\n[run]\nn_blocks = 4\nn_samples = 2\nt_end = 1.0\n"
+            f"master_seed = 5\n\n[outputs]\nout_dir = {out}\n"
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        step = json.loads((out / "simulate_metadata.json").read_text())["config"]["run"]["step_size"]
+        expected = 1 / 7693 if "fhn" in model else 1 / 1214
+        assert step == pytest.approx(expected, rel=1e-12)
 
     def test_figure_f2_and_f4(self, tmp_path):
         out = tmp_path / "figs"
@@ -184,6 +210,15 @@ class TestCliCommands:
         assert (out / "F4_diffusion_decay.svg").exists()
         meta = json.loads((out / "F4_metadata.json").read_text())
         assert meta["settings"]["beta"] == 0.2
+
+    @pytest.mark.parametrize("figure_id", ["F1", "F3"])
+    def test_figure_svg_skips_a_csv_of_several_curves(self, tmp_path, capsys, figure_id):
+        # F1 and F3 hold one profile per n or d_u, so their first column repeats
+        out = tmp_path / "figs"
+        assert main(["figure", figure_id, "--out", str(out), "--svg"]) == 0
+        assert not list(out.glob("*.svg"))
+        (csv_path,) = out.glob("*.csv")
+        assert str(csv_path) in capsys.readouterr().err
 
     def test_figure_f8_space_time_fields(self, tmp_path):
         out = tmp_path / "figs"
@@ -209,6 +244,19 @@ class TestExitCodes:
             f"out_dir = {tmp_path / 'x'}\n"
         )
         assert main(["simulate", "--config", str(cfg)]) == 3
+        assert not (tmp_path / "x").exists()
+
+    def test_cov_step_that_does_not_divide_t_end_is_2_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "cov"
+        text = LINEAR_CFG.replace("t_end = 0.2", "t_end = 1.0").replace("0.002", "0.3")
+        assert main(["cov", "--config", _write(tmp_path, text, out=out)]) == 2
+        assert not out.exists()
+
+    def test_bounds_negative_beta_is_2_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "bounds"
+        text = LINEAR_CFG.replace("betas = 0.2, 0.5", "betas = -0.5")
+        assert main(["bounds", "--config", _write(tmp_path, text, out=out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_nonpositive_threads_is_2(self, tmp_path, threads):
@@ -297,6 +345,26 @@ class TestRejectsBadInput:
         for path in self._inputs(tmp_path):
             rc, out = self._localize(tmp_path, path, "--bandwidth", "1", "--block-dim", "0")
             assert rc == 2 and not out.exists()
+
+    def test_epsilon_mode_reports_the_chosen_bandwidth_and_its_bound(self, tmp_path):
+        _, path = self._inputs(tmp_path)
+        choose = ["--epsilon", "0.05", "--beta", "0.3", "--coefficient", "2.0"]
+        rc, out = self._localize(tmp_path, path, *choose)
+        assert rc == 0
+        report = json.loads((out / "localize_report.jsonl").read_text())
+        bandwidth = choose_bandwidth(0.05, 0.3, 2.0, 8)
+        assert report["bandwidth"] == bandwidth
+        assert report["error_bound"] == localization_error_bound(bandwidth, 0.3, 2.0)
+
+    def test_cvl_input_writes_the_bytes_of_csv_input(self, tmp_path):
+        choose = ["--epsilon", "0.05", "--beta", "0.3", "--coefficient", "2.0"]
+        files = ["localized.csv", "localized.cvl", "localize_report.jsonl"]
+        written = []
+        for path in self._inputs(tmp_path):
+            rc, out = self._localize(tmp_path, path, *choose)
+            assert rc == 0
+            written.append({name: (out / name).read_bytes() for name in files})
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("coefficient", ["nan", "inf"])
     def test_nonfinite_coefficient_is_2(self, tmp_path, coefficient):

@@ -390,6 +390,7 @@ class TestSimulateEnsemble:
         with pytest.raises(ContractViolationError):
             integrator._pool_size(0, 4)
 
+    @pytest.mark.slow
     def test_large_fhn_ensemble_runs_to_completion(self):
         # strongly mixed regime, 8192 samples, all states finite at t=5
         model = fhn_model(regime("diffusion-strongly-mixed").params, 16)
