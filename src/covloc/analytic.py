@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BlockCovariance, ContractViolationError, cyclic_distance_matrix
+from .lattice import BlockCovariance, ContractViolationError, ring_matrix
 from .models import LinearParams
 
 
@@ -85,7 +85,7 @@ def analytic_covariance(
     if t < 0:
         raise ContractViolationError(f"t must be nonnegative, got {t}")
     n = sys.n_blocks
-    total = _covariance_row(sys, sigma_u, t)[cyclic_distance_matrix(n)]
+    total = ring_matrix(_covariance_row(sys, sigma_u, t))
     if cov0 is not None:
         cov0 = np.asarray(cov0, dtype=float)
         if cov0.shape != (n, n):

@@ -39,8 +39,8 @@ from .lattice import (
     LatticeModelSpec,
     LipschitzConstants,
     cyclic_distance,
-    cyclic_distance_matrix,
     lipschitz_constants,
+    ring_matrix,
 )
 
 CAP = 1e300
@@ -315,7 +315,7 @@ def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
     row[1] += c.lambda_f
     row[-1] += c.lambda_f
     kernel_row = np.fft.ifft(np.exp(2.0 * s * np.fft.fft(row).real)).real
-    return kernel_row[cyclic_distance_matrix(n)]
+    return ring_matrix(kernel_row)
 
 
 def kernel_entry_bound(

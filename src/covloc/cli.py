@@ -56,6 +56,16 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
+def _out_dir(path) -> Path:
+    """The output directory, checked before any work: a path that is, or lies
+    under, an existing file is a ConfigError."""
+    out = Path(path)
+    for part in (out, *out.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"output path {path} is blocked by the file {part}")
+    return out
+
+
 def _write_run_metadata(out_dir: Path, name: str, cfg: ExperimentConfig, **extra) -> Path:
     return write_metadata(out_dir, name, {"command": name, "config": cfg.as_dict(), **extra})
 
@@ -69,8 +79,8 @@ def _run_ensemble(cfg: ExperimentConfig):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    out_dir = _out_dir(cfg.out_dir)
     ensemble = _run_ensemble(cfg)
-    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_array(out_dir / "ensemble.cvl", ensemble.samples, ensemble.time)
     write_ensemble_csv(out_dir / "ensemble.csv", ensemble)
@@ -81,6 +91,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_cov(args) -> int:
     cfg = _load_config(args)
+    out_dir = _out_dir(cfg.out_dir)
     half = cfg.n_blocks // 2
     max_lag = half if args.max_lag is None else args.max_lag
     if not 0 <= max_lag <= half:
@@ -94,7 +105,6 @@ def _cmd_cov(args) -> int:
         for lag in range(max_lag + 1):
             mc = monte_carlo_pair_covariance(ensemble, lag)
             rows.append((lag, mc.estimate, mc.std_error, mc.method))
-    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "cov_curve.csv"
     write_csv(path, ["lag", "estimate", "std_error", "method"], rows)
@@ -107,6 +117,7 @@ def _cmd_cov(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
+    out_dir = _out_dir(cfg.out_dir)
     model = cfg.build_model()
     t = cfg.bounds_t if cfg.bounds_t is not None else cfg.t_end
     inputs = bound_inputs_from_model(model, t, grad_g_sup=cfg.grad_g_sup)
@@ -117,7 +128,6 @@ def _cmd_bounds(args) -> int:
             ev = covariance_bound(1, j, beta, inputs)
             vacuous = vacuous or ev.vacuous
             rows.append((1, j, beta, ev.local_term, ev.global_term, ev.total))
-    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "bounds.csv"
     write_csv(path, ["i", "j", "beta", "local", "global", "total"], rows)
@@ -138,6 +148,7 @@ def _read_covariance_any(path: str, block_dim: int):
 def _cmd_localize(args) -> int:
     if args.input is None:
         raise ConfigError("--input covariance file is required")
+    out_dir = _out_dir(args.out or "out")
     cov = _read_covariance_any(args.input, args.block_dim)
     if args.bandwidth is not None:
         bandwidth = args.bandwidth
@@ -154,17 +165,19 @@ def _cmd_localize(args) -> int:
         bandwidth = choose_bandwidth(args.epsilon, args.beta, args.coefficient, cov.n_blocks)
         bound = localization_error_bound(bandwidth, args.beta, args.coefficient)
     truncated = localize(cov, bandwidth)
-
-    out_dir = Path(args.out or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_covariance(out_dir / "localized.cvl", truncated)
-    write_covariance_csv(out_dir / "localized.csv", truncated)
-
     measured = None
     if args.reference:
         reference = _read_covariance_any(args.reference, args.block_dim)
+        if reference.n_blocks != truncated.n_blocks:
+            raise ConfigError(
+                f"--reference has {reference.n_blocks} blocks, --input has {truncated.n_blocks}"
+            )
         error = reference.data - truncated.data
         measured = BlockCovariance(error, truncated.n_blocks, truncated.block_dim).norm2()
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_covariance(out_dir / "localized.cvl", truncated)
+    write_covariance_csv(out_dir / "localized.csv", truncated)
     report = {
         "bandwidth": bandwidth,
         "error_bound": bound,
@@ -192,7 +205,7 @@ def _cmd_figure(args) -> int:
         args.figure_id,
         scale=args.scale,
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        out_dir=args.out or "figures",
+        out_dir=_out_dir(args.out or "figures"),
         threads=1 if args.threads is None else args.threads,
     )
     if args.svg:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BlockCovariance, ContractViolationError, cyclic_distance_matrix
+from .lattice import BlockCovariance, ContractViolationError, ring_matrix
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,11 @@ def localize(c: BlockCovariance, l: int) -> BlockCovariance:
     """
     if l < 0:
         raise ContractViolationError(f"bandwidth must be nonnegative, got {l}")
-    mask = cyclic_distance_matrix(c.n_blocks) <= l
+    mask = ring_matrix(np.arange(c.n_blocks) <= l)
     q = c.block_dim
-    full_mask = np.kron(mask, np.ones((q, q), dtype=bool))
-    return BlockCovariance(np.where(full_mask, c.data, 0.0), c.n_blocks, c.block_dim)
+    if q > 1:
+        mask = mask.repeat(q, axis=0).repeat(q, axis=1)
+    return BlockCovariance(np.where(mask, c.data, 0.0), c.n_blocks, c.block_dim)
 
 
 def localization_error_bound(l: int, beta: float, local_coefficient: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import struct
 import warnings
@@ -47,17 +48,22 @@ def write_array(path, array: np.ndarray, time: float) -> None:
 
 def read_array(path) -> tuple[np.ndarray, float]:
     """Read a CVL1 file back as ((K, N, q) array, time)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, k, n, q, time = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    expected = _HEADER.size + 8 * k * n * q
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(k, n, q)
-    return data.copy(), time
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, k, n, q, time = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        expected = _HEADER.size + 8 * k * n * q
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise FormatError(f"{path}: expected {expected} bytes, found {found}")
+        # the payload is read straight into the array, with no bytes copy
+        data = np.empty((k, n, q), dtype="<f8")
+        if fh.readinto(data) != data.nbytes:
+            raise FormatError(f"{path}: truncated payload")
+    return data, time
 
 
 def write_covariance(path, cov: BlockCovariance, time: float = 0.0) -> None:
@@ -116,30 +122,36 @@ def write_csv(path, header: list[str], rows) -> None:
         fh.writelines(map(_csv_line, rows))
 
 
+def _write_array_csv(path, header: list[str], middles: list[str], array: np.ndarray) -> None:
+    """One line ``i,<middle>,<value>`` per entry of ``array``'s row i (1-based).
+
+    ``middles`` holds the index cells between the row index and the value for
+    each entry of a row.  A row's floats are formatted by one repr of its
+    list, which writes each as write_csv does (shortest round-trip repr) and
+    separates them by ", ", which no float repr holds.  Only one row's cells
+    are held at a time.
+    """
+    prefixes = [f",{middle}," for middle in middles]
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_line(header))
+        for i, values in enumerate(array, 1):
+            cells = repr(values.tolist())[1:-1].split(", ")
+            head = str(i)
+            fh.write("".join([head + p + cell + "\n" for p, cell in zip(prefixes, cells)]))
+
+
 def write_ensemble_csv(path, ensemble: EnsembleState) -> None:
     """Columns: sample, block, component, value (1-based indices)."""
-    _, n, q = ensemble.samples.shape
-    blocks = [i for i in range(1, n + 1) for _ in range(q)]
-    components = list(range(1, q + 1)) * n
-
-    def rows():
-        # one sample at a time, so only one (N, q) slice is ever a list
-        for j, sample in enumerate(ensemble.samples, 1):
-            yield from zip([j] * (n * q), blocks, components, sample.ravel().tolist())
-
-    write_csv(path, ["sample", "block", "component", "value"], rows())
+    k, n, q = ensemble.samples.shape
+    middles = [f"{i},{c}" for i in range(1, n + 1) for c in range(1, q + 1)]
+    header = ["sample", "block", "component", "value"]
+    _write_array_csv(path, header, middles, ensemble.samples.reshape(k, n * q))
 
 
 def write_covariance_csv(path, cov: BlockCovariance) -> None:
     """Columns: row, col, value (1-based scalar indices)."""
-    d = cov.n_blocks * cov.block_dim
-    cols = range(1, d + 1)
-
-    def rows():
-        for r, values in enumerate(cov.data, 1):
-            yield from zip([r] * d, cols, values.tolist())
-
-    write_csv(path, ["row", "col", "value"], rows())
+    middles = [str(c) for c in range(1, len(cov.data) + 1)]
+    _write_array_csv(path, ["row", "col", "value"], middles, cov.data)
 
 
 _CSV_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])

@@ -6,7 +6,9 @@ exponential is a scaled-and-squared Taylor series, and the noise covariance
 integral is brute-force trapezoid quadrature.  The CSV writers go through
 csv.writer one numpy scalar at a time, with no line building.  The
 spatial-average comparison runs each replicate as an ensemble call of its
-own.
+own.  Ring matrices are gathered through the full ring-distance index
+matrix, banded truncation goes through a kron-expanded block mask, and
+covariances are symmetrized unconditionally.
 """
 
 import csv
@@ -17,6 +19,7 @@ import scipy.linalg
 from covloc.estimators import monte_carlo_pair_covariance, shifted_pair_covariance
 from covloc.figures import _derived_seed, _fhn_run
 from covloc.integrator import simulate_ensemble
+from covloc.lattice import cyclic_distance_matrix
 from covloc.models import build_model, regime
 
 
@@ -50,6 +53,23 @@ def dense_covariance(params, n: int, t: float, cov0: np.ndarray | None = None) -
         propagator = (v * np.exp(lam * t)) @ v.T
         total = total + propagator @ cov0 @ propagator.T
     return total
+
+
+def gathered_ring_matrix(row: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is row[d(i, j)], indexed through the (n, n) distance matrix."""
+    return row[cyclic_distance_matrix(len(row))]
+
+
+def kron_localize(data: np.ndarray, n_blocks: int, block_dim: int, l: int) -> np.ndarray:
+    """Zero the q x q blocks of ``data`` more than l apart on the ring."""
+    mask = cyclic_distance_matrix(n_blocks) <= l
+    full_mask = np.kron(mask, np.ones((block_dim, block_dim), dtype=bool))
+    return np.where(full_mask, data, 0.0)
+
+
+def symmetrized(data: np.ndarray) -> np.ndarray:
+    """0.5 * (A + A^T), applied whether or not A is already symmetric."""
+    return 0.5 * (data + data.T)
 
 
 def taylor_expm(a: np.ndarray, order: int = 30) -> np.ndarray:

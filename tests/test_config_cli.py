@@ -265,6 +265,49 @@ class TestExitCodes:
         assert main(["figure", "F1", "--out", str(tmp_path / "fig"), "--threads", threads]) == 2
         assert not (tmp_path / "fig").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "cov", "bounds", "localize", "figure"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_blocked_by_a_file_is_2(self, tmp_path, capsys, command, under):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if under else blocker
+        if command == "localize":
+            cov = tmp_path / "cov.csv"
+            cov.write_text("row,col,value\n1,1,1.0\n")
+            argv = ["localize", "--input", str(cov), "--bandwidth", "0"]
+        elif command == "figure":
+            argv = ["figure", "F5"]
+        else:
+            argv = [command, "--config", _write(tmp_path, LINEAR_CFG, out="unused")]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "afile" in err[0]
+        assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_localize_non_finite_input_is_2_and_writes_nothing(self, tmp_path, bad):
+        cov = tmp_path / "cov.csv"
+        cov.write_text(f"row,col,value\n1,1,1.0\n1,2,{bad}\n2,1,{bad}\n2,2,1.0\n")
+        out = tmp_path / "loc"
+        assert main(["localize", "--input", str(cov), "--bandwidth", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "reference",
+        ["row,col,value\n1,1,nan\n", "row,col,value\n1,1,1.0\n1,2,0.0\n2,1,0.0\n2,2,1.0\n"],
+        ids=["nan", "other-size"],
+    )
+    def test_localize_bad_reference_is_2_and_writes_nothing(self, tmp_path, reference):
+        cov = tmp_path / "cov.csv"
+        cov.write_text("row,col,value\n1,1,1.0\n")
+        ref = tmp_path / "ref.csv"
+        ref.write_text(reference)
+        out = tmp_path / "loc"
+        argv = ["localize", "--input", str(cov), "--bandwidth", "0", "--reference", str(ref)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_figure_is_4(self, tmp_path):
         assert main(["figure", "F99", "--out", str(tmp_path)]) == 4
 

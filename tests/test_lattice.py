@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gathered_ring_matrix, symmetrized
 
 from covloc import (
     BlockCovariance,
@@ -16,7 +17,7 @@ from covloc import (
     linear_model,
     lipschitz_constants,
 )
-from covloc.lattice import LatticeModelSpec
+from covloc.lattice import _SYMMETRY_TILE, LatticeModelSpec, ring_matrix
 
 
 def test_cyclic_distance_examples():
@@ -53,6 +54,14 @@ def test_distance_matrix_agrees_with_scalar():
     for i in range(11):
         for j in range(11):
             assert dm[i, j] == cyclic_distance(i + 1, j + 1, 11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 64, 65])
+def test_ring_matrix_equals_the_distance_gather(n):
+    row = np.random.default_rng(n).standard_normal(n)  # not a palindrome
+    built = ring_matrix(row)
+    assert built.flags.c_contiguous
+    assert built.tobytes() == gathered_ring_matrix(row).tobytes()
 
 
 def test_lipschitz_constants_linear():
@@ -199,6 +208,45 @@ class TestBlockCovariance:
         base = np.array([[1.0, 0.5], [0.5 + 1e-14, 2.0]])
         cov = BlockCovariance(base, 2, 1)  # needs n_blocks * block_dim = 2
         assert np.array_equal(cov.data, cov.data.T)
+
+    # d = 300 spans three tiles a side, with a partial last tile
+    @pytest.mark.parametrize("d", [2, 5, _SYMMETRY_TILE + 1, 300])
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-13])
+    def test_data_equals_the_symmetrizing_formula(self, d, asymmetry):
+        rng = np.random.default_rng(d)
+        m = rng.standard_normal((d, d))
+        data = m + m.T
+        data[d - 1, 0] *= 1.0 + asymmetry  # in the last tile pair
+        if asymmetry:
+            assert not np.array_equal(data, data.T)
+        cov = BlockCovariance(data, d, 1)
+        assert cov.data.tobytes() == symmetrized(data).tobytes()
+        assert not cov.data.flags.writeable
+
+    def test_mirrored_signed_zeros_are_symmetrized(self):
+        data = np.array([[1.0, 0.0], [-0.0, 2.0]])
+        cov = BlockCovariance(data, 2, 1)
+        assert cov.data.tobytes() == symmetrized(data).tobytes()
+        assert not np.signbit(cov.data).any()
+
+    def test_symmetric_matrix_is_stored_as_given(self):
+        # 0.5 * (A + A^T) would overflow 1e308 + 1e308 to inf
+        data = np.array([[1e308, 1.0], [1.0, 2.0]])
+        cov = BlockCovariance(data, 2, 1)
+        assert cov.data[0, 0] == 1e308
+        data[0, 0] = 0.0
+        assert cov.data[0, 0] == 1e308  # a copy, not a view of the input
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 2), "mirrored"])
+    def test_rejects_non_finite_entries(self, bad, where):
+        data = np.eye(3)
+        if where == "mirrored":
+            data[0, 2] = data[2, 0] = bad
+        else:
+            data[where] = bad
+        with pytest.raises(ContractViolationError, match="nan or infinite"):
+            BlockCovariance(data, 3, 1)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ContractViolationError):

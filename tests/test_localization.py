@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import kron_localize
 
 from covloc import (
     BlockCovariance,
@@ -26,6 +27,15 @@ def _random_cov(n, q=1, seed=0):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n * q, n * q))
     return BlockCovariance(m @ m.T, n, q)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_localize_equals_the_kron_route(n, q):
+    cov = _random_cov(n, q, seed=10 * n + q)
+    for l in range(n // 2 + 1):
+        expected = kron_localize(cov.data, n, q, l)
+        assert localize(cov, l).data.tobytes() == expected.tobytes(), l
 
 
 class TestLocalize:

@@ -24,6 +24,7 @@ def test_array_roundtrip(tmp_path):
     back, t = read_array(path)
     assert t == 1.25
     np.testing.assert_array_equal(back, data)
+    assert back.flags.writeable
 
 
 def test_header_layout_is_the_documented_one(tmp_path):
