@@ -9,7 +9,6 @@ from .lattice import (
     LipschitzConstants,
     UnsupportedModelError,
     cyclic_distance,
-    cyclic_distance_matrix,
     lipschitz_constants,
 )
 from .models import (

@@ -139,9 +139,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _read_covariance_any(path: str, block_dim: int):
-    if path.endswith(".csv"):
-        return read_covariance_csv(path, block_dim)
-    cov, _ = read_covariance(path, block_dim)
+    """The covariance in ``path``; a path that cannot be opened is a ConfigError."""
+    try:
+        if path.endswith(".csv"):
+            return read_covariance_csv(path, block_dim)
+        cov, _ = read_covariance(path, block_dim)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     return cov
 
 

@@ -84,19 +84,27 @@ def _parse_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+def _finite(raw: str) -> float:
+    """float(raw), with nan and +-inf refused as unparsable."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 # (section, key) -> (ExperimentConfig field, converter); omitted keys take the
 # field's default, and fields without one are required
 _FIELDS = {
     ("run", "n_blocks"): ("n_blocks", int),
     ("run", "n_samples"): ("n_samples", int),
-    ("run", "t_end"): ("t_end", float),
+    ("run", "t_end"): ("t_end", _finite),
     ("run", "master_seed"): ("master_seed", int),
-    ("run", "step_size"): ("step_size", float),
+    ("run", "step_size"): ("step_size", _finite),
     ("run", "threads"): ("threads", int),
     ("outputs", "out_dir"): ("out_dir", str),
-    ("bounds", "betas"): ("betas", lambda raw: tuple(float(x) for x in _parse_list(raw))),
-    ("bounds", "grad_g_sup"): ("grad_g_sup", float),
-    ("bounds", "t"): ("bounds_t", float),
+    ("bounds", "betas"): ("betas", lambda raw: tuple(_finite(x) for x in _parse_list(raw))),
+    ("bounds", "grad_g_sup"): ("grad_g_sup", _finite),
+    ("bounds", "t"): ("bounds_t", _finite),
 }
 _REQUIRED = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
 _SECTIONS = {"model": _MODEL_KEYS} | {

@@ -363,6 +363,8 @@ def run_figure(
         raise ContractViolationError(f"scale must be 'paper' or 'desk', got {scale!r}")
     if threads < 1:
         raise ContractViolationError(f"threads must be >= 1, got {threads}")
+    if not 0 <= seed < 2**64:
+        raise ContractViolationError(f"seed must fit in 64 unsigned bits, got {seed}")
     spec = FIGURES[figure_id]
     cfg = SCALES[figure_id][scale] if figure_id in SCALES else None
     stem, header, rows, settings = spec.builder(cfg, seed, threads)

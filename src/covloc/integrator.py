@@ -66,6 +66,10 @@ class IntegratorConfig:
     master_seed: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.step_size) and math.isfinite(self.t_end)):
+            raise ContractViolationError(
+                f"step_size and t_end must be finite, got ({self.step_size}, {self.t_end})"
+            )
         if self.step_size <= 0:
             raise ContractViolationError(f"step_size must be positive, got {self.step_size}")
         if self.t_end < 0:

@@ -34,6 +34,13 @@ def _ring_neighbour_sum(x: np.ndarray, out: np.ndarray) -> None:
     np.add(x[..., -2], x[..., 0], out=out[..., -1])
 
 
+def _check_finite(params) -> None:
+    """Reject a nan or infinite field, which no sign check below would catch."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ContractViolationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LinearParams:
     """Damped diffusive lattice with mean-field coupling, scalar blocks."""
@@ -44,6 +51,7 @@ class LinearParams:
     sigma_u: float = 0.5
 
     def __post_init__(self):
+        _check_finite(self)
         if self.a <= 0:
             raise ContractViolationError(f"damping a must be positive, got {self.a}")
         if self.d_u < 0 or self.w < 0:
@@ -69,6 +77,7 @@ class FhnParams:
     delta2: float = 0.4
 
     def __post_init__(self):
+        _check_finite(self)
         if self.epsilon <= 0:
             raise ContractViolationError(f"epsilon must be positive, got {self.epsilon}")
         if self.d_u < 0 or self.w < 0:

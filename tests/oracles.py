@@ -8,7 +8,8 @@ csv.writer one numpy scalar at a time, with no line building.  The
 spatial-average comparison runs each replicate as an ensemble call of its
 own.  Ring matrices are gathered through the full ring-distance index
 matrix, banded truncation goes through a kron-expanded block mask, and
-covariances are symmetrized unconditionally.
+covariances are symmetrized unconditionally.  Spectral norms come from a
+dense eigvalsh of the whole matrix.
 """
 
 import csv
@@ -19,7 +20,6 @@ import scipy.linalg
 from covloc.estimators import monte_carlo_pair_covariance, shifted_pair_covariance
 from covloc.figures import _derived_seed, _fhn_run
 from covloc.integrator import simulate_ensemble
-from covloc.lattice import cyclic_distance_matrix
 from covloc.models import build_model, regime
 
 
@@ -53,6 +53,18 @@ def dense_covariance(params, n: int, t: float, cov0: np.ndarray | None = None) -
         propagator = (v * np.exp(lam * t)) @ v.T
         total = total + propagator @ cov0 @ propagator.T
     return total
+
+
+def cyclic_distance_matrix(n: int) -> np.ndarray:
+    """(n, n) integer matrix of ring distances between block indices."""
+    idx = np.arange(n)
+    diff = np.abs(idx[:, None] - idx[None, :])
+    return np.minimum(diff, n - diff)
+
+
+def dense_norm2(data: np.ndarray) -> float:
+    """Largest |eigenvalue| of a symmetric matrix, from every eigenvalue."""
+    return float(np.abs(np.linalg.eigvalsh(data)).max())
 
 
 def gathered_ring_matrix(row: np.ndarray) -> np.ndarray:

@@ -321,6 +321,29 @@ def test_dominance_on_exact_linear_covariances():
                 assert (np.abs(profile) <= bound).all(), (params, t, beta)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.05, 5.0),
+    d_u=st.floats(0.0, 30.0),
+    w=st.floats(0.0, 10.0),
+    sigma_u=st.floats(0.1, 2.0),
+    log2_n=st.floats(np.log2(3), 12.0),
+    t=st.floats(0.01, 20.0),
+    beta=st.floats(0.05, 5.0),
+)
+def test_estimator_variance_bound_dominates_the_exact_lattice_average(
+    a, d_u, w, sigma_u, log2_n, t, beta
+):
+    """The pooled-estimator bound lies at or above the exact variance of the
+    lattice average (1/N) sum_i u_i, which is (1/N) sum_k C(1, 1+k) on the
+    circulant linear lattice started from a point mass."""
+    params = LinearParams(a=a, d_u=d_u, w=w, sigma_u=sigma_u)
+    n = int(round(2.0**log2_n))
+    exact = circulant_covariance_row(params, n, t).sum() / n
+    inputs = bound_inputs_from_model(linear_model(params, n), t)
+    assert exact <= estimator_variance_bound(inputs, beta)
+
+
 # Exact entries below this fraction of C(1, 1) are FFT round-off, which a
 # bound decaying like e^{-beta d} may legitimately undercut.
 _ROUNDOFF = 1e-12

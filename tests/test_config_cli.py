@@ -7,6 +7,8 @@ import pytest
 
 from covloc.cli import main
 from covloc.config import ConfigError, parse_config
+from covloc.integrator import IntegratorConfig
+from covloc.lattice import ContractViolationError
 from covloc.localization import choose_bandwidth, localization_error_bound
 from covloc.models import REGIMES, FhnParams, LinearParams
 from covloc.svgplot import write_line_plot
@@ -438,3 +440,72 @@ class TestRejectsBadInput:
         with pytest.raises(ValueError, match="finite"):
             write_line_plot(tmp_path / "p.svg", x, {"y": [1.0, 2.0, 3.0]})
         assert not (tmp_path / "p.svg").exists()
+
+    @pytest.mark.parametrize("flag", ["--input", "--reference"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_localize_unreadable_path_is_one_error_line_and_writes_nothing(
+        self, tmp_path, capsys, flag, kind
+    ):
+        _, good = self._inputs(tmp_path)
+        bad = tmp_path / "nonexist.csv"
+        if kind == "directory":
+            bad.mkdir()
+        paths = {"--input": good, "--reference": good, flag: bad}
+        argv = ["--bandwidth", "1"] + [arg for f, p in paths.items() for arg in (f, str(p))]
+        capsys.readouterr()
+        rc = main(["localize", *argv, "--out", str(tmp_path / "loc")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and not (tmp_path / "loc").exists()
+        assert len(err) == 1 and err[0].startswith("error: ") and "nonexist.csv" in err[0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "cls, field",
+        [(LinearParams, name) for name in ("a", "d_u", "w", "sigma_u")]
+        + [(FhnParams, name) for name in ("epsilon", "a", "d_u", "w", "delta1", "delta2")],
+    )
+    def test_model_params_reject_non_finite_fields(self, cls, field, value):
+        with pytest.raises(ContractViolationError, match=f"{field} must be finite"):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["step_size", "t_end"])
+    def test_integrator_config_rejects_non_finite_fields(self, field, value):
+        # step_size = inf used to mean 0 steps, and the initial state came back
+        kwargs = {"step_size": 1e-3, "t_end": 0.01, "master_seed": 1, field: value}
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            IntegratorConfig(**kwargs)
+
+    def test_linear_infinite_diffusion_is_2_and_writes_nothing(self, tmp_path, capsys):
+        # used to end in a ZeroDivisionError from the default step size
+        out = tmp_path / "sim"
+        text = LINEAR_CFG.replace("d_u = 2.0", "d_u = inf").replace("step_size = 0.002", "")
+        capsys.readouterr()
+        assert main(["simulate", "--config", _write(tmp_path, text, out=out)]) == 2
+        assert "d_u must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("step_size = 0.002", "step_size = inf"),
+            ("t_end = 0.2", "t_end = inf"),
+            ("t_end = 0.2", "t_end = nan"),
+            ("betas = 0.2, 0.5", "betas = 0.2, nan"),
+        ],
+        ids=["step-inf", "t-inf", "t-nan", "beta-nan"],
+    )
+    def test_non_finite_run_or_bounds_value_is_2_and_writes_nothing(self, tmp_path, old, new):
+        # step_size = inf with t_end = 0.01 used to exit 0 after 0 steps
+        out = tmp_path / "run"
+        text = LINEAR_CFG.replace(old, new)
+        for command in ("simulate", "bounds"):
+            assert main([command, "--config", _write(tmp_path, text, out=out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_figure_seed_outside_64_bits_is_2_and_writes_nothing(self, tmp_path, seed):
+        # F7 used to end in a ValueError traceback from the seed sequence
+        out = tmp_path / "fig"
+        assert main(["figure", "F7", "--seed", seed, "--out", str(out)]) == 2
+        assert not out.exists()

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gathered_ring_matrix, symmetrized
+from oracles import cyclic_distance_matrix, dense_norm2, gathered_ring_matrix, symmetrized
 
 from covloc import (
     BlockCovariance,
@@ -12,12 +15,13 @@ from covloc import (
     LipschitzConstants,
     UnsupportedModelError,
     cyclic_distance,
-    cyclic_distance_matrix,
     fhn_model,
     linear_model,
     lipschitz_constants,
 )
+from covloc.analytic import analytic_covariance, build_system_matrix
 from covloc.lattice import _SYMMETRY_TILE, LatticeModelSpec, ring_matrix
+from covloc.localization import localize
 
 
 def test_cyclic_distance_examples():
@@ -264,3 +268,76 @@ class TestBlockCovariance:
         m = rng.standard_normal((n, n))
         cov = BlockCovariance(m + m.T, n, 1)
         assert cov.norm2() >= 0
+
+
+def _block_circulant(blocks: np.ndarray) -> np.ndarray:
+    """Symmetric (Nq, Nq) matrix with block (i, j) = S[(j - i) mod N], where
+    S[k] = (blocks[k] + blocks[-k]^T) / 2, so that S[-k] = S[k]^T exactly."""
+    n = len(blocks)
+    sym = 0.5 * (blocks + blocks[-np.arange(n)].swapaxes(1, 2))
+    return np.block([[sym[(j - i) % n] for j in range(n)] for i in range(n)])
+
+
+def _eigvalsh_only_on_blocks(block_dim):
+    """np.linalg.eigvalsh that refuses any matrix larger than one q x q block."""
+    original = np.linalg.eigvalsh
+
+    def guarded(a, *args, **kwargs):
+        if np.shape(a)[-1] > block_dim:
+            raise AssertionError(f"dense eigvalsh on a {np.shape(a)} matrix")
+        return original(a, *args, **kwargs)
+
+    return guarded
+
+
+@given(st.sampled_from([1, 2]), st.integers(1, 64), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_norm2_of_a_block_circulant_matrix_matches_the_dense_oracle(q, n, seed):
+    data = _block_circulant(np.random.default_rng(seed).standard_normal((n, q, q)))
+    expected = dense_norm2(data)
+    cov = BlockCovariance(data, n, q)
+    with mock.patch.object(np.linalg, "eigvalsh", _eigvalsh_only_on_blocks(q)):
+        assert cov.norm2() == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _toeplitz_not_circulant():
+    # passes the diagonal-shift check; fails the wrap check, column[k] != column[12 - k]
+    column = np.random.default_rng(3).standard_normal(12)
+    return scipy.linalg.toeplitz(column), 1
+
+
+def _circulant_with_one_pair_perturbed():
+    data = _block_circulant(np.random.default_rng(4).standard_normal((6, 2, 2)))
+    data[1, 8] += 1e-3
+    data[8, 1] += 1e-3
+    return data, 2
+
+
+@pytest.mark.parametrize(
+    "make", [_toeplitz_not_circulant, _circulant_with_one_pair_perturbed], ids=["toeplitz", "perturbed"]
+)
+def test_norm2_of_a_matrix_that_is_not_block_circulant_is_the_dense_route(make, monkeypatch):
+    data, q = make()
+    expected = dense_norm2(data)
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    assert BlockCovariance(data, len(data) // q, q).norm2() == expected
+    assert shapes == [data.shape]
+
+
+def test_localization_error_norm_takes_no_dense_eigvalsh(monkeypatch):
+    """The l2 error of a banded exact linear covariance is block-circulant,
+    so it must never reach an O(n^3) eigendecomposition."""
+    params = LinearParams(a=1.0, d_u=20.0, w=0.0, sigma_u=0.5)
+    n = 256
+    cov = analytic_covariance(build_system_matrix(params, n), None, params.sigma_u, 5.0)
+    error = BlockCovariance(cov.data - localize(cov, 37).data, n, 1)
+    expected = dense_norm2(error.data)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _eigvalsh_only_on_blocks(1))
+    assert error.norm2() == pytest.approx(expected, rel=1e-12, abs=0.0)
