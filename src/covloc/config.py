@@ -29,6 +29,22 @@ class ConfigError(ValueError):
     """Configuration file is malformed; the message names the offending field."""
 
 
+# (field, rule, check) for ExperimentConfig: every subcommand and every
+# command-line override meets the same contract, whether or not it reads the
+# field
+_RULES = [
+    ("n_blocks", "run.n_blocks must be >= 3", lambda v: v >= 3),
+    ("n_samples", "run.n_samples must be >= 1", lambda v: v >= 1),
+    ("t_end", "run.t_end must be nonnegative", lambda v: v >= 0),
+    ("step_size", "run.step_size must be positive", lambda v: v is None or v > 0),
+    ("master_seed", "run.master_seed must fit in 64 unsigned bits", lambda v: 0 <= v < 2**64),
+    ("threads", "run.threads must be >= 1", lambda v: v >= 1),
+    ("betas", "bounds.betas must be positive", lambda v: all(b > 0 for b in v)),
+    ("grad_g_sup", "bounds.grad_g_sup must be nonnegative", lambda v: v >= 0),
+    ("bounds_t", "bounds.t must be nonnegative", lambda v: v is None or v >= 0),
+]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     params: LinearParams | FhnParams
@@ -42,6 +58,12 @@ class ExperimentConfig:
     betas: tuple[float, ...] = (0.2,)
     grad_g_sup: float = 1.0
     bounds_t: float | None = None
+
+    def __post_init__(self):
+        for name, rule, holds in _RULES:
+            value = getattr(self, name)
+            if not holds(value):
+                raise ConfigError(f"{rule}, got {value}")
 
     def resolved_step_size(self) -> float:
         """The configured step; else the model default, shortened to divide t_end."""
@@ -147,33 +169,31 @@ def _parse_model(section) -> LinearParams | FhnParams:
 
 def parse_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        # every value is interpolated here, so a bad % is reported as a parse error
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages can span lines; the CLI reports one
+        message = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse config file {path}: {message}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
-    for name in parser.sections():
+    for name, section in sections.items():
         if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
-        unknown = set(parser[name]) - _SECTIONS[name]
+        unknown = set(section) - _SECTIONS[name]
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
     for required in ("model", "run"):
-        if required not in parser:
+        if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
 
-    params = _parse_model(parser["model"])
+    params = _parse_model(sections["model"])
     values = {}
     for (where, key), (name, convert) in _FIELDS.items():
-        section = parser[where] if where in parser else {}
+        section = sections.get(where, {})
         if key in section or name in _REQUIRED:
             values[name] = _get(section, key, convert, where)
-    cfg = ExperimentConfig(params=params, **values)
-    if cfg.n_blocks < 3:
-        raise ConfigError(f"run.n_blocks must be >= 3, got {cfg.n_blocks}")
-    if cfg.n_samples < 1:
-        raise ConfigError(f"run.n_samples must be >= 1, got {cfg.n_samples}")
-    if cfg.t_end < 0:
-        raise ConfigError(f"run.t_end must be nonnegative, got {cfg.t_end}")
-    if cfg.threads < 1:
-        raise ConfigError(f"run.threads must be >= 1, got {cfg.threads}")
-    return cfg
+    return ExperimentConfig(params=params, **values)

@@ -7,7 +7,10 @@ covariance matrices reuse the same container as (qN, qN, 1).
 
 All text output is deterministic: floats are written with shortest
 round-trip repr and metadata records with sorted keys, so identical data
-produces byte-identical files.
+produces byte-identical files.  Array CSVs (covariances and ensembles) are
+written one block of rows, about _BLOCK_VALUES entries, at a time: each
+distinct value of a block is formatted once, and memory is bounded by one
+block rather than the file.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from .lattice import BlockCovariance
 MAGIC = b"CVL1"
 _HEADER = struct.Struct("<4sQQQd")
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+# Entries per row block of an array CSV.  A block's cells, one Python string
+# per entry, are the writer's working set: 2**16 entries (about 12 MB) wrote
+# arrays with no repeated value slower than formatting row by row, 2**14 did
+# not, and both keep repeated values cheap.
+_BLOCK_VALUES = 16384
 
 
 class FormatError(ValueError):
@@ -126,18 +134,31 @@ def _write_array_csv(path, header: list[str], middles: list[str], array: np.ndar
     """One line ``i,<middle>,<value>`` per entry of ``array``'s row i (1-based).
 
     ``middles`` holds the index cells between the row index and the value for
-    each entry of a row.  A row's floats are formatted by one repr of its
-    list, which writes each as write_csv does (shortest round-trip repr) and
-    separates them by ", ", which no float repr holds.  Only one row's cells
-    are held at a time.
+    each entry of a row.  Rows are written in blocks of as many whole rows as
+    fit in _BLOCK_VALUES entries, at least one, and only one block's cells
+    are held at a time.  Each distinct float bit pattern of a block is
+    formatted once, by one repr of their list, which writes each as
+    write_csv does (shortest round-trip repr; 0.0 and -0.0 differ in their
+    bits, so each keeps its own text) and separates them by ", ", which no
+    float repr holds.  The cells go back to their entries through an object
+    array indexed by np.unique's inverse, and a block's lines are joined in
+    one call.
     """
-    prefixes = [f",{middle}," for middle in middles]
+    prefixes = np.array([f",{middle}," for middle in middles], dtype=object)
+    step = max(1, _BLOCK_VALUES // max(1, len(prefixes)))
     with open(path, "w", newline="") as fh:
         fh.write(_csv_line(header))
-        for i, values in enumerate(array, 1):
-            cells = repr(values.tolist())[1:-1].split(", ")
-            head = str(i)
-            fh.write("".join([head + p + cell + "\n" for p, cell in zip(prefixes, cells)]))
+        for start in range(0, len(array), step):
+            block = np.ascontiguousarray(array[start : start + step], dtype=np.float64)
+            bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+            # "[a, b]" -> ["a\n", "b\n"]: each distinct value's cell and line end
+            text = repr(bits.view(np.float64).tolist())[1:-1].replace(", ", "\n, ") + "\n"
+            heads = [str(i) for i in range(start + 1, start + len(block) + 1)]
+            parts = np.empty(block.shape + (3,), dtype=object)
+            parts[..., 0] = np.array(heads, dtype=object)[:, None]
+            parts[..., 1] = prefixes
+            parts[..., 2] = np.array(text.split(", "), dtype=object)[inverse.reshape(block.shape)]
+            fh.write("".join(parts.ravel().tolist()))
 
 
 def write_ensemble_csv(path, ensemble: EnsembleState) -> None:
@@ -159,8 +180,11 @@ _CSV_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float6
 
 def read_covariance_csv(path, block_dim: int = 1) -> BlockCovariance:
     """Inverse of ``write_covariance_csv``: each of the d*d entries exactly once."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh), None)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}: not a CSV text file ({exc})") from None
         if header != ["row", "col", "value"]:
             raise FormatError(f"{path}: expected header row,col,value, got {header}")
         try:

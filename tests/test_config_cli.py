@@ -1,16 +1,25 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covloc import BlockCovariance
 from covloc.cli import main
 from covloc.config import ConfigError, parse_config
+from covloc.figures import FIGURES
 from covloc.integrator import IntegratorConfig
-from covloc.lattice import ContractViolationError
+from covloc.lattice import ContractViolationError, ring_matrix
 from covloc.localization import choose_bandwidth, localization_error_bound
 from covloc.models import REGIMES, FhnParams, LinearParams
+from covloc.storage import write_covariance, write_covariance_csv
 from covloc.svgplot import write_line_plot
 
 LINEAR_CFG = """
@@ -509,3 +518,225 @@ class TestRejectsBadInput:
         out = tmp_path / "fig"
         assert main(["figure", "F7", "--seed", seed, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n_blocks = 4\n[model]\npreset = regime-f\n",
+            "[model]\npreset = regime-f\npreset = regime-c\n",
+            "[model]\npreset = regime-f\n[outputs]\nout_dir = run%1\n",
+        ],
+        ids=["no-section-header", "duplicate-key", "bad-interpolation"],
+    )
+    def test_unparsable_config_is_one_error_line_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, text
+    ):
+        # each used to end in a configparser traceback and exit 1
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            text + "[run]\nn_blocks = 4\nn_samples = 2\nt_end = 0.001\nmaster_seed = 1\n"
+        )
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "cfg.ini" in err[0]
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_binary_config_is_one_error_line_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a CVL1 file used to end in a UnicodeDecodeError traceback
+        monkeypatch.chdir(tmp_path)
+        cvl, _ = self._inputs(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cvl)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "c.cvl" in err[0]
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flag", ["--input", "--reference"])
+    def test_localize_non_utf8_csv_is_one_error_line_and_writes_nothing(
+        self, tmp_path, capsys, flag
+    ):
+        # a CVL1 file named .csv used to end in a UnicodeDecodeError traceback
+        cvl, good = self._inputs(tmp_path)
+        bad = tmp_path / "binary.csv"
+        bad.write_bytes(cvl.read_bytes())
+        paths = {"--input": good, "--reference": good, flag: bad}
+        argv = ["--bandwidth", "1"] + [arg for f, p in paths.items() for arg in (f, str(p))]
+        capsys.readouterr()
+        rc = main(["localize", *argv, "--out", str(tmp_path / "loc")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and not (tmp_path / "loc").exists()
+        assert len(err) == 1 and err[0].startswith("error: ") and "binary.csv" in err[0]
+
+    def test_localize_csv_with_an_overlong_first_line_is_2(self, tmp_path):
+        # csv's field size limit used to end in a _csv.Error traceback
+        _, good = self._inputs(tmp_path)
+        bad = tmp_path / "long.csv"
+        bad.write_text("x" * 200_000)
+        rc, out = self._localize(tmp_path, bad, "--bandwidth", "1", "--reference", str(good))
+        assert rc == 2 and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--seed", "-1"],
+            ["bounds", "--seed", str(2**64)],
+        ],
+        ids=["seed-negative", "seed-2**64"],
+    )
+    def test_command_line_override_meets_the_config_contract(self, tmp_path, argv):
+        # bounds reads no seed, and used to exit 0 recording master_seed = -1
+        out = tmp_path / "run"
+        cfg = _write(tmp_path, LINEAR_CFG, out=out)
+        assert main([*argv, "--config", cfg]) == 2
+        assert not out.exists()
+
+
+# The tiny config every probe starts from: 4 blocks, 3 samples, 2 steps.
+_TINY_MODELS = {
+    "linear": {"kind": "linear", "a": "1.0", "d_u": "2.0", "w": "1.0", "sigma_u": "0.5"},
+    "fhn": {"kind": "fhn", "epsilon": "0.08", "a": "0.7", "d_u": "0.5", "w": "0.2",
+            "delta1": "0.1", "delta2": "0.1"},
+    "preset": {"preset": "regime-f"},
+}
+_TINY_SECTIONS = {
+    "run": {"n_blocks": "4", "n_samples": "3", "t_end": "0.002", "step_size": "0.001",
+            "master_seed": "7", "threads": "1"},
+    "bounds": {"betas": "0.2", "grad_g_sup": "1.0", "t": "0.5"},
+    "outputs": {"out_dir": "out"},
+}
+_PROBES = ["nan", "inf", "-inf", "0", "-1.5", "-3", "text"]
+
+
+def _within_contract(model, key, value):
+    """Whether a probe value is one the field accepts."""
+    if key == "out_dir":
+        return True  # any text names a directory
+    if model == "fhn" and key == "a":
+        return value not in ("nan", "inf", "-inf", "text")  # the FHN offset a is any real
+    # 0 is the edge of every nonnegative field
+    return value == "0" and key in {"d_u", "w", "t_end", "master_seed", "grad_g_sup", "t"}
+
+
+def _ini(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+def _run_in(directory, argv):
+    """(exit code, stderr lines) of covloc run from ``directory``."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    finally:
+        os.chdir(cwd)
+    return rc, err.getvalue().splitlines()
+
+
+class TestErrorContract:
+    """Bad input of any kind ends in exit 2, 3 or 4, one stderr line and no
+    output directory; nothing ends in a traceback.  Every shape is tiny."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(_TINY_MODELS)),
+        command=st.sampled_from(["simulate", "cov", "bounds"]),
+        data=st.data(),
+    )
+    def test_config_value_outside_its_field_contract(self, model, command, data):
+        sections = {"model": _TINY_MODELS[model], **_TINY_SECTIONS}
+        keys = [(name, key) for name, fields in sections.items() for key in fields]
+        name, key = data.draw(st.sampled_from(keys))
+        value = data.draw(st.sampled_from(_PROBES))
+        sections = {**sections, name: {**sections[name], key: value}}
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "cfg.ini").write_text(_ini(sections))
+            rc, err = _run_in(tmp, [command, "--config", "cfg.ini"])
+            written = sorted(p.name for p in Path(tmp).iterdir())
+        if _within_contract(model, key, value):
+            assert rc == 0
+        else:
+            assert rc in (2, 3, 4) and len(err) == 1, (rc, err)
+            assert written == ["cfg.ini"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flag=st.sampled_from(["--input", "--reference"]),
+        suffix=st.sampled_from([".csv", ".cvl"]),
+        kind=st.sampled_from(["missing", "directory", "truncated", "non-utf8"]),
+        data=st.data(),
+    )
+    def test_unusable_covariance_file(self, flag, suffix, kind, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cov = BlockCovariance(ring_matrix(np.array([1.0, 0.25, 0.25])), 3, 1)
+            good, bad = tmp / "good.csv", tmp / f"bad{suffix}"
+            write_covariance_csv(good, cov)
+            (write_covariance_csv if suffix == ".csv" else write_covariance)(bad, cov)
+            raw = bad.read_bytes()
+            if kind == "missing":
+                bad.unlink()
+            elif kind == "directory":
+                bad.unlink()
+                bad.mkdir()
+            elif kind == "truncated":
+                # a CSV loses at least its last entry's line, a CVL1 file a byte
+                keep = raw.rstrip(b"\n").rfind(b"\n") + 1 if suffix == ".csv" else len(raw) - 1
+                bad.write_bytes(raw[: data.draw(st.integers(0, keep))])
+            else:
+                bad.write_bytes(b"\xff" + data.draw(st.binary(max_size=64)))
+            paths = {"--input": good, "--reference": good, flag: bad}
+            argv = [arg for f, p in paths.items() for arg in (f, str(p))]
+            rc, err = _run_in(tmp, ["localize", *argv, "--bandwidth", "1", "--out", "loc"])
+            assert rc == 2 and len(err) == 1, (rc, err)
+            assert not (tmp / "loc").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        command=st.sampled_from(["simulate", "cov", "bounds"]),
+        kind=st.sampled_from(["missing", "directory", "non-utf8"]),
+        data=st.data(),
+    )
+    def test_unusable_config_file(self, command, kind, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.ini"
+            if kind == "directory":
+                cfg.mkdir()
+            elif kind == "non-utf8":
+                cfg.write_bytes(b"\xff" + data.draw(st.binary(max_size=64)))
+            rc, err = _run_in(tmp, [command, "--config", "cfg.ini"])
+            written = sorted(p.name for p in Path(tmp).iterdir())
+        assert rc == 2 and len(err) == 1, (rc, err)
+        assert written == ([] if kind == "missing" else ["cfg.ini"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
+        command=st.sampled_from(["simulate", "cov", "bounds", "figure"]),
+        in_config=st.booleans(),
+        figure=st.sampled_from(sorted(FIGURES)),
+    )
+    def test_seed_outside_64_bits(self, seed, command, in_config, figure):
+        sections = {"model": _TINY_MODELS["linear"], **_TINY_SECTIONS}
+        if in_config:
+            sections["run"] = {**sections["run"], "master_seed": str(seed)}
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "cfg.ini").write_text(_ini(sections))
+            if command == "figure":
+                argv = ["figure", figure, "--seed", str(seed), "--out", "out"]
+            else:
+                argv = [command, "--config", "cfg.ini"]
+                argv += [] if in_config else ["--seed", str(seed)]
+            rc, err = _run_in(tmp, argv)
+            written = sorted(p.name for p in Path(tmp).iterdir())
+        assert rc == 2 and len(err) == 1, (rc, err)
+        assert written == ["cfg.ini"]

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import reference_covariance_csv, reference_csv, reference_ensemble_csv
 
-from covloc import BlockCovariance, EnsembleState
+from covloc import BlockCovariance, EnsembleState, localize
+from covloc.lattice import ring_matrix
 from covloc.storage import (
+    _BLOCK_VALUES,
     FormatError,
     read_array,
     read_covariance,
@@ -116,6 +120,73 @@ def test_mixed_cells_match_the_csv_writer_reference(tmp_path):
     write_csv(tmp_path / "new.csv", ["i", "j", "a", "b", "flag", "method", "z"], rows)
     reference_csv(tmp_path / "ref.csv", ["i", "j", "a", "b", "flag", "method", "z"], rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _rows_per_block(width):
+    return max(1, _BLOCK_VALUES // width)
+
+
+@pytest.mark.parametrize("bandwidth", [None, 7], ids=["circulant", "localized"])
+def test_ring_covariance_csv_over_several_blocks_matches_the_reference(tmp_path, bandwidth):
+    # few distinct values, over 3 full row blocks and a partial last one
+    d = 300
+    assert d // _rows_per_block(d) >= 3 and d % _rows_per_block(d)
+    row = np.exp(-0.1 * np.arange(d)) * np.random.default_rng(9).uniform(0.5, 1.0, d)
+    cov = BlockCovariance(ring_matrix(row), d, 1)
+    if bandwidth is not None:
+        cov = localize(cov, bandwidth)
+    write_covariance_csv(tmp_path / "new.csv", cov)
+    reference_covariance_csv(tmp_path / "ref.csv", cov.data)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_signed_zeros_in_one_block_keep_their_own_text(tmp_path):
+    samples = np.zeros((4, 3, 2))
+    samples[::2, :, 1] = -0.0
+    samples[1, 1, 0] = 5e-324
+    write_ensemble_csv(tmp_path / "new.csv", EnsembleState(samples, 0.0, (1, 2, 3, 4)))
+    reference_ensemble_csv(tmp_path / "ref.csv", samples)
+    text = (tmp_path / "new.csv").read_text()
+    assert text == (tmp_path / "ref.csv").read_text()
+    assert text.count(",-0.0\n") == 6 and text.count(",0.0\n") == 17
+
+
+def test_ensemble_csv_over_several_blocks_matches_the_reference(tmp_path):
+    k = 3 * _rows_per_block(64 * 2) + 5
+    samples = _wide_values((k, 64, 2), 10)
+    samples[-1] = samples[0]  # values repeated across blocks
+    write_ensemble_csv(tmp_path / "new.csv", EnsembleState(samples, 0.0, tuple(range(k))))
+    reference_ensemble_csv(tmp_path / "ref.csv", samples)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (2, 3, 0), (1, 1, 1)])
+def test_ensemble_csv_of_an_empty_or_single_entry_array(tmp_path, shape):
+    samples = np.full(shape, 0.25)
+    write_ensemble_csv(tmp_path / "new.csv", EnsembleState(samples, 0.0, tuple(range(shape[0]))))
+    reference_ensemble_csv(tmp_path / "ref.csv", samples)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _writer_peak_bytes(path, samples):
+    ens = EnsembleState(samples, 0.0, tuple(range(len(samples))))
+    tracemalloc.start()
+    try:
+        write_ensemble_csv(path, ens)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_is_bounded_by_one_block_not_the_file(tmp_path):
+    # no value repeats, so every entry of a block holds a string of its own
+    width = 256
+    rows = _rows_per_block(width)
+    values = np.random.default_rng(11).standard_normal((16 * rows, width // 2, 2))
+    one_block = _writer_peak_bytes(tmp_path / "one.csv", values[:rows])
+    sixteen = _writer_peak_bytes(tmp_path / "all.csv", values)
+    assert sixteen < 1.5 * one_block
+    assert sixteen < 300 * _BLOCK_VALUES  # bytes per entry of one block
 
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "line\nbreak", "cr\r"])
