@@ -19,7 +19,7 @@ from .bounds import bound_inputs_from_model, covariance_bound
 from .config import ConfigError, ExperimentConfig, parse_config
 from .estimators import monte_carlo_pair_covariance, shifted_pair_covariance
 from .figures import DEFAULT_SEED, FIGURES, UnknownFigureError, run_figure
-from .integrator import IntegratorConfig, NumericalBlowupError, simulate_ensemble
+from .integrator import NumericalBlowupError, simulate_ensemble
 from .lattice import BlockCovariance, ContractViolationError
 from .localization import localization_error_bound, localize
 from .models import REGIMES, PresetNotFoundError
@@ -70,17 +70,10 @@ def _write_run_metadata(out_dir: Path, name: str, cfg: ExperimentConfig, **extra
     return write_metadata(out_dir, name, {"command": name, "config": cfg.as_dict(), **extra})
 
 
-def _run_ensemble(cfg: ExperimentConfig):
-    run = IntegratorConfig(
-        step_size=cfg.resolved_step_size(), t_end=cfg.t_end, master_seed=cfg.master_seed
-    )
-    return simulate_ensemble(cfg.build_model(), run, cfg.n_samples, n_workers=cfg.threads)
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out_dir = _out_dir(cfg.out_dir)
-    ensemble = _run_ensemble(cfg)
+    ensemble = simulate_ensemble(cfg.build_model(), cfg.run, cfg.n_samples, n_workers=cfg.threads)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_array(out_dir / "ensemble.cvl", ensemble.samples, ensemble.time)
     write_ensemble_csv(out_dir / "ensemble.csv", ensemble)
@@ -96,7 +89,7 @@ def _cmd_cov(args) -> int:
     max_lag = half if args.max_lag is None else args.max_lag
     if not 0 <= max_lag <= half:
         raise ConfigError(f"--max-lag must lie in 0..{half}, got {max_lag}")
-    ensemble = _run_ensemble(cfg)
+    ensemble = simulate_ensemble(cfg.build_model(), cfg.run, cfg.n_samples, n_workers=cfg.threads)
     rows = []
     for lag in range(max_lag + 1):
         sa = shifted_pair_covariance(ensemble, lag)
@@ -118,9 +111,7 @@ def _cmd_cov(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
     out_dir = _out_dir(cfg.out_dir)
-    model = cfg.build_model()
-    t = cfg.bounds_t if cfg.bounds_t is not None else cfg.t_end
-    inputs = bound_inputs_from_model(model, t, grad_g_sup=cfg.grad_g_sup)
+    inputs = bound_inputs_from_model(cfg.build_model(), cfg.bounds_t, grad_g_sup=cfg.grad_g_sup)
     rows = []
     vacuous = False
     for beta in cfg.betas:
@@ -131,7 +122,7 @@ def _cmd_bounds(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "bounds.csv"
     write_csv(path, ["i", "j", "beta", "local", "global", "total"], rows)
-    _write_run_metadata(out_dir, "bounds", cfg, t=t, any_vacuous=vacuous)
+    _write_run_metadata(out_dir, "bounds", cfg, t=cfg.bounds_t, any_vacuous=vacuous)
     if vacuous:
         print("warning: some bound evaluations overflowed and were capped (vacuous)", file=sys.stderr)
     print(f"wrote {path}")

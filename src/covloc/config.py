@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
+from .integrator import IntegratorConfig, dividing_step
 from .lattice import LatticeModelSpec
 from .models import (
     FhnParams,
@@ -31,15 +32,12 @@ class ConfigError(ValueError):
 
 # (field, rule, check) for ExperimentConfig: every subcommand and every
 # command-line override meets the same contract, whether or not it reads the
-# field
+# field; t_end, step_size and master_seed meet IntegratorConfig's
 _RULES = [
     ("n_blocks", "run.n_blocks must be >= 3", lambda v: v >= 3),
     ("n_samples", "run.n_samples must be >= 1", lambda v: v >= 1),
-    ("t_end", "run.t_end must be nonnegative", lambda v: v >= 0),
-    ("step_size", "run.step_size must be positive", lambda v: v is None or v > 0),
-    ("master_seed", "run.master_seed must fit in 64 unsigned bits", lambda v: 0 <= v < 2**64),
     ("threads", "run.threads must be >= 1", lambda v: v >= 1),
-    ("betas", "bounds.betas must be positive", lambda v: all(b > 0 for b in v)),
+    ("betas", "bounds.betas must list positive numbers", lambda v: v and all(b > 0 for b in v)),
     ("grad_g_sup", "bounds.grad_g_sup must be nonnegative", lambda v: v >= 0),
     ("bounds_t", "bounds.t must be nonnegative", lambda v: v is None or v >= 0),
 ]
@@ -47,6 +45,11 @@ _RULES = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, resolved on construction: a missing ``step_size`` is the
+    model's default step shortened by ``dividing_step`` to divide ``t_end``, a
+    missing ``bounds_t`` is ``t_end``, and ``run`` is the IntegratorConfig of the
+    step, ``t_end`` and ``master_seed``, which every subcommand thereby meets."""
+
     params: LinearParams | FhnParams
     n_blocks: int
     t_end: float
@@ -58,20 +61,22 @@ class ExperimentConfig:
     betas: tuple[float, ...] = (0.2,)
     grad_g_sup: float = 1.0
     bounds_t: float | None = None
+    run: IntegratorConfig = field(init=False)
 
     def __post_init__(self):
         for name, rule, holds in _RULES:
             value = getattr(self, name)
             if not holds(value):
                 raise ConfigError(f"{rule}, got {value}")
-
-    def resolved_step_size(self) -> float:
-        """The configured step; else the model default, shortened to divide t_end."""
-        if self.step_size is not None:
-            return self.step_size
-        h = default_step_size(self.params)
-        steps = self.t_end / h
-        return h if abs(steps - round(steps)) <= 1e-9 else self.t_end / math.ceil(steps)
+        h = self.step_size
+        if h is None:
+            h = default_step_size(self.params)
+            # a t_end outside [0, inf) keeps the default step, for the run check to reject
+            h = dividing_step(self.t_end, h) if 0 <= self.t_end < math.inf else h
+        object.__setattr__(self, "step_size", h)
+        t = self.t_end if self.bounds_t is None else self.bounds_t
+        object.__setattr__(self, "bounds_t", t)
+        object.__setattr__(self, "run", IntegratorConfig(h, self.t_end, self.master_seed))
 
     def build_model(self) -> LatticeModelSpec:
         if isinstance(self.params, LinearParams):
@@ -86,20 +91,9 @@ class ExperimentConfig:
         byte-identical records wherever they are written.
         """
         kind = "linear" if isinstance(self.params, LinearParams) else "fhn"
-        out = {"model": {"kind": kind, **vars(self.params).copy()}}
-        out["run"] = {
-            "n_blocks": self.n_blocks,
-            "n_samples": self.n_samples,
-            "t_end": self.t_end,
-            "step_size": self.resolved_step_size(),
-            "master_seed": self.master_seed,
-        }
-        out["bounds"] = {
-            "betas": list(self.betas),
-            "grad_g_sup": self.grad_g_sup,
-            "t": self.bounds_t if self.bounds_t is not None else self.t_end,
-        }
-        return out
+        run = {"n_blocks": self.n_blocks, "n_samples": self.n_samples, **vars(self.run)}
+        bounds = {"betas": list(self.betas), "grad_g_sup": self.grad_g_sup, "t": self.bounds_t}
+        return {"model": {"kind": kind, **vars(self.params)}, "run": run, "bounds": bounds}
 
 
 def _parse_list(raw: str) -> list[str]:

@@ -44,7 +44,13 @@ from .estimators import (
     sample_covariance,
     shifted_pair_covariance,
 )
-from .integrator import EnsembleState, IntegratorConfig, simulate_ensemble, simulate_path
+from .integrator import (
+    EnsembleState,
+    IntegratorConfig,
+    dividing_step,
+    simulate_ensemble,
+    simulate_path,
+)
 from .lattice import ContractViolationError
 from .models import FhnParams, LinearParams, build_model, fhn_model, linear_model, regime
 from .storage import write_csv, write_metadata
@@ -69,9 +75,9 @@ _DIFFUSION_REGIMES = (
 _MEANFIELD_REGIMES = ("meanfield-weak", "meanfield-moderate", "meanfield-strong")
 
 # Desk-scale reduction table.  Tolerances in the acceptance suite are tied to
-# these values; paper scale reproduces the published (N, K) exactly.  The
-# listed "h" is a base step: strongly diffusive FHN regimes need a finer step
-# for explicit-Euler stability, see _fhn_step.
+# these values; paper scale reproduces the published (N, K) exactly.  "h" is a
+# base step dividing every output time; an FHN regime steps at h / m for the
+# least whole m that puts h / m under its explicit-Euler limit (_fhn_step).
 SCALES = {
     "F7": {
         "paper": {"n": 512, "k": 8192, "h": 1e-4},
@@ -110,23 +116,13 @@ def _derived_seed(master_seed: int, *tags: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-_H_GRID = (5e-4, 2.5e-4, 1e-4, 5e-5, 2.5e-5, 1e-5)
-
-
 def _fhn_step(params, base_h: float) -> float:
-    """Explicit-Euler-stable step for an FHN regime, snapped to a grid that
-    divides the output times evenly.
-
-    The stiffest circulant mode scales like (1 + u^2 + 4 d_u)/eps with spike
-    amplitudes |u| ~ 2.6, so strong diffusion caps the usable step well below
-    the coarse desk default.
-    """
+    """The longest step of at most min(base_h, 0.5 / rate) that divides
+    ``base_h``, and so every output time.  The stiffest circulant mode's rate is
+    (1 + u^2 + 4 d_u + w)/eps with spike amplitudes |u| ~ 2.6, so strong
+    diffusion caps the step well below the coarse desk default."""
     worst_rate = (1.0 + 2.6**2 + 4.0 * params.d_u + params.w) / params.epsilon
-    cap = min(base_h, 0.5 / worst_rate)
-    for h in _H_GRID:
-        if h <= cap:
-            return h
-    return _H_GRID[-1]
+    return dividing_step(base_h, min(base_h, 0.5 / worst_rate))
 
 
 def _linear_row(params: LinearParams, n: int, t: float = 5.0) -> np.ndarray:
@@ -136,8 +132,7 @@ def _linear_row(params: LinearParams, n: int, t: float = 5.0) -> np.ndarray:
 
 def _fhn_run(params: FhnParams, base_h: float, t_end: float, seed: int, *tags: int):
     """Integrator settings for one FHN sub-experiment, seeded by ``tags``."""
-    step = _fhn_step(params, base_h)
-    return IntegratorConfig(step_size=step, t_end=t_end, master_seed=_derived_seed(seed, *tags))
+    return IntegratorConfig(_fhn_step(params, base_h), t_end, _derived_seed(seed, *tags))
 
 
 def _figure_f1(cfg, seed, threads):
@@ -264,9 +259,11 @@ def spatial_vs_mc_rows(
     one path over all positions (the shift trick) and is replicated
     ``sa_replicates`` times for an honest replicate standard error.  Replicate
     r is the single path seeded by ``(seed, 12, r)``, and one ensemble call
-    steps all paths.  ``h`` is a base step, refined by ``_fhn_step``.  The
-    arguments are checked when iteration starts, before anything is
-    integrated.  Yields rows (preset, time, lag, method, estimate, std_error).
+    steps all paths.  ``h`` is a base step dividing every time in ``times``;
+    the paths step at h / m, the longest such step under the preset's
+    explicit-Euler limit (``_fhn_step``).  The arguments are checked when
+    iteration starts, before anything is integrated.  Yields rows
+    (preset, time, lag, method, estimate, std_error).
     """
     max_lag = n // 2 if max_lag is None else max_lag
     if not 0 <= max_lag <= n // 2:

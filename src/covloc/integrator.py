@@ -75,7 +75,9 @@ class IntegratorConfig:
         if self.t_end < 0:
             raise ContractViolationError(f"t_end must be nonnegative, got {self.t_end}")
         if not (0 <= int(self.master_seed) < 2**64):
-            raise ContractViolationError("master_seed must fit in 64 unsigned bits")
+            raise ContractViolationError(
+                f"master_seed must fit in 64 unsigned bits, got {self.master_seed}"
+            )
         ratio = self.t_end / self.step_size
         if abs(ratio - round(ratio)) > 1e-9:
             raise ContractViolationError(
@@ -85,6 +87,13 @@ class IntegratorConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.step_size))
+
+
+def dividing_step(span: float, cap: float) -> float:
+    """The longest step of at most ``cap`` that divides ``span``: ``cap`` when
+    span/cap is whole within IntegratorConfig's 1e-9, else span / ceil(span / cap)."""
+    steps = span / cap
+    return cap if abs(steps - round(steps)) <= 1e-9 else span / math.ceil(steps)
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,7 @@ def _resolve_output_steps(config: IntegratorConfig, output_times) -> list[int]:
         output_times = [config.t_end]
     steps = []
     for t in output_times:
-        ratio = t / config.step_size if config.step_size else 0.0
+        ratio = t / config.step_size
         k = int(round(ratio))
         if abs(ratio - k) > 1e-9 or not (0 <= k <= config.n_steps):
             raise ContractViolationError(

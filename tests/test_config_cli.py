@@ -188,22 +188,29 @@ class TestCliCommands:
         }
 
     @pytest.mark.parametrize(
-        "model",
-        ["kind = fhn\nepsilon = 0.013", "kind = linear\na = 1.37\nd_u = 30"],
-        ids=["fhn", "linear"],
+        "model, t_end, step",
+        [
+            # the model defaults give t_end/h = 7692.3 and 1213.7 steps
+            ("kind = fhn\nepsilon = 0.013", "1.0", 0.00012998830105290525),
+            ("kind = linear\na = 1.37\nd_u = 30", "1.0", 0.0008237232289950577),
+            # t_end/h = 602.9999999999999 is whole within 1e-9: the default 0.1/201 stays
+            ("kind = linear\na = 1.0\nd_u = 50.0\nw = 0.0", "0.3", 0.0004975124378109454),
+        ],
+        ids=["fhn", "linear", "linear-whole"],
     )
-    def test_default_step_is_shortened_to_divide_t_end(self, tmp_path, model):
-        # the model defaults give t_end/h = 7692.3 and 1213.7 steps
-        out = tmp_path / "sim"
+    def test_default_step_is_shortened_to_divide_t_end(self, tmp_path, model, t_end, step):
+        # simulate and bounds record the same resolved step and bounds time
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
-            f"[model]\n{model}\n\n[run]\nn_blocks = 4\nn_samples = 2\nt_end = 1.0\n"
-            f"master_seed = 5\n\n[outputs]\nout_dir = {out}\n"
+            f"[model]\n{model}\n\n[run]\nn_blocks = 4\nn_samples = 2\nt_end = {t_end}\n"
+            "master_seed = 5\n"
         )
-        assert main(["simulate", "--config", str(cfg)]) == 0
-        step = json.loads((out / "simulate_metadata.json").read_text())["config"]["run"]["step_size"]
-        expected = 1 / 7693 if "fhn" in model else 1 / 1214
-        assert step == pytest.approx(expected, rel=1e-12)
+        for command in ("simulate", "bounds"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            meta = json.loads((out / f"{command}_metadata.json").read_text())["config"]
+            assert meta["run"]["step_size"] == step
+            assert meta["bounds"]["t"] == float(t_end)
 
     def test_figure_f2_and_f4(self, tmp_path):
         out = tmp_path / "figs"
@@ -261,6 +268,26 @@ class TestExitCodes:
         out = tmp_path / "cov"
         text = LINEAR_CFG.replace("t_end = 0.2", "t_end = 1.0").replace("0.002", "0.3")
         assert main(["cov", "--config", _write(tmp_path, text, out=out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # the step check of simulate and cov holds for bounds too
+            ("t_end = 0.2\nstep_size = 0.002", "t_end = 1.0\nstep_size = 0.3"),
+            ("betas = 0.2, 0.5", "betas ="),
+            # no step_size: the default step must not be taken from a negative t_end
+            ("t_end = 0.2\nstep_size = 0.002", "t_end = -0.0005"),
+        ],
+        ids=["step-does-not-divide-t_end", "empty-betas", "negative-t_end-default-step"],
+    )
+    def test_bounds_bad_run_or_betas_is_2_and_writes_nothing(self, tmp_path, capsys, old, new):
+        out = tmp_path / "bounds"
+        cfg = _write(tmp_path, LINEAR_CFG.replace(old, new), out=out)
+        capsys.readouterr()
+        assert main(["bounds", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
     def test_bounds_negative_beta_is_2_and_writes_nothing(self, tmp_path):

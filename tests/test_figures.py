@@ -17,8 +17,9 @@ from covloc.figures import (
     run_figure,
     spatial_vs_mc_rows,
 )
+from covloc.integrator import IntegratorConfig
 from covloc.lattice import ContractViolationError
-from covloc.models import LinearParams
+from covloc.models import REGIMES, LinearParams
 from oracles import dense_covariance, replicate_loop_rows
 
 
@@ -138,6 +139,54 @@ def test_fhn_figures_write_one_csv_and_metadata(tmp_path, monkeypatch, figure_id
     got_header, rows = _run(tmp_path, figure_id, stem)
     assert got_header == header
     assert len(rows) == n_rows
+
+
+def _whole(ratio):
+    return abs(ratio - round(ratio)) <= 1e-9
+
+
+# the desk-scale steps of the regimes that step below the 5e-4 base; every
+# paper-scale regime steps at its 1e-4 base
+_DESK_STEPS = {"diffusion-strongly-coherent": 1e-4, "regime-a": 1e-4, "regime-c": 2.5e-4}
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+@pytest.mark.parametrize("figure_id", ["F7", "F8", "F9", "F10", "F11", "F12"])
+def test_every_fhn_step_is_stable_and_divides_the_output_times(monkeypatch, figure_id, scale):
+    # run the builder on SCALES' base step at tiny shapes, record each
+    # _fhn_run and the output times of the call it feeds, and step nothing
+    cfg = figures.SCALES[figure_id][scale]
+    tiny = {"n": 8, "n_list": [8], "k": 2, "k_mc": 2, "sa_replicates": 2}
+    runs, calls = {}, []
+
+    def record_run(params, base_h, *args):
+        run = real_run(params, base_h, *args)
+        runs[id(run)] = (run, params, base_h)
+        return run
+
+    def zero_horizon(simulate):
+        def record(model, config, *args, output_times=None, **kwargs):
+            times = [config.t_end] if output_times is None else output_times
+            calls.append((runs[id(config)], times))
+            start = IntegratorConfig(config.step_size, 0.0, config.master_seed)
+            zeros = None if output_times is None else [0.0] * len(output_times)
+            return simulate(model, start, *args, output_times=zeros, **kwargs)
+
+        return record
+
+    real_run = figures._fhn_run
+    monkeypatch.setattr(figures, "_fhn_run", record_run)
+    monkeypatch.setattr(figures, "simulate_ensemble", zero_horizon(figures.simulate_ensemble))
+    monkeypatch.setattr(figures, "simulate_path", zero_horizon(figures.simulate_path))
+    figures.FIGURES[figure_id].builder({**cfg, **{k: tiny[k] for k in cfg if k in tiny}}, 3, 1)
+    assert calls
+    for (run, params, base_h), times in calls:
+        name = next(name for name, preset in REGIMES.items() if preset.params == params)
+        rate = (1.0 + 2.6**2 + 4.0 * params.d_u + params.w) / params.epsilon
+        h = run.step_size
+        assert base_h == cfg["h"] and h <= 0.5 / rate
+        assert _whole(base_h / h) and all(_whole(t / h) for t in times)
+        assert h == (_DESK_STEPS.get(name, 5e-4) if scale == "desk" else 1e-4), name
 
 
 def _refuse_to_integrate(*args, **kwargs):

@@ -142,6 +142,24 @@ class TestConfig:
             IntegratorConfig(step_size=0.0, t_end=1.0, master_seed=0)
 
 
+@pytest.mark.parametrize(
+    "span, cap, expected",
+    [
+        (0.0, 0.3, 0.3),  # zero steps of any length cover a zero span
+        (1.0, 0.25, 0.25),  # an exact multiple keeps the cap
+        (0.3, 0.1, 0.1),  # 2.9999999999999996 steps: whole within 1e-9
+        (0.2, 0.5, 0.2),  # a cap at or above the span takes one step
+        (0.2, 0.2, 0.2),
+        (1.0, 0.3, 0.25),  # 3.33 steps round up to 4
+        (5e-4, 1.2e-4, 1e-4),  # 4.17 steps round up to 5
+    ],
+)
+def test_dividing_step(span, cap, expected):
+    h = integrator.dividing_step(span, cap)
+    assert h == expected and h <= cap
+    IntegratorConfig(step_size=h, t_end=span, master_seed=0)  # a whole step count
+
+
 class TestSimulatePath:
     def test_t_end_zero_returns_initial_state_only(self):
         model = linear_model(LinearParams(), 4)
