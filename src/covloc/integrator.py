@@ -16,7 +16,9 @@ resident after the call.  Within a chunk, a helper thread and the stepping
 thread share the drawing of each noise block row by row: the helper starts a
 block while the previous one is stepped, and the stepper takes the rows left
 before it steps it.  Either way sample c's rows come from its own stream, in
-order.  ``euler_step`` takes one step with the same step function; noise and
+order, and whichever thread draws a row scales it by sqrt(h) sigma^T while it
+is in cache, so the stepper only adds noise.  ``euler_step`` scales its draw
+the same way and takes one step with the same step function; noise and
 blow-ups: see ``_advance``.
 """
 
@@ -139,13 +141,26 @@ def _require_finite(state: np.ndarray, time: float, sample_lo: int | None = None
         raise NumericalBlowupError(time, int(block) + 1, local)
 
 
-def _step(model: LatticeModelSpec, state, noise, h, noise_scale, work) -> None:
-    """state += h * drift(state) + noise @ noise_scale in place, via scratch ``work``."""
+def _noise_scaling(model: LatticeModelSpec, h: float):
+    """The in-place map rows -> rows @ (sqrt(h) sigma^T) on drawn (steps, N, q)
+    noise rows.  A diagonal sigma, every model's, multiplies by its diagonal
+    tiled over the N blocks: the same bits as the matmul, whose q-wide rows
+    cost several times more.  Any other sigma takes the matmul."""
+    scale = math.sqrt(h) * model.sigma.T
+    diagonal = np.diag(scale)
+    if np.array_equal(scale, np.diag(diagonal)):
+        tiled = np.tile(diagonal, (model.n_blocks, 1))
+        return lambda rows: np.multiply(rows, tiled, out=rows)
+    return lambda rows: np.matmul(rows, scale, out=rows)
+
+
+def _step(model: LatticeModelSpec, state, noise, h, work) -> None:
+    """state += h * drift(state) + noise in place, via scratch ``work``;
+    ``noise`` is already scaled by sqrt(h) sigma^T."""
     model.drift(state, work)
     work *= h
     state += work
-    np.matmul(noise, noise_scale, out=work)
-    state += work
+    state += noise
 
 
 def euler_step(
@@ -164,15 +179,16 @@ def euler_step(
     if h <= 0:
         raise ContractViolationError(f"h must be positive, got {h}")
     state = np.array(state, dtype=float)
-    noise = np.asarray(noise, dtype=float)
+    noise = np.array(noise, dtype=float)
     expected = (model.n_blocks, model.block_dim)
     if state.shape != expected or noise.shape != expected:
         raise ContractViolationError(
             f"state and noise must have shape {expected}, got {state.shape} and {noise.shape}"
         )
     _require_finite(state[None], t)
+    _noise_scaling(model, h)(noise[None])
     with np.errstate(over="ignore", invalid="ignore"):
-        _step(model, state, noise, h, math.sqrt(h) * model.sigma.T, np.empty_like(state))
+        _step(model, state, noise, h, np.empty_like(state))
     _require_finite(state[None], t + h)
     return state
 
@@ -245,7 +261,9 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
     steps.  A helper thread starts drawing the next block, one sample's row
     at a time, while the current one is stepped; at the top of each block
     the stepping thread draws the rows the helper has not taken, then waits
-    for the helper's last row.  The state is saved at each passing finite
+    for the helper's last row.  Whichever thread draws a row scales it by
+    sqrt(h) sigma^T at once (see ``_noise_scaling``), so a step adds the
+    buffered noise as it is.  The state is saved at each passing finite
     check; a failed check re-steps from there with the same buffered noise,
     checking every step, and reports sample ``sample_lo`` + c (None for a
     single path), an index into the caller's streams.  Checking at each
@@ -255,7 +273,7 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
     h, n_steps = config.step_size, config.n_steps
     block_steps = max(_CHECK_EVERY, min(256, budget // (2 * count * n * q)))
     buffers = np.empty((2, count, min(block_steps, n_steps), n, q))
-    noise_scale = math.sqrt(h) * model.sigma.T
+    scale_noise = _noise_scaling(model, h)
     work = np.empty_like(state)
 
     _require_finite(state, 0.0, sample_lo)
@@ -267,6 +285,7 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
         # helper and the stepper never take the same row
         for c in rows:
             gens[c].standard_normal(out=buf[c, :steps])
+            scale_noise(buf[c, :steps])
 
     def start(lo):
         rows = iter(range(count))
@@ -283,12 +302,12 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
             drawing.result()
             pending = start(hi) if hi < n_steps else None
             for k in range(lo + 1, hi + 1):
-                _step(model, state, noise[:, k - lo - 1], h, noise_scale, work)
+                _step(model, state, noise[:, k - lo - 1], h, work)
                 if k % _CHECK_EVERY == 0 or k == hi:
                     if not np.isfinite(state).all():
                         np.copyto(state, checked)
                         for j in range(checked_step + 1, k + 1):
-                            _step(model, state, noise[:, j - lo - 1], h, noise_scale, work)
+                            _step(model, state, noise[:, j - lo - 1], h, work)
                             _require_finite(state, j * h, sample_lo)
                     np.copyto(checked, state)
                     checked_step = k

@@ -148,22 +148,24 @@ def fhn_model(params: FhnParams, n: int) -> LatticeModelSpec:
     inv_eps = 1.0 / eps
 
     def drift(state, out):
-        u, v = state[..., 0], state[..., 1]
-        du, dv = out[..., 0], out[..., 1]
-        # u (1 - 2 d_u - w - u^2/3) - v, then dv's neighbour term; u + a goes in last
-        np.multiply(u, u, out=du)
+        # u (1 - 2 d_u - w - u^2/3) - v plus the neighbour and mean-field
+        # terms, on a contiguous copy of u and per-call scratch (two workers
+        # share one model); only the v read and the two writes are strided
+        u = state[..., 0].copy()
+        du = u * u
         du *= -1.0 / 3.0
         du += 1.0 - 2.0 * d_u - w
         du *= u
-        du -= v
+        du -= state[..., 1]
         if d_u:
-            _ring_neighbour_sum(u, dv)
-            dv *= d_u
-            du += dv
+            neighbours = np.empty_like(u)
+            _ring_neighbour_sum(u, neighbours)
+            neighbours *= d_u
+            du += neighbours
         if w:
             du += w * u.mean(axis=-1, keepdims=True)
-        du *= inv_eps
-        np.add(u, a, out=dv)
+        np.multiply(du, inv_eps, out=out[..., 0])
+        np.add(u, a, out=out[..., 1])
 
     return LatticeModelSpec(
         n_blocks=n,

@@ -9,7 +9,8 @@ spatial-average comparison runs each replicate as an ensemble call of its
 own.  Ring matrices are gathered through the full ring-distance index
 matrix, banded truncation goes through a kron-expanded block mask, and
 covariances are symmetrized unconditionally.  Spectral norms come from a
-dense eigvalsh of the whole matrix.
+dense eigvalsh of the whole matrix.  The FHN drift is also kept in its
+strided in-place form, the bitwise reference for the model's drift.
 """
 
 import csv
@@ -150,6 +151,36 @@ def fhn_reference_drift(params, state: np.ndarray) -> np.ndarray:
     mean_field = np.zeros_like(state)
     mean_field[..., 0] = inv_eps * w * u
     return local + mean_field.mean(axis=-2, keepdims=True)
+
+
+def _strided_ring_neighbour_sum(x: np.ndarray, out: np.ndarray) -> None:
+    flat = out.reshape(-1)
+    assert np.may_share_memory(flat, out)
+    np.add(x.reshape(-1)[:-2], x.reshape(-1)[2:], out=flat[1:-1])
+    np.add(x[..., -1], x[..., 1], out=out[..., 0])
+    np.add(x[..., -2], x[..., 0], out=out[..., -1])
+
+
+def strided_fhn_drift(params, state: np.ndarray, out: np.ndarray) -> None:
+    """The FHN drift as first written in place: every pass on the strided
+    u, v, du and dv views of the (..., N, 2) arrays, with dv as the
+    neighbour-sum scratch.  The model's drift must give the same bits."""
+    inv_eps, a, d_u, w = 1.0 / params.epsilon, params.a, params.d_u, params.w
+    u, v = state[..., 0], state[..., 1]
+    du, dv = out[..., 0], out[..., 1]
+    np.multiply(u, u, out=du)
+    du *= -1.0 / 3.0
+    du += 1.0 - 2.0 * d_u - w
+    du *= u
+    du -= v
+    if d_u:
+        _strided_ring_neighbour_sum(u, dv)
+        dv *= d_u
+        du += dv
+    if w:
+        du += w * u.mean(axis=-1, keepdims=True)
+    du *= inv_eps
+    np.add(u, a, out=dv)
 
 
 def reference_csv(path, header, rows) -> None:

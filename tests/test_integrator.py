@@ -60,16 +60,34 @@ def _ramp_model(threshold, n=3, sigma0=0.0):
 
 
 def _drawn_up_front(model, cfg, k):
-    """Reference ensemble: each sample's initial state and all its noise drawn
-    in one go from its own stream, then stepped by the kernel's step."""
+    """Reference ensemble by the plain route: each sample's initial state and
+    all its noise drawn in one go from its own stream, then at every step
+    h * drift plus that step's noise times sqrt(h) sigma^T by np.matmul."""
     gens = [integrator._sample_generator(cfg.master_seed, j) for j in range(k)]
     state = np.stack([integrator._initial_state(model, gen, None) for gen in gens])
     noise = np.stack([gen.standard_normal((cfg.n_steps,) + state.shape[1:]) for gen in gens])
     scale = math.sqrt(cfg.step_size) * model.sigma.T
     work = np.empty_like(state)
-    for step in range(cfg.n_steps):
-        integrator._step(model, state, noise[:, step], cfg.step_size, scale, work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.n_steps):
+            model.drift(state, work)
+            work *= cfg.step_size
+            state += work
+            np.matmul(noise[:, step], scale, out=work)
+            state += work
     return state
+
+
+def _non_diagonal_model(n=3):
+    """Linear decay with correlated noise: sigma has off-diagonal entries."""
+    return LatticeModelSpec(
+        n_blocks=n,
+        block_dim=2,
+        drift=lambda state, out: np.negative(state, out=out),
+        sigma=np.array([[1.0, 0.5], [0.5, 2.0]]),
+        sigma0=np.eye(2),
+        m0=np.zeros(2),
+    )
 
 
 class TestEulerStep:
@@ -92,15 +110,7 @@ class TestEulerStep:
         np.testing.assert_allclose(out, state, atol=1e-12)
 
     def test_non_diagonal_sigma_matches_hand_computed_step(self):
-        sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
-        model = LatticeModelSpec(
-            n_blocks=3,
-            block_dim=2,
-            drift=lambda state, out: np.negative(state, out=out),
-            sigma=sigma,
-            sigma0=np.zeros((2, 2)),
-            m0=np.zeros(2),
-        )
+        model = _non_diagonal_model()
         h = 0.01
         state = np.array([[1.0, -2.0], [0.5, 0.25], [3.0, 0.0]])
         noise = np.array([[0.3, -1.2], [2.0, 0.7], [-0.4, 0.1]])
@@ -332,6 +342,59 @@ class TestSimulateEnsemble:
                 assert np.array_equal(got.samples, expected)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda: fhn_model(regime("regime-c").params, 8),
+            lambda: fhn_model(regime("regime-f").params, 8),
+            lambda: linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 8),
+            lambda: _non_diagonal_model(8),
+        ],
+        ids=["regime-c", "regime-f", "linear", "non-diagonal-sigma"],
+    )
+    def test_kernel_matches_noise_drawn_up_front(self, make_model, n_workers):
+        # 300 samples run in two chunks of 150; the kernel scales each drawn
+        # row once, the reference multiplies every step's noise by np.matmul
+        model = make_model()
+        cfg = IntegratorConfig(step_size=1e-4, t_end=30e-4, master_seed=21)
+        got = simulate_ensemble(model, cfg, 300, n_workers=n_workers)
+        assert got.samples.tobytes() == _drawn_up_front(model, cfg, 300).tobytes()
+
+    def test_diagonal_sigma_scales_noise_without_matmul(self, monkeypatch):
+        calls = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        cfg = IntegratorConfig(step_size=1e-4, t_end=20e-4, master_seed=2)
+        simulate_ensemble(fhn_model(regime("regime-c").params, 16), cfg, 300, n_workers=2)
+        simulate_path(linear_model(LinearParams(), 4), cfg)
+        euler_step(np.zeros((16, 2)), 0.0, fhn_model(FhnParams(), 16), 1e-4, np.ones((16, 2)))
+        assert calls == []
+        # the wrapper does see the kernel's matmul, which a general sigma takes
+        simulate_ensemble(_non_diagonal_model(), cfg, 4)
+        assert calls
+
+    @pytest.mark.parametrize(
+        "model",
+        [fhn_model(regime("regime-c").params, 16), linear_model(LinearParams(), 16)],
+        ids=["fhn", "linear"],
+    )
+    def test_diagonal_and_general_noise_scaling_agree_bitwise(self, model):
+        # the diagonal branch only saves time: for a diagonal sigma both
+        # forms give the same bits, so which one runs never shows in a result
+        h = 1e-4
+        rows = np.random.default_rng(9).standard_normal((30, 16, model.block_dim))
+        scale = math.sqrt(h) * model.sigma.T
+        diagonal, general = rows.copy(), rows.copy()
+        integrator._noise_scaling(model, h)(diagonal)
+        np.matmul(general, scale, out=general)  # the general form, in place
+        assert diagonal.tobytes() == general.tobytes() == (rows @ scale).tobytes()
 
     def test_seeds_are_distinct_and_recorded(self):
         model = linear_model(LinearParams(), 4)

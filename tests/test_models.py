@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,12 @@ from covloc import (
     linear_model,
     regime,
 )
-from oracles import dense_drift_matrix, fhn_reference_drift, linear_reference_drift
+from oracles import (
+    dense_drift_matrix,
+    fhn_reference_drift,
+    linear_reference_drift,
+    strided_fhn_drift,
+)
 
 
 def _full_drift(model, state):
@@ -60,6 +67,57 @@ class TestInPlaceDriftMatchesNeighbourOracle:
         batch = _full_drift(model, state)
         for k in range(4):
             np.testing.assert_array_equal(_full_drift(model, state[k]), batch[k])
+
+
+def _fhn_state(rng, shape):
+    """A (..., N, 2) state with |u| up to 3, past the cubic's turning points."""
+    state = rng.uniform(-3.0, 3.0, shape)
+    state[..., 1] *= 0.5
+    return state
+
+
+def _strided(params, state):
+    out = np.full_like(state, np.nan)
+    strided_fhn_drift(params, state, out)
+    return out
+
+
+class TestFhnDriftMatchesStridedForm:
+    """The contiguous-u FHN drift gives the strided in-place form's bits."""
+
+    @pytest.mark.parametrize("shape", [(5,), ()], ids=["batch", "single"])
+    @pytest.mark.parametrize("n", [3, 4, 7, 128])
+    @pytest.mark.parametrize("name", sorted(REGIMES))
+    def test_presets(self, name, n, shape):
+        params = REGIMES[name].params
+        state = _fhn_state(np.random.default_rng(n + len(shape)), shape + (n, 2))
+        before = state.copy()
+        got = _full_drift(fhn_model(params, n), state)
+        np.testing.assert_array_equal(state, before)  # the state is only read
+        assert got.tobytes() == _strided(params, state).tobytes()
+
+    def test_two_threads_share_one_model(self):
+        params = regime("regime-c").params
+        model = fhn_model(params, 64)
+        rng = np.random.default_rng(5)
+        states = [_fhn_state(rng, (32, 64, 2)) for _ in range(2)]
+        expected = [_strided(params, state) for state in states]
+        start = threading.Barrier(2)
+        results = [[], []]
+
+        def call(i):
+            start.wait()
+            for _ in range(50):
+                results[i].append(_full_drift(model, states[i]))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for got, want in zip(results, expected):
+            assert len(got) == 50
+            assert all(out.tobytes() == want.tobytes() for out in got)
 
 
 class TestLinearModel:
