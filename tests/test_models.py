@@ -102,7 +102,7 @@ class TestFhnDriftMatchesStridedForm:
         rng = np.random.default_rng(5)
         states = [_fhn_state(rng, (32, 64, 2)) for _ in range(2)]
         expected = [_strided(params, state) for state in states]
-        start = threading.Barrier(2)
+        start = threading.Barrier(2, timeout=60)
         results = [[], []]
 
         def call(i):
@@ -114,7 +114,8 @@ class TestFhnDriftMatchesStridedForm:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         for got, want in zip(results, expected):
             assert len(got) == 50
             assert all(out.tobytes() == want.tobytes() for out in got)
