@@ -98,11 +98,13 @@ class BoundEvaluation:
 def bound_inputs_from_model(
     model: LatticeModelSpec, t: float, grad_g_sup: float = 1.0
 ) -> BoundInputs:
-    """Assemble BoundInputs from a reference model's attached constants."""
+    """Assemble BoundInputs from a reference model's attached constants.
+
+    Every model starts at the point mass m0, so the S0 term is zero."""
     return BoundInputs(
         constants=lipschitz_constants(model),
         sigma_sq_frob=model.sigma_sq_frob(),
-        sigma0_sq_frob=model.sigma0_sq_frob(),
+        sigma0_sq_frob=0.0,
         q=model.block_dim,
         grad_g_sup=grad_g_sup,
         t=t,

@@ -5,6 +5,10 @@ of its stream pair (master_seed, index), (master_seed, j) unless the caller
 names the pairs, realized by a counter-based Philox generator keyed with the
 pair.  Results are therefore bit-identical across worker counts and
 execution orders; reductions over samples happen in fixed index order.
+Every sample starts at its model's point mass m0, yet each stream opens with
+N*q standard normals that are drawn and discarded: they are part of every
+stream, so sample j's noise comes after them.  A path given an ``initial``
+state draws none.
 
 One kernel, ``_advance``, steps a (C, N, q) block of samples in place: on
 one sample for ``simulate_path``, and for ensembles on chunks across
@@ -33,9 +37,6 @@ import numpy as np
 
 from .lattice import ContractViolationError, LatticeModelSpec
 
-# Finite-ness is checked every _CHECK_EVERY steps and at the end of each noise
-# block; NaNs and infs persist under the update, so nothing escapes detection.
-_CHECK_EVERY = 8
 # Noise is pre-generated in blocks of steps sized to keep the buffers small;
 # block size never affects results (each sample is one continuous stream).
 _NOISE_BUDGET = 8_000_000  # doubles, shared by all noise buffers of one call
@@ -80,22 +81,34 @@ class IntegratorConfig:
             raise ContractViolationError(
                 f"master_seed must fit in 64 unsigned bits, got {self.master_seed}"
             )
-        ratio = self.t_end / self.step_size
-        if abs(ratio - round(ratio)) > 1e-9:
+        if _whole_steps(self.t_end, self.step_size) is None:
             raise ContractViolationError(
-                f"t_end/step_size = {ratio!r} is not an integer step count"
+                f"t_end/step_size = {self.t_end / self.step_size!r} is not an integer step count"
             )
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.step_size))
+        return _whole_steps(self.t_end, self.step_size)
+
+
+def _whole_steps(span: float, h: float) -> int | None:
+    """The whole number of steps h in ``span``, or None when span/h is not
+    finite or lies more than 1e-9 from a whole number: the one rule for the
+    horizon, the output times and ``dividing_step``."""
+    ratio = span / h
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
+        return None
+    return round(ratio)
 
 
 def dividing_step(span: float, cap: float) -> float:
     """The longest step of at most ``cap`` that divides ``span``: ``cap`` when
-    span/cap is whole within IntegratorConfig's 1e-9, else span / ceil(span / cap)."""
+    ``_whole_steps`` finds a whole count, else span / ceil(span / cap).  A
+    count too large for a float keeps ``cap``, for IntegratorConfig to reject."""
     steps = span / cap
-    return cap if abs(steps - round(steps)) <= 1e-9 else span / math.ceil(steps)
+    if _whole_steps(span, cap) is not None or not math.isfinite(steps):
+        return cap
+    return span / math.ceil(steps)
 
 
 @dataclass(frozen=True)
@@ -176,8 +189,8 @@ def euler_step(
     sqrt(h) * noise @ sigma^T by the kernel's step function.  Deterministic
     given (state, noise); ``t`` only dates a blow-up report.
     """
-    if h <= 0:
-        raise ContractViolationError(f"h must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ContractViolationError(f"h must be positive and finite, got {h}")
     state = np.array(state, dtype=float)
     noise = np.array(noise, dtype=float)
     expected = (model.n_blocks, model.block_dim)
@@ -206,9 +219,8 @@ def _resolve_output_steps(config: IntegratorConfig, output_times) -> list[int]:
         output_times = [config.t_end]
     steps = []
     for t in output_times:
-        ratio = t / config.step_size
-        k = int(round(ratio))
-        if abs(ratio - k) > 1e-9 or not (0 <= k <= config.n_steps):
+        k = _whole_steps(t, config.step_size)
+        if k is None or not (0 <= k <= config.n_steps):
             raise ContractViolationError(
                 f"output time {t} is not a multiple of h within [0, t_end]"
             )
@@ -221,8 +233,8 @@ def _resolve_output_steps(config: IntegratorConfig, output_times) -> list[int]:
 def _initial_state(model, gen, initial):
     n, q = model.n_blocks, model.block_dim
     if initial is None:
-        zeta = gen.standard_normal((n, q))
-        return model.m0 + zeta @ model.sigma0.T
+        gen.standard_normal((n, q))  # discarded: see the module docstring
+        return np.tile(model.m0, (n, 1))
     state = np.asarray(initial, dtype=float)
     if state.shape != (n, q):
         raise ContractViolationError(f"initial state must be ({n}, {q}), got {state.shape}")
@@ -237,10 +249,10 @@ def simulate_path(
 ) -> PathResult:
     """Integrate one path; a deterministic function of (model, config, initial).
 
-    ``initial`` is an (N, q) array or None, in which case the initial state
-    is drawn from N(m0, sigma0 sigma0^T) using the path's own stream
-    (master_seed, 0), so a path is sample 0 of the ensemble with the same
-    config.  Output times must be multiples of h.
+    ``initial`` is an (N, q) array or None, in which case the path starts at
+    the point mass m0 on its own stream (master_seed, 0), so a path is sample
+    0 of the ensemble with the same config.  Output times must be multiples
+    of h.
     """
     out_steps = _resolve_output_steps(config, output_times)
     gen = _sample_generator(config.master_seed, 0)
@@ -256,28 +268,28 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
     to t_end, sample c drawing its noise from ``gens[c]``; returns
     {step: copy of the state} for ``snapshot_steps``.
 
-    Noise comes in blocks of steps, drawn into two reused buffers that split
-    ``budget`` doubles, but a block never holds fewer than _CHECK_EVERY
-    steps.  A helper thread starts drawing the next block, one sample's row
-    at a time, while the current one is stepped; at the top of each block
-    the stepping thread draws the rows the helper has not taken, then waits
-    for the helper's last row.  Whichever thread draws a row scales it by
+    Noise comes in blocks of 8 to 256 steps, drawn into two reused buffers
+    that split ``budget`` doubles where the 8-step floor allows.  A helper
+    thread starts drawing the next block, one sample's row at a time, while
+    the current one is stepped; at the top of each block the stepping thread
+    draws the rows the helper has not taken, then waits for the helper's
+    last row.  Whichever thread draws a row scales it by
     sqrt(h) sigma^T at once (see ``_noise_scaling``), so a step adds the
-    buffered noise as it is.  The state is saved at each passing finite
-    check; a failed check re-steps from there with the same buffered noise,
-    checking every step, and reports sample ``sample_lo`` + c (None for a
-    single path), an index into the caller's streams.  Checking at each
-    block's end keeps that replay within one noise block.
+    buffered noise as it is.  The state is checked for finiteness once, at
+    the end of each block; NaNs and infs persist under the update, so a
+    failed check restores the block's saved start and re-steps the block
+    with its still buffered noise, checking every step.  That names the
+    first non-finite step and its first sample ``sample_lo`` + c (None for
+    a single path), an index into the caller's streams.
     """
     count, n, q = state.shape
     h, n_steps = config.step_size, config.n_steps
-    block_steps = max(_CHECK_EVERY, min(256, budget // (2 * count * n * q)))
+    block_steps = max(8, min(256, budget // (2 * count * n * q)))
     buffers = np.empty((2, count, min(block_steps, n_steps), n, q))
     scale_noise = _noise_scaling(model, h)
-    work = np.empty_like(state)
+    work, start_state = np.empty_like(state), np.empty_like(state)
 
     _require_finite(state, 0.0, sample_lo)
-    checked, checked_step = state.copy(), 0
     snapshots = {0: state.copy()} if 0 in snapshot_steps else {}
 
     def draw(rows, buf, steps):
@@ -301,18 +313,16 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
             draw(rows, noise, steps)
             drawing.result()
             pending = start(hi) if hi < n_steps else None
+            np.copyto(start_state, state)
             for k in range(lo + 1, hi + 1):
                 _step(model, state, noise[:, k - lo - 1], h, work)
-                if k % _CHECK_EVERY == 0 or k == hi:
-                    if not np.isfinite(state).all():
-                        np.copyto(state, checked)
-                        for j in range(checked_step + 1, k + 1):
-                            _step(model, state, noise[:, j - lo - 1], h, work)
-                            _require_finite(state, j * h, sample_lo)
-                    np.copyto(checked, state)
-                    checked_step = k
                 if k in snapshot_steps:
                     snapshots[k] = state.copy()
+            if not np.isfinite(state).all():
+                np.copyto(state, start_state)
+                for k in range(lo + 1, hi + 1):
+                    _step(model, state, noise[:, k - lo - 1], h, work)
+                    _require_finite(state, k * h, sample_lo)
     return snapshots
 
 
@@ -355,7 +365,7 @@ def simulate_ensemble(
 ) -> EnsembleState | list[EnsembleState]:
     """Integrate K independent samples of the lattice SDE to t_end.
 
-    Sample j draws its initial state and noise from the Philox stream
+    Sample j starts at m0 and draws its noise from the Philox stream
     ``streams[j]``, a (master_seed, index) pair; the default is
     (config.master_seed, j) for j < n_samples.  Samples with different
     master seeds can so share one call, and each gives the same result as

@@ -92,19 +92,16 @@ class LatticeModelSpec:
     whole ensemble chunk.  ``out`` is C-contiguous, never aliases ``state``
     and may hold garbage on entry; the drift is autonomous and deterministic.
 
-    ``sigma`` scales the per-block Brownian increments, ``sigma0``/``m0``
-    define the i.i.d. initial law N(m0, sigma0 sigma0^T); the reference model
-    constructors set both.
+    ``sigma`` scales the per-block Brownian increments; every sample starts
+    at the point mass ``m0`` in each block.
     """
 
     n_blocks: int
     block_dim: int
     drift: DriftFn
     sigma: np.ndarray
-    sigma0: np.ndarray
     m0: np.ndarray
     lipschitz: LipschitzConstants | None = None
-    label: str = "custom"
     # Frobenius norm of sigma^2 in the convention the bounds expect.  None
     # means "compute from sigma directly"; only FHN, whose bound convention
     # rescales the inhibitor, overrides it.
@@ -123,14 +120,10 @@ class LatticeModelSpec:
             raise ContractViolationError(f"sigma must be {q}x{q}, got {sigma.shape}")
         if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())):
             raise ContractViolationError("sigma must be symmetric")
-        sigma0 = np.asarray(self.sigma0, dtype=float)
-        if sigma0.shape != (q, q):
-            raise ContractViolationError(f"sigma0 must be {q}x{q}, got {sigma0.shape}")
         m0 = np.asarray(self.m0, dtype=float)
         if m0.shape != (q,):
             raise ContractViolationError(f"m0 must have shape ({q},), got {m0.shape}")
         object.__setattr__(self, "sigma", _readonly(0.5 * (sigma + sigma.T)))
-        object.__setattr__(self, "sigma0", _readonly(sigma0))
         object.__setattr__(self, "m0", _readonly(m0))
 
     def sigma_sq_frob(self) -> float:
@@ -138,10 +131,6 @@ class LatticeModelSpec:
         if self.bound_sigma_sq_frob is not None:
             return self.bound_sigma_sq_frob
         return float(np.linalg.norm(self.sigma @ self.sigma))
-
-    def sigma0_sq_frob(self) -> float:
-        """||sigma0^2||_F."""
-        return float(np.linalg.norm(self.sigma0 @ self.sigma0))
 
 
 def lipschitz_constants(model: LatticeModelSpec) -> LipschitzConstants:
@@ -154,8 +143,7 @@ def lipschitz_constants(model: LatticeModelSpec) -> LipschitzConstants:
     """
     if model.lipschitz is None:
         raise UnsupportedModelError(
-            f"model {model.label!r} carries no coupling constants; "
-            "supply LipschitzConstants explicitly"
+            "model carries no coupling constants; supply LipschitzConstants explicitly"
         )
     return model.lipschitz
 

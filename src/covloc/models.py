@@ -122,10 +122,8 @@ def linear_model(params: LinearParams, n: int, m0: float = 0.0) -> LatticeModelS
         block_dim=1,
         drift=drift,
         sigma=np.array([[params.sigma_u]]),
-        sigma0=np.zeros((1, 1)),
         m0=np.array([m0]),
         lipschitz=LipschitzConstants(-a - 2.0 * d_u - w, d_u, w),
-        label=f"linear(a={a}, d_u={d_u}, w={w}, sigma_u={params.sigma_u})",
     )
 
 
@@ -172,12 +170,10 @@ def fhn_model(params: FhnParams, n: int) -> LatticeModelSpec:
         block_dim=2,
         drift=drift,
         sigma=np.diag([params.delta1 / math.sqrt(eps), params.delta2]),
-        sigma0=np.zeros((2, 2)),
         m0=np.array(params.rest_point()),
         lipschitz=LipschitzConstants(
             inv_eps * max(1.0 - 2.0 * d_u - w, 0.0), inv_eps * d_u, inv_eps * w
         ),
-        label=f"fhn(eps={eps}, a={a}, d_u={d_u}, w={w})",
         bound_sigma_sq_frob=math.sqrt(params.delta1**4 + params.delta2**4) / eps,
     )
 

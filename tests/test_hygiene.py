@@ -1,7 +1,11 @@
 """Static checks on the library source: no module imports a name it never
-uses, and every defaulted parameter is set by at least one caller."""
+uses, every defaulted parameter is set by at least one caller, and every name
+a comment or docstring cites is defined."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -120,3 +124,63 @@ def test_every_defaulted_parameter_has_a_caller():
         f"{path.name}:{name}" for path in MODULES for name in unset_defaults(path.read_text(), callers)
     ]
     assert unset == []
+
+
+def cited_names(source: str) -> set[str]:
+    """Names the comments and docstrings of ``source`` cite: each identifier
+    inside double backticks and each _private name.  ||.||_F norms and file
+    patterns such as <name>_metadata.json cite nothing."""
+    texts = [
+        tok.string
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    ]
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    texts += [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, documented)
+    ]
+    cited = set()
+    for text in texts:
+        text = re.sub(r"\|\|[^|]*\|\|_F|\S*<\w+>\S*", " ", text)
+        for span in re.findall(r"``(.+?)``", text, re.S):
+            cited |= set(re.findall(r"\b[A-Za-z_]\w*", span))
+        cited |= set(re.findall(r"(?<![\w.])_[A-Za-z]\w*", text))
+    return cited
+
+
+def defined_names(source: str) -> set[str]:
+    """Functions, classes, parameters, and names and attributes assigned."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_cited_names_finds_backticked_identifiers_and_private_names():
+    source = (
+        '"""Runs ``step(state, h)`` and writes ``<id>_metadata.json``."""\n'
+        "# _GONE and ``cfg.run``, but not ||sigma^2||_F, __init__ or np._priv\n"
+        "def f(a):\n"
+        '    """Reads ``a`` via _helper."""\n'
+        '    return "``not_a_docstring``"\n'
+    )
+    assert cited_names(source) == {"step", "state", "h", "_GONE", "cfg", "run", "a", "_helper"}
+    assert defined_names("class K:\n    x: int\ndef f(a, *b):\n    self.c = d = 1\n") == {
+        "K", "x", "f", "a", "b", "c", "d"
+    }
+
+
+def test_every_cited_name_is_defined():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    defined = set().union(*map(defined_names, sources.values()))
+    undefined = {name: sorted(cited_names(s) - defined) for name, s in sources.items()}
+    assert {name: names for name, names in undefined.items() if names} == {}

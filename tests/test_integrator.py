@@ -35,13 +35,12 @@ def _zero_model(n=4, q=1):
         block_dim=q,
         drift=_zero_drift,
         sigma=np.zeros((q, q)),
-        sigma0=np.zeros((q, q)),
         m0=np.zeros(q),
     )
 
 
-def _ramp_model(threshold, n=3, sigma0=0.0):
-    """Noise-free unit-speed ramp du = dt whose drift turns NaN on any block
+def _ramp_model(threshold, n=3, sigma=0.0):
+    """Unit-speed ramp du = dt + sigma dW whose drift turns NaN on any block
     that has reached ``threshold``: the state first goes non-finite one step
     after the first crossing."""
 
@@ -53,21 +52,29 @@ def _ramp_model(threshold, n=3, sigma0=0.0):
         n_blocks=n,
         block_dim=1,
         drift=drift,
-        sigma=np.zeros((1, 1)),
-        sigma0=np.array([[sigma0]]),
+        sigma=np.array([[sigma]]),
         m0=np.zeros(1),
     )
 
 
-def _drawn_up_front(model, cfg, k):
-    """Reference ensemble by the plain route: each sample's initial state and
-    all its noise drawn in one go from its own stream, then at every step
-    h * drift plus that step's noise times sqrt(h) sigma^T by np.matmul."""
-    gens = [integrator._sample_generator(cfg.master_seed, j) for j in range(k)]
-    state = np.stack([integrator._initial_state(model, gen, None) for gen in gens])
-    noise = np.stack([gen.standard_normal((cfg.n_steps,) + state.shape[1:]) for gen in gens])
+def _drawn_up_front(model, cfg, streams):
+    """Reference ensemble by the plain route, as the (n_steps + 1, K, N, q)
+    states after every step.  Each sample starts at m0 and draws from its own
+    Philox stream first the N*q normals every stream opens with, which it
+    discards, then all its noise in one go; each step adds h * drift plus
+    that step's noise times sqrt(h) sigma^T by np.matmul."""
+    shape = (model.n_blocks, model.block_dim)
+    gens = [
+        np.random.Generator(np.random.Philox(key=integrator.sample_stream_key(*stream)))
+        for stream in streams
+    ]
+    for gen in gens:
+        gen.standard_normal(shape)
+    noise = np.stack([gen.standard_normal((cfg.n_steps,) + shape) for gen in gens])
+    state = np.tile(model.m0, (len(gens), model.n_blocks, 1))
     scale = math.sqrt(cfg.step_size) * model.sigma.T
     work = np.empty_like(state)
+    history = [state.copy()]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.n_steps):
             model.drift(state, work)
@@ -75,7 +82,23 @@ def _drawn_up_front(model, cfg, k):
             state += work
             np.matmul(noise[:, step], scale, out=work)
             state += work
-    return state
+            history.append(state.copy())
+    return np.stack(history)
+
+
+def _first_blowup(history, h):
+    """(time, sample, 1-based block) of the first non-finite entry at the
+    first step of a reference history that has one, checked after every step."""
+    for step, state in enumerate(history):
+        bad = np.argwhere(~np.isfinite(state))
+        if len(bad):
+            sample, block, _ = bad[0]
+            return step * h, int(sample), int(block) + 1
+    return None
+
+
+def _streams(seed, k):
+    return [(seed, j) for j in range(k)]
 
 
 def _non_diagonal_model(n=3):
@@ -85,7 +108,6 @@ def _non_diagonal_model(n=3):
         block_dim=2,
         drift=lambda state, out: np.negative(state, out=out),
         sigma=np.array([[1.0, 0.5], [0.5, 2.0]]),
-        sigma0=np.eye(2),
         m0=np.zeros(2),
     )
 
@@ -137,6 +159,12 @@ class TestEulerStep:
             euler_step(state, 0.0, model, 0.01, np.zeros((4, 1)))
         assert err.value.block_index == 3
 
+    @pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf, -math.inf])
+    def test_step_must_be_positive_and_finite(self, h):
+        model = linear_model(LinearParams(), 4)
+        with pytest.raises(ContractViolationError, match="h must be positive"):
+            euler_step(np.ones((4, 1)), 0.0, model, h, np.zeros((4, 1)))
+
 
 class TestConfig:
     def test_step_count_must_be_integral(self):
@@ -150,6 +178,14 @@ class TestConfig:
     def test_positive_step(self):
         with pytest.raises(ContractViolationError):
             IntegratorConfig(step_size=0.0, t_end=1.0, master_seed=0)
+
+    def test_step_count_beyond_float_range_is_rejected(self):
+        # 1e10 / 1e-302 overflows to inf, which has no whole count to round
+        # to: dividing_step keeps its cap and the config refuses the pair
+        h = integrator.dividing_step(1e10, 1e-302)
+        assert h == 1e-302
+        with pytest.raises(ContractViolationError, match="integer step count"):
+            IntegratorConfig(step_size=h, t_end=1e10, master_seed=0)
 
 
 @pytest.mark.parametrize(
@@ -186,11 +222,14 @@ class TestSimulatePath:
         b = simulate_path(model, cfg)
         assert np.array_equal(a.states, b.states)
 
-    def test_output_times_must_hit_the_grid(self):
+    @pytest.mark.parametrize("t", [0.005, 1.01, -0.01, math.nan, math.inf, -math.inf])
+    def test_output_times_must_hit_the_grid(self, t):
         model = linear_model(LinearParams(), 4)
         cfg = IntegratorConfig(step_size=0.01, t_end=1.0, master_seed=3)
-        with pytest.raises(ContractViolationError):
-            simulate_path(model, cfg, output_times=[0.005])
+        with pytest.raises(ContractViolationError, match="output time"):
+            simulate_path(model, cfg, output_times=[t])
+        with pytest.raises(ContractViolationError, match="output time"):
+            simulate_ensemble(model, cfg, 2, output_times=[0.5, t])
 
     def test_ou_variance_matches_closed_form(self):
         """Scalar Ornstein-Uhlenbeck: E u(1)^2 = sigma^2 (1 - e^-2) / (2a)."""
@@ -207,7 +246,7 @@ class TestSimulatePath:
         initial = np.zeros((3, 1))
         initial[1, 0] = 0.5
         # block 2 reaches the threshold after 12 steps, so step 13 is the
-        # first non-finite one; the failing check runs at step 16
+        # first non-finite one; the failing check runs at the block's end
         model = _ramp_model(0.5 + 11.5 * h)
         cfg = IntegratorConfig(step_size=h, t_end=20 * h, master_seed=1)
         with pytest.raises(NumericalBlowupError) as err:
@@ -243,8 +282,8 @@ class TestSimulateEnsemble:
 
     @pytest.mark.parametrize("budget", [2**10, 3 * 2**11])
     def test_noise_block_length_does_not_change_results(self, monkeypatch, budget):
-        # 8-step blocks (the floor) and 12-step blocks, whose ends fall between
-        # the every-8-step checks, against the default 256-step blocks
+        # 8-step blocks (the floor) and 12-step blocks, with output times
+        # inside blocks, against the default 256-step blocks
         model = fhn_model(regime("regime-c").params, 16)
         cfg = IntegratorConfig(step_size=1e-4, t_end=50e-4, master_seed=3)
         times = [0.0, 9e-4, 20e-4, 50e-4]
@@ -333,7 +372,7 @@ class TestSimulateEnsemble:
         cfg = IntegratorConfig(step_size=1e-3, t_end=40e-3, master_seed=11)
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**10)  # 8-step blocks
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 3)
-        expected = _drawn_up_front(model, cfg, 600)
+        expected = _drawn_up_front(model, cfg, _streams(11, 600))[-1]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -360,7 +399,8 @@ class TestSimulateEnsemble:
         model = make_model()
         cfg = IntegratorConfig(step_size=1e-4, t_end=30e-4, master_seed=21)
         got = simulate_ensemble(model, cfg, 300, n_workers=n_workers)
-        assert got.samples.tobytes() == _drawn_up_front(model, cfg, 300).tobytes()
+        expected = _drawn_up_front(model, cfg, _streams(21, 300))[-1]
+        assert got.samples.tobytes() == expected.tobytes()
 
     def test_diagonal_sigma_scales_noise_without_matmul(self, monkeypatch):
         calls = []
@@ -410,29 +450,39 @@ class TestSimulateEnsemble:
         final = simulate_ensemble(model, cfg, 3)
         np.testing.assert_array_equal(states[-1].samples, final.samples)
 
-    def test_ensemble_blowup_reports_exact_step_sample_and_block(self):
+    @pytest.mark.parametrize(
+        "budget", [None, 2**10, 21_600], ids=["one-block", "8-step", "12-step"]
+    )
+    def test_ensemble_blowup_reports_exact_step_sample_and_block(self, monkeypatch, budget):
+        # 300 samples run on 2 workers in chunks of 150: a budget of 2**10
+        # doubles gives 8-step noise blocks (the floor), 21,600 gives 12-step
+        # blocks, and the default takes all 30 steps in one block
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
+        if budget is not None:
+            monkeypatch.setattr(integrator, "_NOISE_BUDGET", budget)
         h, seed, k = 1e-3, 2, 300
-        start = IntegratorConfig(step_size=h, t_end=0.0, master_seed=seed)
-        x0 = simulate_ensemble(_ramp_model(np.inf, sigma0=1.0), start, k)
-        values = np.sort(x0.samples.ravel())
-        sample, block, _ = np.unravel_index(np.argmax(x0.samples), x0.samples.shape)
-        # precondition of the scenario: the largest initial value sits past
-        # sample 256, in the second chunk however the 300 samples are cut,
-        # and leads the runner-up by more than the 20-step horizon, so
-        # exactly one sample crosses the threshold
-        assert sample >= 256 and values[-1] - values[-2] > 20 * h
-        model = _ramp_model(values[-1] + 11.5 * h, sigma0=1.0)
-        cfg = IntegratorConfig(step_size=h, t_end=20 * h, master_seed=seed)
+        model = _ramp_model(0.55, sigma=1.0)
+        cfg = IntegratorConfig(step_size=h, t_end=30 * h, master_seed=seed)
+        history = _drawn_up_front(model, cfg, _streams(seed, k))
+        time, sample, block = _first_blowup(history, h)
+        # preconditions of the scenario: the noise alone decides who crosses,
+        # a sample past 256, in the second chunk however the 300 samples are
+        # cut; exactly one block of one sample crosses within the horizon, and
+        # its first non-finite step falls inside a later block for 8-step and
+        # for 12-step blocks
+        step = round(time / h)
+        assert sample >= 256 and np.isfinite(history[-1]).sum() == history[-1].size - 1
+        assert step > 12 and step % 8 and step % 12
         with pytest.raises(NumericalBlowupError) as err:
             simulate_ensemble(model, cfg, k, n_workers=2)
-        assert err.value.time == pytest.approx(13 * h, abs=1e-15)
+        assert err.value.time == time
         assert err.value.sample_index == sample
-        assert err.value.block_index == block + 1
+        assert err.value.block_index == block
         # the index points into the call's streams, whatever their order
-        reverse = [(seed, j) for j in reversed(range(k))]
+        reverse = _streams(seed, k)[::-1]
         with pytest.raises(NumericalBlowupError) as err:
             simulate_ensemble(model, cfg, k, n_workers=2, streams=reverse)
-        assert err.value.sample_index == k - 1 - sample
+        assert (err.value.time, err.value.sample_index) == (time, k - 1 - sample)
 
     def test_blowup_reports_sample_index(self):
         model = fhn_model(FhnParams(), 4)

@@ -88,7 +88,6 @@ def test_lipschitz_constants_refuses_custom_models():
         block_dim=1,
         drift=lambda state, out: np.negative(state, out=out),
         sigma=np.eye(1),
-        sigma0=np.zeros((1, 1)),
         m0=np.zeros(1),
     )
     with pytest.raises(UnsupportedModelError):
@@ -183,7 +182,6 @@ def test_model_spec_validates_sigma_symmetry():
             block_dim=2,
             drift=lambda state, out: np.copyto(out, state),
             sigma=np.array([[1.0, 0.5], [0.0, 1.0]]),
-            sigma0=np.zeros((2, 2)),
             m0=np.zeros(2),
         )
 
