@@ -13,23 +13,25 @@ state draws none.
 One kernel, ``_advance``, steps a (C, N, q) block of samples in place: on
 one sample for ``simulate_path``, and for ensembles on chunks across
 min(n_workers, chunks, os.cpu_count()) threads.  K samples are cut into
-chunks of ceil(K / ceil(K / _CHUNK_SAMPLES)) samples, the last one shorter.
-No chunk exceeds _CHUNK_SAMPLES and the chunks are balanced: a small
-remainder chunk would get buffers below malloc's mmap threshold, which stay
-resident after the call.  Within a chunk, a helper thread and the stepping
-thread share the drawing of each noise block row by row: the helper starts a
-block while the previous one is stepped, and the stepper takes the rows left
-before it steps it.  Either way sample c's rows come from its own stream, in
-order, and whichever thread draws a row scales it by sqrt(h) sigma^T while it
-is in cache, so the stepper only adds noise.  ``euler_step`` scales its draw
-the same way and takes one step with the same step function; noise and
-blow-ups: see ``_advance``.
+chunks of ceil(K / ceil(K / _CHUNK_SAMPLES)) samples, the last one shorter;
+no chunk exceeds _CHUNK_SAMPLES and the chunks are balanced.  Before any
+stepping a call allocates two arrays: its whole (T, K, N, q) result, into
+whose slices the chunks write their snapshots, and one noise array with a
+slot per worker, which each chunk borrows while it runs.  Within a chunk, a
+helper thread and the stepping thread share the drawing of each noise block
+row by row: the helper starts a block while the previous one is stepped,
+and the stepper takes the rows left before it steps it.  Either way sample
+c's rows come from its own stream, in order, and whichever thread draws a
+row scales it by sqrt(h) sigma^T while it is in cache, so the stepper only
+adds noise.  ``euler_step`` scales its draw the same way and takes one step
+with the same step function; noise and blow-ups: see ``_advance``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,9 +39,9 @@ import numpy as np
 
 from .lattice import ContractViolationError, LatticeModelSpec
 
-# Noise is pre-generated in blocks of steps sized to keep the buffers small;
+# Noise is pre-generated in blocks of steps sized to keep the noise array small;
 # block size never affects results (each sample is one continuous stream).
-_NOISE_BUDGET = 8_000_000  # doubles, shared by all noise buffers of one call
+_NOISE_BUDGET = 2**22  # doubles (32 MiB): one call's noise array, above the 8-step floor
 _CHUNK_SAMPLES = 256
 
 
@@ -113,22 +115,29 @@ def dividing_step(span: float, cap: float) -> float:
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """K independent lattice states at a common time, with seed provenance."""
+    """K independent lattice states at a common time, with seed provenance.
+
+    A read-only float array is kept as it is, so slicing a simulated
+    ensemble's samples costs no copy; anything else is copied and the copy
+    made read-only.
+    """
 
     samples: np.ndarray  # (K, N, q), read-only
     time: float
     seeds: tuple[int, ...]
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = self.samples
+        read_only = isinstance(samples, np.ndarray) and not samples.flags.writeable
+        if not (read_only and samples.dtype == float):
+            samples = np.array(samples, dtype=float)
+            samples.flags.writeable = False
         if samples.ndim != 3:
             raise ContractViolationError(f"samples must be (K, N, q), got {samples.shape}")
         if len(self.seeds) != samples.shape[0]:
             raise ContractViolationError("one derived seed per sample is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ContractViolationError("derived seeds must be pairwise distinct")
-        samples = samples.copy()
-        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -241,6 +250,36 @@ def _initial_state(model, gen, initial):
     return state.copy()
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform cannot tell."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+def _array_shapes(model, n_steps, n_out, n_samples, slots, count):
+    """Shapes of a call's (T, K, N, q) result and its noise array, refused
+    before either is allocated when they, with each slot's chunk state,
+    scratch and saved block start, exceed physical memory.  The noise array
+    holds two (count, block, N, q) buffers per slot; blocks run 8 to 256
+    steps, sized so the array holds ``_NOISE_BUDGET`` doubles where the
+    8-step floor allows: at large slots * count * N * q the floor wins and
+    the array exceeds the budget."""
+    n, q = model.n_blocks, model.block_dim
+    block = max(8, min(256, _NOISE_BUDGET // (2 * slots * count * n * q)))
+    result, noise = (n_out, n_samples, n, q), (slots, 2, count, min(block, n_steps), n, q)
+    need = 8 * (math.prod(result) + math.prod(noise) + 3 * slots * count * n * q)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ContractViolationError(
+            f"the call needs {need} bytes for its result and buffers, "
+            f"more than the {have} bytes of physical memory"
+        )
+    return result, noise
+
+
 def simulate_path(
     model: LatticeModelSpec,
     config: IntegratorConfig,
@@ -252,45 +291,55 @@ def simulate_path(
     ``initial`` is an (N, q) array or None, in which case the path starts at
     the point mass m0 on its own stream (master_seed, 0), so a path is sample
     0 of the ensemble with the same config.  Output times must be multiples
-    of h.
+    of h.  The states are read-only.
     """
     out_steps = _resolve_output_steps(config, output_times)
+    shapes = _array_shapes(model, config.n_steps, len(out_steps), 1, 1, 1)
     gen = _sample_generator(config.master_seed, 0)
     state = _initial_state(model, gen, initial)[None]
-    snapshots = _advance(model, config, state, [gen], set(out_steps), _NOISE_BUDGET)
+    result, noise = map(np.empty, shapes)
+    _advance(model, config, state, [gen], out_steps, result, noise[0])
+    result.flags.writeable = False
     times = np.array([s * config.step_size for s in out_steps])
-    states = np.concatenate([snapshots[s] for s in out_steps]) if out_steps else state[:0]
-    return PathResult(times=times, states=states)
+    return PathResult(times=times, states=result[:, 0])
 
 
-def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None):
+def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo=None):
     """The stepping kernel: advance the (C, N, q) block ``state`` in place
-    to t_end, sample c drawing its noise from ``gens[c]``; returns
-    {step: copy of the state} for ``snapshot_steps``.
+    to t_end, sample c drawing its noise from ``gens[c]``; the state at step
+    ``out_steps[i]`` is written into ``out[i]``, a (C, N, q) slice of the
+    call's result, so equal steps give equal, separate snapshots.
 
-    Noise comes in blocks of 8 to 256 steps, drawn into two reused buffers
-    that split ``budget`` doubles where the 8-step floor allows.  A helper
-    thread starts drawing the next block, one sample's row at a time, while
-    the current one is stepped; at the top of each block the stepping thread
-    draws the rows the helper has not taken, then waits for the helper's
-    last row.  Whichever thread draws a row scales it by
-    sqrt(h) sigma^T at once (see ``_noise_scaling``), so a step adds the
-    buffered noise as it is.  The state is checked for finiteness once, at
-    the end of each block; NaNs and infs persist under the update, so a
-    failed check restores the block's saved start and re-steps the block
-    with its still buffered noise, checking every step.  That names the
-    first non-finite step and its first sample ``sample_lo`` + c (None for
-    a single path), an index into the caller's streams.
+    Noise comes in blocks, drawn alternately into the two (C, steps, N, q)
+    ``buffers``, the chunk's slot of the call's one noise array (see
+    ``_array_shapes`` for the block length).  A helper thread starts drawing
+    the next block, one sample's row at a time, while the current one is
+    stepped; at the top of each block the stepping thread draws the rows the
+    helper has not taken, then waits for the helper's last row.  Whichever
+    thread draws a row scales it by sqrt(h) sigma^T at once (see
+    ``_noise_scaling``), so a step adds the buffered noise as it is.  The
+    state is checked for finiteness once, at the end of each block; NaNs and
+    infs persist under the update, so a failed check restores the block's
+    saved start and re-steps the block with its still buffered noise,
+    checking every step.  That names the first non-finite step and its first
+    sample ``sample_lo`` + c (None for a single path), an index into the
+    caller's streams.
     """
-    count, n, q = state.shape
+    count = state.shape[0]
     h, n_steps = config.step_size, config.n_steps
-    block_steps = max(8, min(256, budget // (2 * count * n * q)))
-    buffers = np.empty((2, count, min(block_steps, n_steps), n, q))
+    block_steps = max(1, buffers.shape[2])
     scale_noise = _noise_scaling(model, h)
     work, start_state = np.empty_like(state), np.empty_like(state)
+    targets = {}
+    for i, k in enumerate(out_steps):
+        targets.setdefault(k, []).append(out[i])
+
+    def snapshot(k):
+        for dst in targets.get(k, ()):
+            np.copyto(dst, state)
 
     _require_finite(state, 0.0, sample_lo)
-    snapshots = {0: state.copy()} if 0 in snapshot_steps else {}
+    snapshot(0)
 
     def draw(rows, buf, steps):
         # next() on a shared range iterator is atomic under the GIL, so the
@@ -316,18 +365,17 @@ def _advance(model, config, state, gens, snapshot_steps, budget, sample_lo=None)
             np.copyto(start_state, state)
             for k in range(lo + 1, hi + 1):
                 _step(model, state, noise[:, k - lo - 1], h, work)
-                if k in snapshot_steps:
-                    snapshots[k] = state.copy()
+                snapshot(k)
             if not np.isfinite(state).all():
                 np.copyto(state, start_state)
                 for k in range(lo + 1, hi + 1):
                     _step(model, state, noise[:, k - lo - 1], h, work)
                     _require_finite(state, k * h, sample_lo)
-    return snapshots
 
 
 def _pool_size(n_workers: int, n_chunks: int) -> int:
-    """Worker threads: each in-flight chunk holds two noise buffers.
+    """Worker threads, each owning one slot of the call's noise array, which
+    the chunk it runs borrows.
 
     A chunk is a run of consecutive entries of the call's ``streams``, so the
     pool never outgrows the number of those runs.
@@ -369,37 +417,57 @@ def simulate_ensemble(
     ``streams[j]``, a (master_seed, index) pair; the default is
     (config.master_seed, j) for j < n_samples.  Samples with different
     master seeds can so share one call, and each gives the same result as
-    in a call of its own.  The streams are checked before any stepping:
-    one per sample, pairwise distinct, seed and index in [0, 2**64).  The
-    result is independent of chunking, scheduling, and ``n_workers``; a
-    blow-up's ``sample_index`` indexes ``streams``.  With ``output_times``
-    given, returns one EnsembleState per time (nondecreasing multiples of h);
-    otherwise a single EnsembleState at t_end.
+    in a call of its own.  A call whose result and buffers exceed physical
+    memory is refused first; then the streams are checked before any
+    stepping: one per sample, pairwise distinct, seed and index in
+    [0, 2**64).  The result is independent of chunking, scheduling, and
+    ``n_workers``.  Every chunk runs to its own blow-up, if any, and the
+    call reports the earliest (time, sample) of them, whose
+    ``sample_index`` indexes ``streams``.  With ``output_times`` given,
+    returns one EnsembleState per time (nondecreasing multiples of h), each
+    a read-only view of the call's one result array; otherwise a single
+    EnsembleState at t_end.
     """
     if n_samples < 1:
         raise ContractViolationError(f"n_samples must be >= 1, got {n_samples}")
-    if streams is None:
-        streams = [(config.master_seed, j) for j in range(n_samples)]
-    seeds = _stream_keys(streams, n_samples)
-    snapshot_steps = _resolve_output_steps(config, output_times)
+    out_steps = _resolve_output_steps(config, output_times)
     n_chunks = -(-n_samples // _CHUNK_SAMPLES)
     size = -(-n_samples // n_chunks)
     starts = range(0, n_samples, size)
     workers = _pool_size(n_workers, len(starts))
-    budget = _NOISE_BUDGET // workers
+    shapes = _array_shapes(model, config.n_steps, len(out_steps), n_samples, workers, size)
+    if streams is None:
+        streams = [(config.master_seed, j) for j in range(n_samples)]
+    seeds = _stream_keys(streams, n_samples)
+    result, noise = map(np.empty, shapes)
+    free = queue.SimpleQueue()
+    for slot in range(workers):
+        free.put(slot)
 
     def run(lo):
         gens = [_sample_generator(*stream) for stream in streams[lo : lo + size]]
+        count = len(gens)
         state = np.stack([_initial_state(model, gen, None) for gen in gens])
-        return _advance(model, config, state, gens, set(snapshot_steps), budget, lo)
+        slot = free.get()
+        try:
+            out = result[:, lo : lo + count]
+            _advance(model, config, state, gens, out_steps, out, noise[slot, :, :count], lo)
+        except NumericalBlowupError as err:
+            return err
+        finally:
+            free.put(slot)
+        return None
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, starts))
+            outcomes = list(pool.map(run, starts))
     else:
-        chunks = [run(lo) for lo in starts]
+        outcomes = [run(lo) for lo in starts]
+    errors = [err for err in outcomes if err is not None]
+    if errors:
+        raise min(errors, key=lambda err: (err.time, err.sample_index))
+    result.flags.writeable = False
     states = [
-        EnsembleState(np.concatenate([c[s] for c in chunks]), s * config.step_size, seeds)
-        for s in snapshot_steps
+        EnsembleState(result[i], s * config.step_size, seeds) for i, s in enumerate(out_steps)
     ]
     return states if output_times is not None else states[0]

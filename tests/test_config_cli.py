@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covloc import BlockCovariance
+from covloc import BlockCovariance, integrator
 from covloc.cli import main
 from covloc.config import ConfigError, parse_config
 from covloc.figures import FIGURES
@@ -263,6 +263,19 @@ class TestExitCodes:
         )
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "cov"])
+    def test_ensemble_beyond_physical_memory_is_2_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.setattr(integrator, "_physical_memory", lambda: 2**12)
+        out = tmp_path / "run"
+        cfg = _write(tmp_path, LINEAR_CFG, out=out)
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "physical memory" in err[0]
+        assert not out.exists()
 
     def test_cov_step_that_does_not_divide_t_end_is_2_and_writes_nothing(self, tmp_path):
         out = tmp_path / "cov"

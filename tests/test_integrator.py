@@ -9,6 +9,7 @@ import pytest
 from covloc import integrator
 from covloc import (
     ContractViolationError,
+    EnsembleState,
     FhnParams,
     IntegratorConfig,
     LinearParams,
@@ -382,6 +383,24 @@ class TestSimulateEnsemble:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_chunks_reuse_noise_slots_under_frequent_thread_switches(self, monkeypatch):
+        # five chunks of 240 on three workers: two chunks borrow a slot
+        # another chunk has returned; a slot lent to two running chunks at
+        # once would mix their noise and break the equality
+        model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 4)
+        cfg = IntegratorConfig(step_size=1e-3, t_end=40e-3, master_seed=12)
+        monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**10)  # 8-step blocks
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 3)
+        expected = _drawn_up_front(model, cfg, _streams(12, 1200))[-1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = simulate_ensemble(model, cfg, 1200, n_workers=3)
+                assert np.array_equal(got.samples, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize(
         "make_model",
@@ -484,6 +503,26 @@ class TestSimulateEnsemble:
             simulate_ensemble(model, cfg, k, n_workers=2, streams=reverse)
         assert (err.value.time, err.value.sample_index) == (time, k - 1 - sample)
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_ensemble_blowup_reports_the_earliest_of_all_chunks(self, monkeypatch, n_workers):
+        # two chunks of 150 both blow up: sample 125 first goes non-finite at
+        # step 30, sample 270 already at step 28, so the later chunk holds the
+        # ensemble's earliest blow-up whichever chunk finishes first
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
+        h, seed, k = 1e-3, 2, 300
+        model = _ramp_model(0.5, sigma=1.0)
+        cfg = IntegratorConfig(step_size=h, t_end=40 * h, master_seed=seed)
+        history = _drawn_up_front(model, cfg, _streams(seed, k))
+        assert _first_blowup(history, h) == (28 * h, 270, 3)
+        assert _first_blowup(history[:, :150], h)[:2] == (30 * h, 125)
+        with pytest.raises(NumericalBlowupError) as err:
+            simulate_ensemble(model, cfg, k, n_workers=n_workers)
+        assert (err.value.time, err.value.sample_index, err.value.block_index) == (28 * h, 270, 3)
+        reverse = _streams(seed, k)[::-1]
+        with pytest.raises(NumericalBlowupError) as err:
+            simulate_ensemble(model, cfg, k, n_workers=n_workers, streams=reverse)
+        assert (err.value.time, err.value.sample_index) == (28 * h, k - 1 - 270)
+
     def test_blowup_reports_sample_index(self):
         model = fhn_model(FhnParams(), 4)
         cfg = IntegratorConfig(step_size=0.5, t_end=5.0, master_seed=1)
@@ -520,6 +559,97 @@ class TestSimulateEnsemble:
         assert integrator._pool_size(8, 4) == 4
         with pytest.raises(ContractViolationError):
             integrator._pool_size(0, 4)
+
+    def test_peak_memory_is_one_result_one_noise_array_and_the_chunks(self, monkeypatch):
+        # 1024 samples in four chunks of 256 on 2 workers, snapshot at all 33
+        # steps: the 4.1 MiB result outweighs the 1 MiB noise array (8-step
+        # blocks), so a second copy of the result would break the bound
+        monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**16)
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
+        model = fhn_model(regime("regime-c").params, 8)
+        h, k, steps, workers, size = 1e-4, 1024, 32, 2, 256
+        cfg = IntegratorConfig(step_size=h, t_end=steps * h, master_seed=8)
+        times = [s * h for s in range(steps + 1)]
+        doubles = 8 * 2  # N * q
+        result = 8 * len(times) * k * doubles
+        noise = 8 * workers * 2 * size * 8 * doubles
+        chunks = 8 * workers * 3 * size * doubles  # state, scratch, saved block start
+        assert result > 4 * noise
+        tracemalloc.start()
+        try:
+            states = simulate_ensemble(model, cfg, k, n_workers=workers, output_times=times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == len(times)
+        assert peak <= result + noise + chunks + 2**20
+
+    def test_ensemble_state_keeps_a_read_only_array_and_copies_a_writeable_one(self):
+        samples = np.arange(24.0).reshape(4, 3, 2)
+        copied = EnsembleState(samples, 0.0, (0, 1, 2, 3))
+        assert not np.shares_memory(copied.samples, samples)
+        assert not copied.samples.flags.writeable and samples.flags.writeable
+        samples.flags.writeable = False
+        shared = EnsembleState(samples, 0.0, (0, 1, 2, 3))
+        assert shared.samples is samples
+        view = EnsembleState(shared.samples[1:3], 0.0, (1, 2))
+        assert np.shares_memory(view.samples, samples)
+
+    def test_duplicate_output_times_give_equal_separate_snapshots(self):
+        model = fhn_model(regime("regime-c").params, 16)
+        cfg = IntegratorConfig(step_size=1e-4, t_end=30e-4, master_seed=6)
+        states = simulate_ensemble(model, cfg, 300, n_workers=2, output_times=[10e-4, 10e-4, 30e-4])
+        alone = simulate_ensemble(model, cfg, 300, output_times=[10e-4, 30e-4])
+        assert [s.time for s in states] == [10e-4, 10e-4, 30e-4]
+        assert np.array_equal(states[0].samples, states[1].samples)
+        assert np.array_equal(states[1].samples, alone[0].samples)
+        assert np.array_equal(states[2].samples, alone[1].samples)
+        assert not np.shares_memory(states[0].samples, states[1].samples)
+        assert not any(s.samples.flags.writeable for s in states)
+
+    def test_path_output_time_zero_is_the_start(self):
+        model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 8, m0=2.0)
+        cfg = IntegratorConfig(step_size=1e-3, t_end=0.02, master_seed=4)
+        start = simulate_path(model, cfg, output_times=[0.0])
+        assert start.times.tolist() == [0.0]
+        np.testing.assert_array_equal(start.states, np.full((1, 8, 1), 2.0))
+        both = simulate_path(model, cfg, output_times=[0.0, 0.02])
+        np.testing.assert_array_equal(both.states[0], start.states[0])
+        np.testing.assert_array_equal(both.states[1], simulate_path(model, cfg).states[0])
+        assert not both.states.flags.writeable
+
+    def test_preflight_refuses_a_call_beyond_physical_memory(self, monkeypatch):
+        # 1000 samples run in four chunks of 250 on 2 workers; a 2**10-double
+        # budget is below the 8-step floor, so the noise array counts 8 steps
+        def refuse(*args, **kwargs):
+            raise AssertionError("stepped past the memory check")
+
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**10)
+        monkeypatch.setattr(integrator, "_advance", refuse)
+        model = fhn_model(regime("regime-c").params, 16)
+        cfg = IntegratorConfig(step_size=1e-4, t_end=20e-4, master_seed=1)
+        result = 8 * 2 * 1000 * 16 * 2
+        noise = 8 * 2 * 2 * 250 * 8 * 16 * 2
+        chunks = 8 * 2 * 3 * 250 * 16 * 2
+        need = result + noise + chunks
+        monkeypatch.setattr(integrator, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ContractViolationError, match=f"needs {need} bytes.* {need - 1} bytes"):
+            simulate_ensemble(model, cfg, 1000, n_workers=2, output_times=[0.0, 20e-4])
+        # the check comes before the streams are built or checked
+        with pytest.raises(ContractViolationError, match="physical memory"):
+            simulate_ensemble(model, cfg, 1000, 2, [0.0, 20e-4], streams=[(1, 0)])
+        monkeypatch.setattr(integrator, "_physical_memory", lambda: 2**10)
+        with pytest.raises(ContractViolationError, match="physical memory"):
+            simulate_path(model, cfg)
+        # exactly enough memory passes
+        monkeypatch.setattr(integrator, "_physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="stepped past"):
+            simulate_ensemble(model, cfg, 1000, n_workers=2, output_times=[0.0, 20e-4])
+        # a platform that cannot tell its memory skips the check
+        monkeypatch.setattr(integrator, "_physical_memory", lambda: None)
+        with pytest.raises(AssertionError, match="stepped past"):
+            simulate_ensemble(model, cfg, 1000, n_workers=2)
 
     @pytest.mark.slow
     def test_large_fhn_ensemble_runs_to_completion(self):
