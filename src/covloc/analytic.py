@@ -25,7 +25,6 @@ from .models import LinearParams
 class LinearSystemMatrix:
     """Spectrum of the linear model's circulant drift matrix A."""
 
-    params: LinearParams
     n_blocks: int
     eigenvalues: np.ndarray  # (N,), in Fourier-mode order
 
@@ -44,7 +43,7 @@ def build_system_matrix(params: LinearParams, n: int) -> LinearSystemMatrix:
     row[-1] += params.d_u
     eigenvalues = np.fft.fft(row).real
     eigenvalues.flags.writeable = False
-    return LinearSystemMatrix(params=params, n_blocks=n, eigenvalues=eigenvalues)
+    return LinearSystemMatrix(n_blocks=n, eigenvalues=eigenvalues)
 
 
 def _noise_kernel(lam: np.ndarray, t: float) -> np.ndarray:

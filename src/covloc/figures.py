@@ -50,6 +50,7 @@ from .integrator import (
     dividing_step,
     simulate_ensemble,
     simulate_path,
+    unsigned_64,
 )
 from .lattice import ContractViolationError
 from .models import FhnParams, LinearParams, build_model, fhn_model, linear_model, regime
@@ -112,7 +113,7 @@ DEFAULT_SEED = 20240 * 100003
 
 def _derived_seed(master_seed: int, *tags: int) -> int:
     """Well-mixed 64-bit sub-seed for an independent sub-experiment."""
-    seq = np.random.SeedSequence([int(master_seed)] + [int(t) for t in tags])
+    seq = np.random.SeedSequence([unsigned_64(master_seed, "seed")] + [int(t) for t in tags])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -265,6 +266,8 @@ def spatial_vs_mc_rows(
     iteration starts, before anything is integrated.  Yields rows
     (preset, time, lag, method, estimate, std_error).
     """
+    if not times:
+        raise ContractViolationError("times must name at least one output time")
     max_lag = n // 2 if max_lag is None else max_lag
     if not 0 <= max_lag <= n // 2:
         raise ContractViolationError(f"max_lag must lie in 0..{n // 2}, got {max_lag}")
@@ -360,8 +363,7 @@ def run_figure(
         raise ContractViolationError(f"scale must be 'paper' or 'desk', got {scale!r}")
     if threads < 1:
         raise ContractViolationError(f"threads must be >= 1, got {threads}")
-    if not 0 <= seed < 2**64:
-        raise ContractViolationError(f"seed must fit in 64 unsigned bits, got {seed}")
+    seed = unsigned_64(seed, "seed")
     spec = FIGURES[figure_id]
     cfg = SCALES[figure_id][scale] if figure_id in SCALES else None
     stem, header, rows, settings = spec.builder(cfg, seed, threads)

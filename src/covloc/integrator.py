@@ -5,10 +5,9 @@ of its stream pair (master_seed, index), (master_seed, j) unless the caller
 names the pairs, realized by a counter-based Philox generator keyed with the
 pair.  Results are therefore bit-identical across worker counts and
 execution orders; reductions over samples happen in fixed index order.
-Every sample starts at its model's point mass m0, yet each stream opens with
-N*q standard normals that are drawn and discarded: they are part of every
-stream, so sample j's noise comes after them.  A path given an ``initial``
-state draws none.
+Every sample and every path starts at its model's point mass m0, yet each
+stream opens with N*q standard normals that are drawn and discarded: they are
+part of every stream, so sample j's noise comes after them.
 
 One kernel, ``_advance``, steps a (C, N, q) block of samples in place: on
 one sample for ``simulate_path``, and for ensembles on chunks across
@@ -17,21 +16,22 @@ chunks of ceil(K / ceil(K / _CHUNK_SAMPLES)) samples, the last one shorter;
 no chunk exceeds _CHUNK_SAMPLES and the chunks are balanced.  Before any
 stepping a call allocates two arrays: its whole (T, K, N, q) result, into
 whose slices the chunks write their snapshots, and one noise array with a
-slot per worker, which each chunk borrows while it runs.  Within a chunk, a
-helper thread and the stepping thread share the drawing of each noise block
-row by row: the helper starts a block while the previous one is stepped,
-and the stepper takes the rows left before it steps it.  Either way sample
-c's rows come from its own stream, in order, and whichever thread draws a
-row scales it by sqrt(h) sigma^T while it is in cache, so the stepper only
-adds noise.  ``euler_step`` scales its draw the same way and takes one step
-with the same step function; noise and blow-ups: see ``_advance``.
+slot per worker: of W workers, worker w steps chunks w, w + W, ... in order
+on slot w.  Within a chunk, a helper thread and the stepping thread share
+the drawing of each noise block row by row: the helper starts a block while
+the previous one is stepped, and the stepper takes the rows left before it
+steps it.  Either way sample c's rows come from its own stream, in order,
+and whichever thread draws a row scales it by sqrt(h) sigma^T while it is in
+cache, so the stepper only adds noise.  ``euler_step`` scales its draw the
+same way and takes one step with the same step function; noise and blow-ups:
+see ``_advance``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,10 +79,7 @@ class IntegratorConfig:
             raise ContractViolationError(f"step_size must be positive, got {self.step_size}")
         if self.t_end < 0:
             raise ContractViolationError(f"t_end must be nonnegative, got {self.t_end}")
-        if not (0 <= int(self.master_seed) < 2**64):
-            raise ContractViolationError(
-                f"master_seed must fit in 64 unsigned bits, got {self.master_seed}"
-            )
+        object.__setattr__(self, "master_seed", unsigned_64(self.master_seed, "master_seed"))
         if _whole_steps(self.t_end, self.step_size) is None:
             raise ContractViolationError(
                 f"t_end/step_size = {self.t_end / self.step_size!r} is not an integer step count"
@@ -145,9 +142,21 @@ class EnsembleState:
         return self.samples.shape[0]
 
 
+def unsigned_64(value, what: str) -> int:
+    """A Python or numpy integer in [0, 2**64) as an int; a float is refused."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ContractViolationError(f"{what} must be an integer, got {value!r}") from None
+    if not 0 <= number < 2**64:
+        raise ContractViolationError(f"{what} {number} does not fit in 64 unsigned bits")
+    return number
+
+
 def sample_stream_key(master_seed: int, sample_index: int) -> int:
     """128-bit Philox key for one sample: (master_seed << 64) | sample_index."""
-    return (int(master_seed) << 64) | int(sample_index)
+    high = unsigned_64(master_seed, "stream seed")
+    return high << 64 | unsigned_64(sample_index, "stream index")
 
 
 def _sample_generator(master_seed: int, sample_index: int) -> np.random.Generator:
@@ -239,15 +248,10 @@ def _resolve_output_steps(config: IntegratorConfig, output_times) -> list[int]:
     return steps
 
 
-def _initial_state(model, gen, initial):
-    n, q = model.n_blocks, model.block_dim
-    if initial is None:
-        gen.standard_normal((n, q))  # discarded: see the module docstring
-        return np.tile(model.m0, (n, 1))
-    state = np.asarray(initial, dtype=float)
-    if state.shape != (n, q):
-        raise ContractViolationError(f"initial state must be ({n}, {q}), got {state.shape}")
-    return state.copy()
+def _start(model, gen):
+    """m0 on every block, once ``gen`` has discarded the N*q normals it opens with."""
+    gen.standard_normal((model.n_blocks, model.block_dim))
+    return np.tile(model.m0, (model.n_blocks, 1))
 
 
 def _physical_memory() -> int | None:
@@ -283,20 +287,19 @@ def _array_shapes(model, n_steps, n_out, n_samples, slots, count):
 def simulate_path(
     model: LatticeModelSpec,
     config: IntegratorConfig,
-    initial=None,
     output_times=None,
 ) -> PathResult:
-    """Integrate one path; a deterministic function of (model, config, initial).
+    """Integrate one path; a deterministic function of (model, config).
 
-    ``initial`` is an (N, q) array or None, in which case the path starts at
-    the point mass m0 on its own stream (master_seed, 0), so a path is sample
-    0 of the ensemble with the same config.  Output times must be multiples
-    of h.  The states are read-only.
+    The path starts at the point mass m0 on its own stream (master_seed, 0),
+    so a path is sample 0 of the ensemble with the same config; its blow-up
+    reports ``sample_index`` None.  Output times must be multiples of h.  The
+    states are read-only.
     """
     out_steps = _resolve_output_steps(config, output_times)
     shapes = _array_shapes(model, config.n_steps, len(out_steps), 1, 1, 1)
     gen = _sample_generator(config.master_seed, 0)
-    state = _initial_state(model, gen, initial)[None]
+    state = _start(model, gen)[None]
     result, noise = map(np.empty, shapes)
     _advance(model, config, state, [gen], out_steps, result, noise[0])
     result.flags.writeable = False
@@ -311,7 +314,7 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo=None
     call's result, so equal steps give equal, separate snapshots.
 
     Noise comes in blocks, drawn alternately into the two (C, steps, N, q)
-    ``buffers``, the chunk's slot of the call's one noise array (see
+    ``buffers``, its worker's slot of the call's one noise array (see
     ``_array_shapes`` for the block length).  A helper thread starts drawing
     the next block, one sample's row at a time, while the current one is
     stepped; at the top of each block the stepping thread draws the rows the
@@ -374,8 +377,8 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo=None
 
 
 def _pool_size(n_workers: int, n_chunks: int) -> int:
-    """Worker threads, each owning one slot of the call's noise array, which
-    the chunk it runs borrows.
+    """Worker threads: worker w owns slot w of the call's noise array and
+    steps chunks w, w + W, ... on it in order, W the returned count.
 
     A chunk is a run of consecutive entries of the call's ``streams``, so the
     pool never outgrows the number of those runs.
@@ -392,11 +395,6 @@ def _stream_keys(streams, n_samples: int) -> tuple[int, ...]:
         raise ContractViolationError(
             f"need one stream per sample: {len(streams)} streams for {n_samples} samples"
         )
-    for seed, index in streams:
-        if not 0 <= seed < 2**64:
-            raise ContractViolationError(f"stream seed {seed} does not fit in 64 unsigned bits")
-        if not 0 <= index < 2**64:
-            raise ContractViolationError(f"stream index {index} does not fit in 64 unsigned bits")
     keys = tuple(sample_stream_key(seed, index) for seed, index in streams)
     if len(set(keys)) != len(keys):
         raise ContractViolationError("streams must be pairwise distinct")
@@ -440,30 +438,26 @@ def simulate_ensemble(
         streams = [(config.master_seed, j) for j in range(n_samples)]
     seeds = _stream_keys(streams, n_samples)
     result, noise = map(np.empty, shapes)
-    free = queue.SimpleQueue()
-    for slot in range(workers):
-        free.put(slot)
 
-    def run(lo):
-        gens = [_sample_generator(*stream) for stream in streams[lo : lo + size]]
-        count = len(gens)
-        state = np.stack([_initial_state(model, gen, None) for gen in gens])
-        slot = free.get()
-        try:
+    def run(worker):
+        errors = []
+        for lo in starts[worker::workers]:
+            gens = [_sample_generator(*stream) for stream in streams[lo : lo + size]]
+            count = len(gens)
+            state = np.stack([_start(model, gen) for gen in gens])
             out = result[:, lo : lo + count]
-            _advance(model, config, state, gens, out_steps, out, noise[slot, :, :count], lo)
-        except NumericalBlowupError as err:
-            return err
-        finally:
-            free.put(slot)
-        return None
+            try:
+                _advance(model, config, state, gens, out_steps, out, noise[worker, :, :count], lo)
+            except NumericalBlowupError as err:
+                errors.append(err)
+        return errors
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, starts))
+            outcomes = list(pool.map(run, range(workers)))
     else:
-        outcomes = [run(lo) for lo in starts]
-    errors = [err for err in outcomes if err is not None]
+        outcomes = [run(0)]
+    errors = [err for chunk_errors in outcomes for err in chunk_errors]
     if errors:
         raise min(errors, key=lambda err: (err.time, err.sample_index))
     result.flags.writeable = False

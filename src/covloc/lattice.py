@@ -209,6 +209,9 @@ class BlockCovariance:
 
     def entry(self, i: int, j: int, m: int = 1, n: int = 1) -> float:
         """Scalar entry (m, n) of block (i, j); all indices 1-based."""
+        q = self.block_dim
+        if not (1 <= m <= q and 1 <= n <= q):
+            raise ContractViolationError(f"component indices must lie in 1..{q}, got ({m}, {n})")
         return float(self.block(i, j)[m - 1, n - 1])
 
     def lag_profile(self) -> np.ndarray:

@@ -141,6 +141,19 @@ def test_fhn_figures_write_one_csv_and_metadata(tmp_path, monkeypatch, figure_id
     assert len(rows) == n_rows
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(3.0), "3", -1, 2**64])
+def test_run_figure_rejects_a_seed_that_is_not_a_64_bit_integer(tmp_path, seed):
+    # 1.5 used to run as seed 1 while the metadata recorded 1.5
+    with pytest.raises(ContractViolationError, match="seed"):
+        run_figure("F7", seed=seed, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_figure_takes_a_numpy_integer_seed(tmp_path):
+    files = run_figure("F1", seed=np.uint64(3), out_dir=tmp_path)
+    assert json.loads(files[1].read_text())["seed"] == 3
+
+
 def _whole(ratio):
     return abs(ratio - round(ratio)) <= 1e-9
 
@@ -200,6 +213,7 @@ def _refuse_to_integrate(*args, **kwargs):
         ({"max_lag": -1}, ContractViolationError),
         ({"k_mc": 1}, InsufficientSamplesError),
         ({"sa_replicates": 1}, InsufficientSamplesError),
+        ({"times": []}, ContractViolationError),
     ],
 )
 def test_spatial_vs_mc_rejects_bad_arguments_before_integrating(monkeypatch, kwargs, error):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -146,11 +147,16 @@ class TestEulerStep:
             )
         out = euler_step(state, 0.0, model, h, noise)
         np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
-        # the ensemble kernel takes the same step with each sample's own draw
+        # the kernel takes the same step from m0, nonzero so that the drift
+        # acts, with the stream's second N*q draw: every stream discards its first
+        model = dataclasses.replace(model, m0=np.array([1.0, -2.0]))
         cfg = IntegratorConfig(step_size=h, t_end=h, master_seed=4)
-        path = simulate_path(model, cfg, state)
-        draw = integrator._sample_generator(4, 0).standard_normal((3, 2))
-        np.testing.assert_array_equal(path.states[-1], euler_step(state, 0.0, model, h, draw))
+        path = simulate_path(model, cfg)
+        gen = integrator._sample_generator(4, 0)
+        gen.standard_normal((3, 2))
+        draw = gen.standard_normal((3, 2))
+        start = np.tile(model.m0, (3, 1))
+        np.testing.assert_array_equal(path.states[-1], euler_step(start, 0.0, model, h, draw))
 
     def test_blowup_names_first_block(self):
         model = linear_model(LinearParams(), 4)
@@ -179,6 +185,22 @@ class TestConfig:
     def test_positive_step(self):
         with pytest.raises(ContractViolationError):
             IntegratorConfig(step_size=0.0, t_end=1.0, master_seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(1.0), "1", None, -1, 2**64])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        # 1.5 used to run as seed 1, bit for bit
+        with pytest.raises(ContractViolationError, match="master_seed"):
+            IntegratorConfig(step_size=1e-2, t_end=5e-2, master_seed=seed)
+
+    def test_numpy_integer_seeds_and_indices_are_accepted(self):
+        model = linear_model(LinearParams(), 4)
+        cfg = IntegratorConfig(step_size=1e-2, t_end=5e-2, master_seed=1)
+        expected = simulate_ensemble(model, cfg, 3).samples
+        numpy_cfg = IntegratorConfig(step_size=1e-2, t_end=5e-2, master_seed=np.uint64(1))
+        assert type(numpy_cfg.master_seed) is int
+        assert np.array_equal(simulate_ensemble(model, numpy_cfg, 3).samples, expected)
+        streams = [(np.uint64(1), np.int64(j)) for j in range(3)]
+        assert np.array_equal(simulate_ensemble(model, cfg, 3, streams=streams).samples, expected)
 
     def test_step_count_beyond_float_range_is_rejected(self):
         # 1e10 / 1e-302 overflows to inf, which has no whole count to round
@@ -209,12 +231,11 @@ def test_dividing_step(span, cap, expected):
 
 class TestSimulatePath:
     def test_t_end_zero_returns_initial_state_only(self):
-        model = linear_model(LinearParams(), 4)
+        model = linear_model(LinearParams(), 4, m0=1.5)
         cfg = IntegratorConfig(step_size=0.01, t_end=0.0, master_seed=3)
-        initial = np.ones((4, 1))
-        result = simulate_path(model, cfg, initial)
+        result = simulate_path(model, cfg)
         assert result.times.tolist() == [0.0]
-        np.testing.assert_array_equal(result.states[0], initial)
+        np.testing.assert_array_equal(result.states, np.full((1, 4, 1), 1.5))
 
     def test_bit_identical_reruns(self):
         model = linear_model(LinearParams(a=1.0, d_u=2.0, w=1.0), 8)
@@ -243,17 +264,20 @@ class TestSimulatePath:
         assert abs(u1_sq.mean() - target) < 3 * se
 
     def test_path_blowup_reports_exact_step(self):
-        h = 1e-3
-        initial = np.zeros((3, 1))
-        initial[1, 0] = 0.5
-        # block 2 reaches the threshold after 12 steps, so step 13 is the
-        # first non-finite one; the failing check runs at the block's end
-        model = _ramp_model(0.5 + 11.5 * h)
-        cfg = IntegratorConfig(step_size=h, t_end=20 * h, master_seed=1)
+        # the noise alone decides when each block crosses: block 3 first goes
+        # non-finite at step 14 and block 2 at step 26, both inside the path's
+        # one noise block, so the failing check at its end re-steps the block
+        h, seed = 1e-3, 1
+        model = _ramp_model(0.1, sigma=1.0)
+        cfg = IntegratorConfig(step_size=h, t_end=40 * h, master_seed=seed)
+        history = _drawn_up_front(model, cfg, _streams(seed, 1))
+        time, sample, block = _first_blowup(history, h)
+        assert (round(time / h), sample, block) == (14, 0, 3)
+        assert _first_blowup(history[..., :2, :], h)[0] == 26 * h
         with pytest.raises(NumericalBlowupError) as err:
-            simulate_path(model, cfg, initial)
-        assert err.value.time == pytest.approx(13 * h, abs=1e-15)
-        assert err.value.block_index == 2
+            simulate_path(model, cfg)
+        assert err.value.time == time
+        assert err.value.block_index == block
         assert err.value.sample_index is None
 
 
@@ -333,6 +357,9 @@ class TestSimulateEnsemble:
             ([(1, 0), (2**64, 1), (1, 2)], "seed"),
             ([(1, 0), (-1, 1), (1, 2)], "seed"),
             ([(1, 0), (1, -1), (1, 2)], "index"),
+            ([(1.9, 0), (1, 1), (1, 2)], "seed"),
+            ([(1, 0), (1, 1.0), (1, 2)], "index"),
+            ([(1, 0), (1, 1), (1, np.float64(2.0))], "index"),
         ],
     )
     def test_bad_streams_are_rejected_before_stepping(self, monkeypatch, streams, match):
@@ -384,9 +411,9 @@ class TestSimulateEnsemble:
             sys.setswitchinterval(interval)
 
     def test_chunks_reuse_noise_slots_under_frequent_thread_switches(self, monkeypatch):
-        # five chunks of 240 on three workers: two chunks borrow a slot
-        # another chunk has returned; a slot lent to two running chunks at
-        # once would mix their noise and break the equality
+        # five chunks of 240 on three workers: workers 0 and 1 step chunks 3
+        # and 4 on the slot their first chunk used; a slot that two running
+        # chunks shared would mix their noise and break the equality
         model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 4)
         cfg = IntegratorConfig(step_size=1e-3, t_end=40e-3, master_seed=12)
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**10)  # 8-step blocks

@@ -206,6 +206,15 @@ class TestBlockCovariance:
         assert np.array_equal(cov.block(2, 3), data[2:4, 4:6])
         assert cov.entry(2, 3, 1, 2) == data[2, 5]
 
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, 1)])
+    def test_entry_rejects_component_indices_outside_the_block(self, m, n):
+        # entry(1, 1, 0, 0) used to read component (2, 2) of the block, and
+        # m = 3 raised a bare IndexError
+        data = np.arange(36, dtype=float).reshape(6, 6)
+        cov = BlockCovariance(0.5 * (data + data.T), 3, 2)
+        with pytest.raises(ContractViolationError, match="component indices must lie in 1..2"):
+            cov.entry(1, 1, m, n)
+
     def test_symmetrized_on_construction(self):
         base = np.array([[1.0, 0.5], [0.5 + 1e-14, 2.0]])
         cov = BlockCovariance(base, 2, 1)  # needs n_blocks * block_dim = 2
