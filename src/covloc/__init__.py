@@ -8,6 +8,7 @@ from .lattice import (
     LatticeModelSpec,
     LipschitzConstants,
     UnsupportedModelError,
+    circulant_spectrum,
     cyclic_distance,
     lipschitz_constants,
 )
@@ -32,7 +33,6 @@ from .integrator import (
     simulate_path,
 )
 from .analytic import (
-    LinearSystemMatrix,
     analytic_covariance,
     analytic_mean,
     build_system_matrix,

@@ -13,65 +13,49 @@ for |lambda t| << 1.  tests/oracles.py holds the dense reference route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lattice import BlockCovariance, ContractViolationError, ring_matrix
-from .models import LinearParams
+from .lattice import BlockCovariance, ContractViolationError, circulant_spectrum, ring_matrix
+from .models import LinearParams, linear_model
 
 
-@dataclass(frozen=True)
-class LinearSystemMatrix:
-    """Spectrum of the linear model's circulant drift matrix A."""
+def build_system_matrix(params: LinearParams, n: int) -> np.ndarray:
+    """Spectrum of A = -a I + d_u * (circulant second difference) + (w/N) * ones - w I,
+    in Fourier-mode order and read-only: the surrogate circulant
+    (``circulant_spectrum``) at the linear model's own constants.
 
-    n_blocks: int
-    eigenvalues: np.ndarray  # (N,), in Fourier-mode order
-
-
-def build_system_matrix(params: LinearParams, n: int) -> LinearSystemMatrix:
-    """Spectrum of A = -a I + d_u * (circulant second difference) + (w/N) * ones - w I.
-
-    The FFT of A's first row: -a and -a - w - 4 d_u sin^2(pi k / N), all
-    negative because LinearParams requires a > 0 and d_u, w >= 0.
+    Its entries are -a and -a - w - 4 d_u sin^2(pi k / N), all negative
+    because LinearParams requires a > 0 and d_u, w >= 0.
     """
-    if n < 3:
-        raise ContractViolationError(f"need n >= 3, got {n}")
-    row = np.full(n, params.w / n)
-    row[0] += -params.a - 2.0 * params.d_u - params.w
-    row[1] += params.d_u
-    row[-1] += params.d_u
-    eigenvalues = np.fft.fft(row).real
-    eigenvalues.flags.writeable = False
-    return LinearSystemMatrix(n_blocks=n, eigenvalues=eigenvalues)
+    return circulant_spectrum(linear_model(params, n).lipschitz, n)
 
 
 def _noise_kernel(lam: np.ndarray, t: float) -> np.ndarray:
     """(e^{2 lambda t} - 1) / (2 lambda), with the lambda -> 0 limit t."""
-    lam = np.asarray(lam, dtype=float)
     out = np.full(lam.shape, float(t))
     nz = lam != 0.0
     out[nz] = np.expm1(2.0 * lam[nz] * t) / (2.0 * lam[nz])
     return out
 
 
-def _covariance_row(sys: LinearSystemMatrix, sigma_u: float, t: float) -> np.ndarray:
-    """First row of the covariance at time t from zero initial covariance."""
-    return np.fft.ifft(sigma_u**2 * _noise_kernel(sys.eigenvalues, t)).real
+def _covariance_row(sys: np.ndarray, sigma_u: float, t: float) -> np.ndarray:
+    """First row of the covariance at time t from zero initial covariance;
+    ``sys`` is a ``build_system_matrix`` spectrum, as in the functions below."""
+    return np.fft.ifft(sigma_u**2 * _noise_kernel(sys, t)).real
 
 
-def analytic_mean(sys: LinearSystemMatrix, u0: np.ndarray, t: float) -> np.ndarray:
+def analytic_mean(sys: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
     """e^{At} u0."""
     if t < 0:
         raise ContractViolationError(f"t must be nonnegative, got {t}")
     u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (sys.n_blocks,):
-        raise ContractViolationError(f"u0 must have shape ({sys.n_blocks},), got {u0.shape}")
-    return np.fft.ifft(np.exp(sys.eigenvalues * t) * np.fft.fft(u0)).real
+    if u0.shape != sys.shape:
+        raise ContractViolationError(f"u0 must have shape {sys.shape}, got {u0.shape}")
+    return np.fft.ifft(np.exp(sys * t) * np.fft.fft(u0)).real
 
 
 def analytic_covariance(
-    sys: LinearSystemMatrix,
+    sys: np.ndarray,
     cov0: np.ndarray | None,
     sigma_u: float,
     t: float,
@@ -83,13 +67,13 @@ def analytic_covariance(
     """
     if t < 0:
         raise ContractViolationError(f"t must be nonnegative, got {t}")
-    n = sys.n_blocks
+    n = len(sys)
     total = ring_matrix(_covariance_row(sys, sigma_u, t))
     if cov0 is not None:
         cov0 = np.asarray(cov0, dtype=float)
         if cov0.shape != (n, n):
             raise ContractViolationError(f"cov0 must be ({n}, {n}), got {cov0.shape}")
-        e = np.exp(sys.eigenvalues * t)
+        e = np.exp(sys * t)
         total = total + np.fft.ifft2(np.outer(e, e) * np.fft.fft2(cov0)).real
     return BlockCovariance(total, n_blocks=n, block_dim=1)
 

@@ -38,6 +38,7 @@ from .lattice import (
     ContractViolationError,
     LatticeModelSpec,
     LipschitzConstants,
+    circulant_spectrum,
     cyclic_distance,
     lipschitz_constants,
     ring_matrix,
@@ -162,12 +163,11 @@ def _prefactor(inputs: BoundInputs) -> float:
 
 
 def local_coefficient(beta: float, inputs: BoundInputs) -> float:
-    """Coefficient of exp(-beta * d(i, j)) in the local term.
+    """Coefficient of exp(-beta * d(i, j)) in the local term: that term at d = 0.
 
     This is the constant the localization-error bound needs.
     """
-    lam, _ = growth_rates(beta, inputs.constants)
-    return _cap(_prefactor(inputs) * _growth(_doubled(lam), inputs.t, inputs))
+    return covariance_bound(1, 1, beta, inputs).local_term
 
 
 def covariance_bound(i: int, j: int, beta: float, inputs: BoundInputs) -> BoundEvaluation:
@@ -305,18 +305,12 @@ def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
     G is the symmetric circulant with first row
     [lambda_0, lambda_f, 0, ..., 0, lambda_f] + lambda_h / N, so
     Q(s) = e^{2 G s} is the symmetric circulant whose first row is the
-    inverse FFT of e^{2 s g_k}, where g_k is the FFT of G's first row.
-    Q(0) is the identity.
+    inverse FFT of e^{2 s g_k}, where g_k is G's spectrum
+    (``circulant_spectrum``).  Q(0) is the identity.
     """
-    if n < 3:
-        raise ContractViolationError(f"need n >= 3, got {n}")
     if s < 0:
         raise ContractViolationError(f"s must be nonnegative, got {s}")
-    row = np.full(n, c.lambda_h / n)
-    row[0] += c.lambda_0
-    row[1] += c.lambda_f
-    row[-1] += c.lambda_f
-    kernel_row = np.fft.ifft(np.exp(2.0 * s * np.fft.fft(row).real)).real
+    kernel_row = np.fft.ifft(np.exp(2.0 * s * circulant_spectrum(c, n))).real
     return ring_matrix(kernel_row)
 
 

@@ -133,7 +133,8 @@ def stein_identity_residual(
     dim: int,
     n_mc: int = 100_000,
     n_theta: int = 64,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> SteinCheck:
     """Monte Carlo check of cov(f(X), g(X)) = int_0^{pi/2} sin(t) E<grad f(X), grad g(X^t)> dt
     for independent standard Gaussians X, Y and X^t = cos(t) X + sin(t) Y.

@@ -266,8 +266,8 @@ def spatial_vs_mc_rows(
     iteration starts, before anything is integrated.  Yields rows
     (preset, time, lag, method, estimate, std_error).
     """
-    if not times:
-        raise ContractViolationError("times must name at least one output time")
+    if not times or list(times) != sorted(times):
+        raise ContractViolationError(f"times must be nonempty and nondecreasing, got {times}")
     max_lag = n // 2 if max_lag is None else max_lag
     if not 0 <= max_lag <= n // 2:
         raise ContractViolationError(f"max_lag must lie in 0..{n // 2}, got {max_lag}")
@@ -350,8 +350,9 @@ FIGURES: dict[str, FigureSpec] = {
 def run_figure(
     figure_id: str,
     scale: str = "desk",
-    seed: int = DEFAULT_SEED,
-    out_dir="figures",
+    *,
+    seed: int,
+    out_dir,
     threads: int = 1,
 ) -> list[Path]:
     """Regenerate the data behind one figure; returns [<id>_<stem>.csv, <id>_metadata.json]."""

@@ -9,11 +9,11 @@ Every sample and every path starts at its model's point mass m0, yet each
 stream opens with N*q standard normals that are drawn and discarded: they are
 part of every stream, so sample j's noise comes after them.
 
-One kernel, ``_advance``, steps a (C, N, q) block of samples in place: on
-one sample for ``simulate_path``, and for ensembles on chunks across
-min(n_workers, chunks, os.cpu_count()) threads.  K samples are cut into
-chunks of ceil(K / ceil(K / _CHUNK_SAMPLES)) samples, the last one shorter;
-no chunk exceeds _CHUNK_SAMPLES and the chunks are balanced.  Before any
+One kernel, ``_advance``, steps (C, N, q) chunks of an ensemble in place
+across min(n_workers, chunks, os.cpu_count()) threads; a path is a
+one-sample ensemble.  K samples are cut into chunks of
+ceil(K / ceil(K / _CHUNK_SAMPLES)) samples, the last one shorter; no chunk
+exceeds _CHUNK_SAMPLES and the chunks are balanced.  Before any
 stepping a call allocates two arrays: its whole (T, K, N, q) result, into
 whose slices the chunks write their snapshots, and one noise array with a
 slot per worker: of W workers, worker w steps chunks w, w + W, ... in order
@@ -49,16 +49,14 @@ class NumericalBlowupError(RuntimeError):
     """A state or drift evaluation left the finite range.
 
     ``sample_index`` is the failing sample's position in the ensemble call's
-    ``streams`` (None for a single path); ``block_index`` is 1-based.
+    ``streams``, 0 for a path or a single step; ``block_index`` is 1-based.
     """
 
-    def __init__(self, time: float, block_index: int, sample_index: int | None = None):
+    def __init__(self, time: float, block_index: int, sample_index: int):
         self.time = time
         self.block_index = block_index
         self.sample_index = sample_index
-        where = f"block {block_index}"
-        if sample_index is not None:
-            where = f"sample {sample_index}, " + where
+        where = f"sample {sample_index}, block {block_index}"
         super().__init__(f"non-finite state at t={time:.6g} ({where}); reduce the step size")
 
 
@@ -163,13 +161,13 @@ def _sample_generator(master_seed: int, sample_index: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(key=sample_stream_key(master_seed, sample_index)))
 
 
-def _require_finite(state: np.ndarray, time: float, sample_lo: int | None = None) -> None:
-    """Name the first non-finite entry of a (C, N, q) state, if any."""
+def _require_finite(state: np.ndarray, time: float, sample_lo: int) -> None:
+    """Name the first non-finite entry of a (C, N, q) state, if any; its
+    sample is ``sample_lo`` + c."""
     bad = ~np.isfinite(state)
     if bad.any():
         sample, block, _ = np.argwhere(bad)[0]
-        local = None if sample_lo is None else sample_lo + int(sample)
-        raise NumericalBlowupError(time, int(block) + 1, local)
+        raise NumericalBlowupError(time, int(block) + 1, sample_lo + int(sample))
 
 
 def _noise_scaling(model: LatticeModelSpec, h: float):
@@ -205,7 +203,7 @@ def euler_step(
 
     ``noise`` is an (N, q) standard normal draw; returns state + h * drift +
     sqrt(h) * noise @ sigma^T by the kernel's step function.  Deterministic
-    given (state, noise); ``t`` only dates a blow-up report.
+    given (state, noise); ``t`` only dates a blow-up report, whose sample is 0.
     """
     if not (math.isfinite(h) and h > 0):
         raise ContractViolationError(f"h must be positive and finite, got {h}")
@@ -216,11 +214,11 @@ def euler_step(
         raise ContractViolationError(
             f"state and noise must have shape {expected}, got {state.shape} and {noise.shape}"
         )
-    _require_finite(state[None], t)
+    _require_finite(state[None], t, 0)
     _noise_scaling(model, h)(noise[None])
     with np.errstate(over="ignore", invalid="ignore"):
         _step(model, state, noise, h, np.empty_like(state))
-    _require_finite(state[None], t + h)
+    _require_finite(state[None], t + h, 0)
     return state
 
 
@@ -289,25 +287,19 @@ def simulate_path(
     config: IntegratorConfig,
     output_times=None,
 ) -> PathResult:
-    """Integrate one path; a deterministic function of (model, config).
-
-    The path starts at the point mass m0 on its own stream (master_seed, 0),
-    so a path is sample 0 of the ensemble with the same config; its blow-up
-    reports ``sample_index`` None.  Output times must be multiples of h.  The
-    states are read-only.
+    """Integrate one path: sample 0 of the ensemble with the same config,
+    from one ``simulate_ensemble`` call, so its blow-up reports sample 0.
+    Output times must be multiples of h; the default is t_end.  The states
+    are read-only.
     """
-    out_steps = _resolve_output_steps(config, output_times)
-    shapes = _array_shapes(model, config.n_steps, len(out_steps), 1, 1, 1)
-    gen = _sample_generator(config.master_seed, 0)
-    state = _start(model, gen)[None]
-    result, noise = map(np.empty, shapes)
-    _advance(model, config, state, [gen], out_steps, result, noise[0])
-    result.flags.writeable = False
-    times = np.array([s * config.step_size for s in out_steps])
-    return PathResult(times=times, states=result[:, 0])
+    times = [config.t_end] if output_times is None else output_times
+    snapshots = simulate_ensemble(model, config, 1, output_times=times)
+    states = np.stack([s.samples[0] for s in snapshots])
+    states.flags.writeable = False
+    return PathResult(times=np.array([s.time for s in snapshots]), states=states)
 
 
-def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo=None):
+def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo):
     """The stepping kernel: advance the (C, N, q) block ``state`` in place
     to t_end, sample c drawing its noise from ``gens[c]``; the state at step
     ``out_steps[i]`` is written into ``out[i]``, a (C, N, q) slice of the
@@ -325,8 +317,7 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo=None
     infs persist under the update, so a failed check restores the block's
     saved start and re-steps the block with its still buffered noise,
     checking every step.  That names the first non-finite step and its first
-    sample ``sample_lo`` + c (None for a single path), an index into the
-    caller's streams.
+    sample ``sample_lo`` + c, an index into the caller's streams.
     """
     count = state.shape[0]
     h, n_steps = config.step_size, config.n_steps
@@ -376,6 +367,15 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo=None
                     _require_finite(state, k * h, sample_lo)
 
 
+def _count(value, what: str) -> int:
+    """A Python or numpy integer >= 1 as an int; a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolationError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ContractViolationError(f"{what} must be >= 1, got {value}")
+    return int(value)
+
+
 def _pool_size(n_workers: int, n_chunks: int) -> int:
     """Worker threads: worker w owns slot w of the call's noise array and
     steps chunks w, w + W, ... on it in order, W the returned count.
@@ -383,9 +383,7 @@ def _pool_size(n_workers: int, n_chunks: int) -> int:
     A chunk is a run of consecutive entries of the call's ``streams``, so the
     pool never outgrows the number of those runs.
     """
-    if n_workers < 1:
-        raise ContractViolationError(f"n_workers must be >= 1, got {n_workers}")
-    return min(n_workers, n_chunks, os.cpu_count() or 1)
+    return min(_count(n_workers, "n_workers"), n_chunks, os.cpu_count() or 1)
 
 
 def _stream_keys(streams, n_samples: int) -> tuple[int, ...]:
@@ -415,9 +413,10 @@ def simulate_ensemble(
     ``streams[j]``, a (master_seed, index) pair; the default is
     (config.master_seed, j) for j < n_samples.  Samples with different
     master seeds can so share one call, and each gives the same result as
-    in a call of its own.  A call whose result and buffers exceed physical
-    memory is refused first; then the streams are checked before any
-    stepping: one per sample, pairwise distinct, seed and index in
+    in a call of its own.  A call whose ``n_samples`` or ``n_workers`` is
+    not an integer >= 1 (a bool is refused), or whose result and buffers
+    exceed physical memory, is refused first; then the streams are checked
+    before any stepping: one per sample, pairwise distinct, seed and index in
     [0, 2**64).  The result is independent of chunking, scheduling, and
     ``n_workers``.  Every chunk runs to its own blow-up, if any, and the
     call reports the earliest (time, sample) of them, whose
@@ -426,8 +425,7 @@ def simulate_ensemble(
     a read-only view of the call's one result array; otherwise a single
     EnsembleState at t_end.
     """
-    if n_samples < 1:
-        raise ContractViolationError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _count(n_samples, "n_samples")
     out_steps = _resolve_output_steps(config, output_times)
     n_chunks = -(-n_samples // _CHUNK_SAMPLES)
     size = -(-n_samples // n_chunks)

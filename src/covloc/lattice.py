@@ -75,6 +75,22 @@ class LipschitzConstants:
             )
 
 
+def circulant_spectrum(c: LipschitzConstants, n: int) -> np.ndarray:
+    """Read-only eigenvalues, in Fourier-mode order, of the symmetric circulant
+    with first row [lambda_0, lambda_f, 0, ..., 0, lambda_f] + lambda_h / N:
+    the FFT of that row.  This is the linear surrogate's generator, and with
+    the linear model's own constants its drift matrix."""
+    if n < 3:
+        raise ContractViolationError(f"need n >= 3, got {n}")
+    row = np.full(n, c.lambda_h / n)
+    row[0] += c.lambda_0
+    row[1] += c.lambda_f
+    row[-1] += c.lambda_f
+    spectrum = np.fft.fft(row).real
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False

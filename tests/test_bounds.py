@@ -34,7 +34,7 @@ from covloc import (
 from covloc.analytic import circulant_covariance_row
 from covloc.bounds import CAP
 
-from oracles import taylor_expm
+from oracles import dense_drift_matrix, taylor_expm
 
 
 def _inputs(c, sigma_sq=0.25, sigma0_sq=0.0, q=1, grad=1.0, t=5.0, n=64):
@@ -271,6 +271,19 @@ class TestSurrogateKernel:
                 np.testing.assert_allclose(
                     surrogate_kernel(c, n, s), scipy.linalg.expm(2.0 * s * g), rtol=1e-12
                 )
+
+    def test_linear_model_constants_give_its_own_propagator(self):
+        # the linear lattice is its own surrogate: with its constants, G is
+        # the drift matrix A itself, diffusion and mean field alike
+        params = LinearParams(a=1.0, d_u=2.0, w=1.5)
+        for n, s in ((8, 0.3), (17, 0.05)):
+            a = dense_drift_matrix(params, n)
+            np.testing.assert_allclose(
+                surrogate_kernel(linear_model(params, n).lipschitz, n, s),
+                taylor_expm(2.0 * s * a),
+                rtol=1e-12,
+                atol=1e-15,
+            )
 
     def test_symmetric_psd_circulant_with_distance_structure(self):
         c = LipschitzConstants(-2.0, 0.5, 0.3)

@@ -214,12 +214,15 @@ def _refuse_to_integrate(*args, **kwargs):
         ({"k_mc": 1}, InsufficientSamplesError),
         ({"sa_replicates": 1}, InsufficientSamplesError),
         ({"times": []}, ContractViolationError),
+        pytest.param({"times": [0.02, 0.01]}, ContractViolationError, id="decreasing-times"),
     ],
 )
 def test_spatial_vs_mc_rejects_bad_arguments_before_integrating(monkeypatch, kwargs, error):
     monkeypatch.setattr(figures, "simulate_ensemble", _refuse_to_integrate)
     args = {"n": 16, "times": [0.01], "k_mc": 4, "sa_replicates": 3, "h": 5e-4, "seed": 1}
-    with pytest.raises(error):
+    # the message names the argument, or for times out of order that order
+    match = "nondecreasing" if kwargs.get("times") else next(iter(kwargs))
+    with pytest.raises(error, match=match):
         list(spatial_vs_mc_rows("regime-f", **{**args, **kwargs}))
 
 

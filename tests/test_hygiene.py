@@ -1,6 +1,6 @@
 """Static checks on the library source: no module imports a name it never
-uses, every defaulted parameter is set by at least one caller, and every name
-a comment or docstring cites is defined."""
+uses, every defaulted parameter is set by at least one caller and left to its
+default by another, and every name a comment or docstring cites is defined."""
 
 import ast
 import io
@@ -69,9 +69,9 @@ def _defaulted_parameters(tree):
     return found
 
 
-def _set_by_calls(trees):
-    """Function name -> (parameters set by keyword, most positions set,
-    whether some call passes ``*args`` or ``**kwargs``)."""
+def _calls_by_name(trees):
+    """Function name -> one (parameters set by keyword, positions set,
+    whether it passes ``*args`` or ``**kwargs``) per call."""
     calls = {}
     for tree in trees:
         for call in ast.walk(tree):
@@ -81,49 +81,84 @@ def _set_by_calls(trees):
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name is None:
                 continue
-            keywords, positions, splat = calls.get(name, (set(), 0, False))
-            keywords |= {k.arg for k in call.keywords if k.arg}
-            splat |= any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords if k.arg}
+            splat = any(isinstance(a, ast.Starred) for a in call.args)
             splat |= any(k.arg is None for k in call.keywords)
-            calls[name] = (keywords, max(positions, len(call.args)), splat)
+            calls.setdefault(name, []).append((keywords, len(call.args), splat))
     return calls
 
 
-def unset_defaults(definitions: str, callers: list[str]) -> list[str]:
-    """``function.parameter`` for each defaulted parameter in ``definitions``
-    that no call in ``callers`` sets, by keyword or by position.  Calls match
-    by function name alone, so a name collision can only hide a finding."""
-    calls = _set_by_calls(ast.parse(c) for c in callers)
-    unset = []
+def _defaults_and_calls(definitions: str, callers: list[str]):
+    """(function.parameter, [(call sets it, call passes a splat)]) for each
+    defaulted parameter in ``definitions``.  Calls match by function name
+    alone."""
+    calls = _calls_by_name(ast.parse(c) for c in callers)
     for name, param, pos in _defaulted_parameters(ast.parse(definitions)):
-        keywords, positions, splat = calls.get(name, (set(), 0, False))
-        if not (splat or param in keywords or (pos is not None and pos < positions)):
-            unset.append(f"{name}.{param}")
-    return sorted(unset)
+        outcomes = [
+            (param in keywords or (pos is not None and pos < positions), splat)
+            for keywords, positions, splat in calls.get(name, [])
+        ]
+        yield f"{name}.{param}", outcomes
+
+
+def unset_defaults(definitions: str, callers: list[str]) -> list[str]:
+    """Each defaulted parameter in ``definitions`` that no call in
+    ``callers`` sets, by keyword or by position; a splat may set it."""
+    return sorted(
+        name
+        for name, outcomes in _defaults_and_calls(definitions, callers)
+        if not any(sets or splat for sets, splat in outcomes)
+    )
+
+
+def always_set_defaults(definitions: str, callers: list[str]) -> list[str]:
+    """Each defaulted parameter in ``definitions`` that some call in
+    ``callers`` sets and every call sets, so its default is dead; a splat
+    may leave it unset."""
+    return sorted(
+        name
+        for name, outcomes in _defaults_and_calls(definitions, callers)
+        if outcomes and all(sets and not splat for sets, splat in outcomes)
+    )
+
+
+_DEFINITIONS = (
+    "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+    "def g(x=0):\n    pass\n"
+    "def h(y=0):\n    pass\n"
+    "class K:\n"
+    "    def __init__(self, p, q=None):\n        pass\n"
+    "    def m(self, r=1, s=2):\n        pass\n"
+)
 
 
 def test_unset_defaults_finds_only_parameters_no_call_sets():
-    definitions = (
-        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
-        "def g(x=0):\n    pass\n"
-        "def h(y=0):\n    pass\n"
-        "class K:\n"
-        "    def __init__(self, p, q=None):\n        pass\n"
-        "    def m(self, r=1, s=2):\n        pass\n"
-    )
     callers = [
         "f(0, 5)\nmod.f(0, e=6)\n",
         "g(*args)\nK(1, 2)\nk.m(3)\n",
     ]
-    assert unset_defaults(definitions, callers) == ["f.c", "f.d", "h.y", "m.s"]
+    assert unset_defaults(_DEFINITIONS, callers) == ["f.c", "f.d", "h.y", "m.s"]
+
+
+def test_always_set_defaults_finds_only_parameters_every_call_sets():
+    callers = [
+        "f(0, 5, e=1)\nmod.f(0, 6, 7, e=2)\n",
+        "g(*args)\nK(1, 2)\nK(1, q=3)\nk.m(3)\nk.m(s=1)\n",
+    ]
+    assert always_set_defaults(_DEFINITIONS, callers) == ["K.q", "f.b", "f.e"]
+
+
+def _library_findings(finder):
+    callers = [p.read_text() for p in CALLER_SOURCES]
+    return [f"{path.name}:{name}" for path in MODULES for name in finder(path.read_text(), callers)]
 
 
 def test_every_defaulted_parameter_has_a_caller():
-    callers = [p.read_text() for p in CALLER_SOURCES]
-    unset = [
-        f"{path.name}:{name}" for path in MODULES for name in unset_defaults(path.read_text(), callers)
-    ]
-    assert unset == []
+    assert _library_findings(unset_defaults) == []
+
+
+def test_no_defaulted_parameter_is_set_by_every_caller():
+    assert _library_findings(always_set_defaults) == []
 
 
 def cited_names(source: str) -> set[str]:

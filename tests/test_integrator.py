@@ -164,7 +164,7 @@ class TestEulerStep:
         state[2, 0] = np.inf
         with pytest.raises(NumericalBlowupError) as err:
             euler_step(state, 0.0, model, 0.01, np.zeros((4, 1)))
-        assert err.value.block_index == 3
+        assert (err.value.block_index, err.value.sample_index) == (3, 0)
 
     @pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf, -math.inf])
     def test_step_must_be_positive_and_finite(self, h):
@@ -278,17 +278,21 @@ class TestSimulatePath:
             simulate_path(model, cfg)
         assert err.value.time == time
         assert err.value.block_index == block
-        assert err.value.sample_index is None
+        assert err.value.sample_index == 0
 
 
 class TestSimulateEnsemble:
     def test_single_sample_equals_path(self):
         model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 8)
         cfg = IntegratorConfig(step_size=1e-3, t_end=0.1, master_seed=7)
-        ens = simulate_ensemble(model, cfg, 1)
-        path = simulate_path(model, cfg)
-        np.testing.assert_array_equal(ens.samples[0], path.states[-1])
-        assert ens.time == pytest.approx(0.1)
+        times = [0.0, 0.04, 0.04, 0.1]
+        states = simulate_ensemble(model, cfg, 1, output_times=times)
+        path = simulate_path(model, cfg, output_times=times)
+        assert len(path.times) == len(path.states) == len(states) == 4
+        for t, snapshot, state in zip(path.times, path.states, states):
+            assert t == state.time
+            assert np.array_equal(snapshot, state.samples[0])
+        assert not path.states.flags.writeable
 
     def test_worker_count_does_not_change_results(self):
         model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 8)
@@ -567,6 +571,38 @@ class TestSimulateEnsemble:
         expected = analytic_mean(sysm, np.full(n, 2.0), 1.0)
         se = ens.samples[:, :, 0].std(axis=0, ddof=1) / np.sqrt(2000)
         assert (np.abs(ens.samples[:, :, 0].mean(axis=0) - expected) < 4 * se).all()
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"n_samples": 2.5}, "n_samples"),
+            ({"n_samples": 2.0}, "n_samples"),
+            ({"n_samples": True}, "n_samples"),
+            ({"n_samples": "3"}, "n_samples"),
+            ({"n_workers": 1.5}, "n_workers"),
+            ({"n_workers": True}, "n_workers"),
+            ({"n_workers": np.float64(2.0)}, "n_workers"),
+        ],
+    )
+    def test_counts_must_be_integers_before_anything_is_allocated(
+        self, monkeypatch, kwargs, name
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before checking the counts")
+
+        monkeypatch.setattr(integrator, "_array_shapes", refuse)
+        model = linear_model(LinearParams(), 4)
+        cfg = IntegratorConfig(step_size=0.01, t_end=0.05, master_seed=1)
+        args = {"n_samples": 4, "n_workers": 1, **kwargs}
+        with pytest.raises(ContractViolationError, match=f"{name} must be an integer"):
+            simulate_ensemble(model, cfg, **args)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        model = linear_model(LinearParams(), 4)
+        cfg = IntegratorConfig(step_size=0.01, t_end=0.05, master_seed=1)
+        expected = simulate_ensemble(model, cfg, 3).samples
+        got = simulate_ensemble(model, cfg, np.int64(3), n_workers=np.uint8(2)).samples
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("n_workers", [0, -2])
     def test_worker_count_must_be_positive(self, n_workers):
