@@ -8,7 +8,6 @@ from .lattice import (
     LatticeModelSpec,
     LipschitzConstants,
     UnsupportedModelError,
-    circulant_spectrum,
     cyclic_distance,
     lipschitz_constants,
 )

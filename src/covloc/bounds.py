@@ -152,9 +152,15 @@ def _cap(x: float) -> float:
     return x if x < CAP else CAP
 
 
+def _one_minus_exp(beta: float) -> float:
+    """1 - e^-beta; for beta below about 1.1e-16, where the difference rounds
+    to 0, its exact value -expm1(-beta)."""
+    return 1.0 - math.exp(-beta) or -math.expm1(-beta)
+
+
 def _global_factor(beta: float, n: int) -> float:
     """(1 + e^-beta) / ((1 - e^-beta) N), the weight of the global term."""
-    return (1.0 + math.exp(-beta)) / ((1.0 - math.exp(-beta)) * n)
+    return (1.0 + math.exp(-beta)) / (_one_minus_exp(beta) * n)
 
 
 def _prefactor(inputs: BoundInputs) -> float:
@@ -267,7 +273,7 @@ def estimator_variance_bound(inputs: BoundInputs, beta: float) -> float:
     where 2 G(2 lam) = 2 e^{2 lam t} S0 + (e^{2 lam t} - 1) S / lam.
     """
     lam, eta = growth_rates(beta, inputs.constants)
-    pref = 2.0 * inputs.grad_g_sup**2 / ((1.0 - math.exp(-beta)) * inputs.n)
+    pref = 2.0 * inputs.grad_g_sup**2 / (_one_minus_exp(beta) * inputs.n)
     growth = 2.0 * _growth(2.0 * lam, inputs.t, inputs) + _mean_field_growth(lam, eta, inputs)
     return _cap(pref * growth)
 

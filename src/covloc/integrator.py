@@ -140,15 +140,21 @@ class EnsembleState:
         return self.samples.shape[0]
 
 
-def unsigned_64(value, what: str) -> int:
-    """A Python or numpy integer in [0, 2**64) as an int; a float is refused."""
+def _integer(value, what: str, low: int, high: float) -> int:
+    """A Python or numpy integer in [low, high) as an int; a bool, a float or
+    anything else is refused: the one rule of seeds, indices and counts."""
     try:
-        number = operator.index(value)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise ContractViolationError(f"{what} must be an integer, got {value!r}") from None
-    if not 0 <= number < 2**64:
-        raise ContractViolationError(f"{what} {number} does not fit in 64 unsigned bits")
-    return number
+        number = None
+    if number is not None and low <= number < high:
+        return number
+    raise ContractViolationError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
+
+
+def unsigned_64(value, what: str) -> int:
+    """An integer in [0, 2**64) as an int; see ``_integer``."""
+    return _integer(value, what, 0, 2**64)
 
 
 def sample_stream_key(master_seed: int, sample_index: int) -> int:
@@ -246,12 +252,6 @@ def _resolve_output_steps(config: IntegratorConfig, output_times) -> list[int]:
     return steps
 
 
-def _start(model, gen):
-    """m0 on every block, once ``gen`` has discarded the N*q normals it opens with."""
-    gen.standard_normal((model.n_blocks, model.block_dim))
-    return np.tile(model.m0, (model.n_blocks, 1))
-
-
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where the platform cannot tell."""
     try:
@@ -288,15 +288,13 @@ def simulate_path(
     output_times=None,
 ) -> PathResult:
     """Integrate one path: sample 0 of the ensemble with the same config,
-    from one ``simulate_ensemble`` call, so its blow-up reports sample 0.
-    Output times must be multiples of h; the default is t_end.  The states
-    are read-only.
+    by ``simulate_ensemble``'s route, so its blow-up reports sample 0.
+    Output times must be multiples of h; the default is t_end, and no times
+    give an empty path.  The states are a read-only view of the result.
     """
-    times = [config.t_end] if output_times is None else output_times
-    snapshots = simulate_ensemble(model, config, 1, output_times=times)
-    states = np.stack([s.samples[0] for s in snapshots])
-    states.flags.writeable = False
-    return PathResult(times=np.array([s.time for s in snapshots]), states=states)
+    result, out_steps, _ = _simulate(model, config, 1, 1, output_times, None)
+    times = np.array([s * config.step_size for s in out_steps])
+    return PathResult(times=times, states=result[:, 0])
 
 
 def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo):
@@ -367,15 +365,6 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo):
                     _require_finite(state, k * h, sample_lo)
 
 
-def _count(value, what: str) -> int:
-    """A Python or numpy integer >= 1 as an int; a bool or a float is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ContractViolationError(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise ContractViolationError(f"{what} must be >= 1, got {value}")
-    return int(value)
-
-
 def _pool_size(n_workers: int, n_chunks: int) -> int:
     """Worker threads: worker w owns slot w of the call's noise array and
     steps chunks w, w + W, ... on it in order, W the returned count.
@@ -383,7 +372,7 @@ def _pool_size(n_workers: int, n_chunks: int) -> int:
     A chunk is a run of consecutive entries of the call's ``streams``, so the
     pool never outgrows the number of those runs.
     """
-    return min(_count(n_workers, "n_workers"), n_chunks, os.cpu_count() or 1)
+    return min(_integer(n_workers, "n_workers", 1, math.inf), n_chunks, os.cpu_count() or 1)
 
 
 def _stream_keys(streams, n_samples: int) -> tuple[int, ...]:
@@ -425,7 +414,18 @@ def simulate_ensemble(
     a read-only view of the call's one result array; otherwise a single
     EnsembleState at t_end.
     """
-    n_samples = _count(n_samples, "n_samples")
+    args = (n_samples, n_workers, output_times, streams)
+    result, out_steps, seeds = _simulate(model, config, *args)
+    states = [
+        EnsembleState(result[i], s * config.step_size, seeds) for i, s in enumerate(out_steps)
+    ]
+    return states if output_times is not None else states[0]
+
+
+def _simulate(model, config, n_samples, n_workers, output_times, streams):
+    """``simulate_ensemble``'s work: its read-only (T, K, N, q) result, the
+    output steps and the stream keys."""
+    n_samples = _integer(n_samples, "n_samples", 1, math.inf)
     out_steps = _resolve_output_steps(config, output_times)
     n_chunks = -(-n_samples // _CHUNK_SAMPLES)
     size = -(-n_samples // n_chunks)
@@ -442,7 +442,9 @@ def simulate_ensemble(
         for lo in starts[worker::workers]:
             gens = [_sample_generator(*stream) for stream in streams[lo : lo + size]]
             count = len(gens)
-            state = np.stack([_start(model, gen) for gen in gens])
+            for gen in gens:  # discard the N*q normals each stream opens with
+                gen.standard_normal((model.n_blocks, model.block_dim))
+            state = np.tile(model.m0, (count, model.n_blocks, 1))
             out = result[:, lo : lo + count]
             try:
                 _advance(model, config, state, gens, out_steps, out, noise[worker, :, :count], lo)
@@ -459,7 +461,4 @@ def simulate_ensemble(
     if errors:
         raise min(errors, key=lambda err: (err.time, err.sample_index))
     result.flags.writeable = False
-    states = [
-        EnsembleState(result[i], s * config.step_size, seeds) for i, s in enumerate(out_steps)
-    ]
-    return states if output_times is not None else states[0]
+    return result, out_steps, seeds

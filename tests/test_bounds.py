@@ -118,6 +118,21 @@ class TestCovarianceBound:
         assert ev.vacuous
         assert ev.total <= 1e300 and math.isfinite(ev.total)
 
+    def test_beta_too_small_for_one_minus_exp(self):
+        # 1 - e^-beta rounds to 0 at beta = 1e-17: the global weight takes its
+        # exact value -expm1(-beta), so no bound divides by zero
+        beta = 1e-17
+        assert 1.0 - math.exp(-beta) == 0.0
+        # lam_beta = -2 + 0.5 (e^beta + e^-beta) = -1, so G = (1 - e^-5) S
+        inputs = _inputs(LipschitzConstants(-2.0, 0.5, 0.0))
+        local = 2.0 * -math.expm1(-5.0) * 0.25
+        assert local_coefficient(beta, inputs) == pytest.approx(local, rel=1e-15)
+        assert covariance_bound(1, 1, beta, inputs).global_term == 0.0
+        mean_field = _inputs(LipschitzConstants(-2.0, 0.5, 0.3))
+        ev = covariance_bound(1, 2, beta, mean_field)
+        assert 0.0 < ev.global_term < CAP and ev.total < CAP
+        assert 0.0 < estimator_variance_bound(mean_field, beta) < CAP
+
     def test_saturated_global_term_reads_cap(self):
         # eta_beta t = 1400: G(eta) and G(lambda) both saturate and must not cancel
         ev = covariance_bound(1, 2, 0.5, _preset_inputs("meanfield-strong", 14.0))

@@ -186,7 +186,7 @@ class TestConfig:
         with pytest.raises(ContractViolationError):
             IntegratorConfig(step_size=0.0, t_end=1.0, master_seed=0)
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(1.0), "1", None, -1, 2**64])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(1.0), "1", None, True, -1, 2**64])
     def test_seed_must_be_a_64_bit_integer(self, seed):
         # 1.5 used to run as seed 1, bit for bit
         with pytest.raises(ContractViolationError, match="master_seed"):
@@ -236,6 +236,13 @@ class TestSimulatePath:
         result = simulate_path(model, cfg)
         assert result.times.tolist() == [0.0]
         np.testing.assert_array_equal(result.states, np.full((1, 4, 1), 1.5))
+
+    def test_no_output_times_give_an_empty_path(self):
+        model = linear_model(LinearParams(), 4)
+        cfg = IntegratorConfig(step_size=0.01, t_end=0.05, master_seed=3)
+        result = simulate_path(model, cfg, output_times=[])
+        assert result.times.shape == (0,)
+        assert result.states.shape == (0, 4, 1)
 
     def test_bit_identical_reruns(self):
         model = linear_model(LinearParams(a=1.0, d_u=2.0, w=1.0), 8)
