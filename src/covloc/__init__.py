@@ -17,10 +17,10 @@ from .models import (
     RegimePreset,
     REGIMES,
     PresetNotFoundError,
-    default_step_size,
     fhn_model,
     linear_model,
     regime,
+    stiffest_rate,
 )
 from .integrator import (
     EnsembleState,

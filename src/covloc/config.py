@@ -16,10 +16,10 @@ from .models import (
     FhnParams,
     LinearParams,
     PresetNotFoundError,
-    default_step_size,
     fhn_model,
     linear_model,
     regime,
+    stiffest_rate,
 )
 
 _PARAMS = {"linear": LinearParams, "fhn": FhnParams}
@@ -45,10 +45,10 @@ _RULES = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, resolved on construction: a missing ``step_size`` is the
-    model's default step shortened by ``dividing_step`` to divide ``t_end``, a
-    missing ``bounds_t`` is ``t_end``, and ``run`` is the IntegratorConfig of the
-    step, ``t_end`` and ``master_seed``, which every subcommand thereby meets."""
+    """One experiment, resolved on construction: a missing ``step_size`` is
+    min(1e-3, 0.1 / ``stiffest_rate``), shortened by ``dividing_step`` to divide
+    ``t_end``; a missing ``bounds_t`` is ``t_end``; and ``run`` is the IntegratorConfig
+    of the step, ``t_end`` and ``master_seed``, which every subcommand thereby meets."""
 
     params: LinearParams | FhnParams
     n_blocks: int
@@ -70,9 +70,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{rule}, got {value}")
         h = self.step_size
         if h is None:
-            h = default_step_size(self.params)
-            # a t_end outside [0, inf) keeps the default step, for the run check to reject
-            h = dividing_step(self.t_end, h) if 0 <= self.t_end < math.inf else h
+            h = dividing_step(self.t_end, min(1e-3, 0.1 / stiffest_rate(self.params)))
         object.__setattr__(self, "step_size", h)
         t = self.t_end if self.bounds_t is None else self.bounds_t
         object.__setattr__(self, "bounds_t", t)

@@ -53,7 +53,15 @@ from .integrator import (
     unsigned_64,
 )
 from .lattice import ContractViolationError
-from .models import FhnParams, LinearParams, build_model, fhn_model, linear_model, regime
+from .models import (
+    FhnParams,
+    LinearParams,
+    build_model,
+    fhn_model,
+    linear_model,
+    regime,
+    stiffest_rate,
+)
 from .storage import write_csv, write_metadata
 
 
@@ -78,7 +86,7 @@ _MEANFIELD_REGIMES = ("meanfield-weak", "meanfield-moderate", "meanfield-strong"
 # Desk-scale reduction table.  Tolerances in the acceptance suite are tied to
 # these values; paper scale reproduces the published (N, K) exactly.  "h" is a
 # base step dividing every output time; an FHN regime steps at h / m for the
-# least whole m that puts h / m under its explicit-Euler limit (_fhn_step).
+# least whole m that puts h / m under its explicit-Euler limit (_fhn_run).
 SCALES = {
     "F7": {
         "paper": {"n": 512, "k": 8192, "h": 1e-4},
@@ -117,23 +125,16 @@ def _derived_seed(master_seed: int, *tags: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _fhn_step(params, base_h: float) -> float:
-    """The longest step of at most min(base_h, 0.5 / rate) that divides
-    ``base_h``, and so every output time.  The stiffest circulant mode's rate is
-    (1 + u^2 + 4 d_u + w)/eps with spike amplitudes |u| ~ 2.6, so strong
-    diffusion caps the step well below the coarse desk default."""
-    worst_rate = (1.0 + 2.6**2 + 4.0 * params.d_u + params.w) / params.epsilon
-    return dividing_step(base_h, min(base_h, 0.5 / worst_rate))
-
-
 def _linear_row(params: LinearParams, n: int, t: float = 5.0) -> np.ndarray:
     """cov(u_1, u_i) for i = 1..n: the first row of the exact linear covariance."""
     return analytic_covariance(build_system_matrix(params, n), None, params.sigma_u, t).data[0]
 
 
 def _fhn_run(params: FhnParams, base_h: float, t_end: float, seed: int, *tags: int):
-    """Integrator settings for one FHN sub-experiment, seeded by ``tags``."""
-    return IntegratorConfig(_fhn_step(params, base_h), t_end, _derived_seed(seed, *tags))
+    """Integrator settings for one FHN sub-experiment, seeded by ``tags``: the
+    longest step of at most min(base_h, 0.5 / ``stiffest_rate``) that divides ``base_h``."""
+    h = dividing_step(base_h, min(base_h, 0.5 / stiffest_rate(params)))
+    return IntegratorConfig(h, t_end, _derived_seed(seed, *tags))
 
 
 def _figure_f1(cfg, seed, threads):
@@ -262,7 +263,7 @@ def spatial_vs_mc_rows(
     r is the single path seeded by ``(seed, 12, r)``, and one ensemble call
     steps all paths.  ``h`` is a base step dividing every time in ``times``;
     the paths step at h / m, the longest such step under the preset's
-    explicit-Euler limit (``_fhn_step``).  The arguments are checked when
+    explicit-Euler limit (``_fhn_run``).  The arguments are checked when
     iteration starts, before anything is integrated.  Yields rows
     (preset, time, lag, method, estimate, std_error).
     """

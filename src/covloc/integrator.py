@@ -100,10 +100,10 @@ def _whole_steps(span: float, h: float) -> int | None:
 
 def dividing_step(span: float, cap: float) -> float:
     """The longest step of at most ``cap`` that divides ``span``: ``cap`` when
-    ``_whole_steps`` finds a whole count, else span / ceil(span / cap).  A
-    count too large for a float keeps ``cap``, for IntegratorConfig to reject."""
+    ``_whole_steps`` finds a whole count, else span / ceil(span / cap).  A span outside
+    [0, inf) or a count beyond float range keeps ``cap``, for IntegratorConfig to reject."""
     steps = span / cap
-    if _whole_steps(span, cap) is not None or not math.isfinite(steps):
+    if not (0 <= span and math.isfinite(steps)) or _whole_steps(span, cap) is not None:
         return cap
     return span / math.ceil(steps)
 

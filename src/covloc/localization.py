@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _one_minus_exp
 from .lattice import BlockCovariance, ContractViolationError, ring_matrix
 
 
@@ -59,7 +60,7 @@ def localization_error_bound(l: int, beta: float, local_coefficient: float) -> f
         raise ContractViolationError(
             f"local_coefficient must be finite and nonnegative, got {local_coefficient}"
         )
-    return 2.0 * local_coefficient * math.exp(-beta * l) / (1.0 - math.exp(-beta))
+    return 2.0 * local_coefficient * math.exp(-beta * l) / _one_minus_exp(beta)
 
 
 def choose_bandwidth(
@@ -80,7 +81,7 @@ def choose_bandwidth(
         l = 0
     else:
         # invert e^{-beta l} <= eps (1 - e^-beta) / (2 c), then fix up float edges
-        target = epsilon * (1.0 - math.exp(-beta)) / (2.0 * local_coefficient)
+        target = epsilon * _one_minus_exp(beta) / (2.0 * local_coefficient)
         l = max(0, math.ceil(-math.log(target) / beta))
         while l > 0 and localization_error_bound(l - 1, beta, local_coefficient) <= epsilon:
             l -= 1

@@ -211,15 +211,13 @@ def regime(name: str) -> RegimePreset:
         raise PresetNotFoundError(f"unknown regime {name!r}; valid names: {valid}") from None
 
 
-def default_step_size(params: LinearParams | FhnParams) -> float:
-    """Stability-aware Euler step defaults.
-
-    FHN: eps/100 resolves the fast variable.  Linear: 0.1 over the stiffest
-    drift rate a + 4 d_u + w, capped at 1e-3.
-    """
+def stiffest_rate(params: LinearParams | FhnParams) -> float:
+    """The decay rate of the stiffest circulant mode, the one rate every
+    default Euler step is set by.  Linear: a + 4 d_u + w.  FHN:
+    (1 + u^2 + 4 d_u + w)/eps at the spike amplitude |u| ~ 2.6."""
     if isinstance(params, FhnParams):
-        return params.epsilon / 100.0
-    return min(1e-3, 0.1 / (params.a + 4.0 * params.d_u + params.w))
+        return (1.0 + 2.6**2 + 4.0 * params.d_u + params.w) / params.epsilon
+    return params.a + 4.0 * params.d_u + params.w
 
 
 def build_model(params: LinearParams | FhnParams, n: int) -> LatticeModelSpec:

@@ -190,13 +190,15 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "model, t_end, step",
         [
-            # the model defaults give t_end/h = 7692.3 and 1213.7 steps
-            ("kind = fhn\nepsilon = 0.013", "1.0", 0.00012998830105290525),
+            # a tenth of the stiffest time scale gives t_end/h = 5969.1 and 1213.7 steps
+            ("kind = fhn\nepsilon = 0.013", "1.0", 0.00016750418760469013),
             ("kind = linear\na = 1.37\nd_u = 30", "1.0", 0.0008237232289950577),
             # t_end/h = 602.9999999999999 is whole within 1e-9: the default 0.1/201 stays
             ("kind = linear\na = 1.0\nd_u = 50.0\nw = 0.0", "0.3", 0.0004975124378109454),
+            # 0.1/81 lies above the 1e-3 cap
+            ("kind = linear\na = 1.0\nd_u = 20.0\nw = 0.0", "1.0", 0.001),
         ],
-        ids=["fhn", "linear", "linear-whole"],
+        ids=["fhn", "linear", "linear-whole", "linear-capped"],
     )
     def test_default_step_is_shortened_to_divide_t_end(self, tmp_path, model, t_end, step):
         # simulate and bounds record the same resolved step and bounds time
@@ -211,6 +213,18 @@ class TestCliCommands:
             meta = json.loads((out / f"{command}_metadata.json").read_text())["config"]
             assert meta["run"]["step_size"] == step
             assert meta["bounds"]["t"] == float(t_end)
+
+    def test_default_fhn_step_is_stable_under_strong_diffusion(self, tmp_path):
+        # at d_u = 50 the stiffest rate is 20776, so the default step is 4.8e-6
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[model]\nkind = fhn\nd_u = 50\n\n"
+            "[run]\nn_blocks = 8\nn_samples = 4\nt_end = 0.2\nmaster_seed = 1\n"
+        )
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "ensemble.csv").read_text().splitlines()))
+        assert len(rows) > 1 and np.isfinite(np.array(rows[1:], dtype=float)).all()
 
     def test_figure_f2_and_f4(self, tmp_path):
         out = tmp_path / "figs"
@@ -449,6 +463,16 @@ class TestRejectsBadInput:
         bandwidth = choose_bandwidth(0.05, 0.3, 2.0, 8)
         assert report["bandwidth"] == bandwidth
         assert report["error_bound"] == localization_error_bound(bandwidth, 0.3, 2.0)
+
+    def test_beta_below_float_resolution_takes_the_whole_ring(self, tmp_path, capsys):
+        # 1 - e^-beta rounds to 0 at beta = 1e-17; the bound divides by -expm1(-beta)
+        _, path = self._inputs(tmp_path)
+        choose = ["--epsilon", "0.01", "--beta", "1e-17", "--coefficient", "1.0"]
+        rc, out = self._localize(tmp_path, path, *choose)
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == "" and len(captured.out.splitlines()) == 1
+        report = json.loads((out / "localize_report.jsonl").read_text())
+        assert report["bandwidth"] == 4 and report["error_bound"] == pytest.approx(2e17)
 
     def test_cvl_input_writes_the_bytes_of_csv_input(self, tmp_path):
         choose = ["--epsilon", "0.05", "--beta", "0.3", "--coefficient", "2.0"]

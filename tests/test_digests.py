@@ -2,7 +2,8 @@
 compared with the digests committed in ``tests/digests.json``.
 
 The outputs are the CLI's ``simulate``, ``cov`` and ``bounds`` files for a
-linear and a regime-c config at 1 and 2 threads, ``localize`` on a ring
+linear and a regime-c config at 1 and 2 threads, ``simulate`` on a linear and
+an FHN config that leave the step to the model's default, ``localize`` on a ring
 covariance CSV with ``--reference``, figures F1-F12 at tiny scales, the
 spatial-average comparison rows, ensembles and a path with snapshots, and
 two blow-up reports.  Criterion 10 only compares runs of one tree with each
@@ -45,6 +46,13 @@ _CONFIGS = {
     "regime-c": "[model]\npreset = regime-c\n\n"
     "[run]\nn_blocks = 8\nn_samples = 300\nt_end = 0.01\nstep_size = 0.00025\n"
     "master_seed = 31337\n\n[bounds]\nbetas = 0.5\n",
+}
+
+# configs with no step_size, which run at the model's default step
+_DEFAULT_STEP_CONFIGS = {
+    "linear-default-step": _CONFIGS["linear"].replace("step_size = 0.002\n", ""),
+    "fhn-default-step": "[model]\nkind = fhn\n\n"
+    "[run]\nn_blocks = 8\nn_samples = 4\nt_end = 0.01\nmaster_seed = 2718\n",
 }
 
 # figure -> the tiny desk scale it runs at; F1 and F3-F6 take no scale
@@ -90,6 +98,9 @@ def compute_digests() -> dict[str, str]:
                 out = f"{command}-{name}-t{threads}"
                 argv = [command, "--config", f"{name}.ini", "--out", out]
                 assert main([*argv, "--threads", str(threads)]) == 0
+    for name, text in _DEFAULT_STEP_CONFIGS.items():
+        Path(f"{name}.ini").write_text(text)
+        assert main(["simulate", "--config", f"{name}.ini", "--out", f"simulate-{name}"]) == 0
 
     row = np.exp(-0.4 * np.arange(64)) + 0.01
     write_covariance_csv("ring.csv", BlockCovariance(ring_matrix(row), 64, 1))

@@ -19,7 +19,7 @@ from covloc.figures import (
 )
 from covloc.integrator import IntegratorConfig
 from covloc.lattice import ContractViolationError
-from covloc.models import REGIMES, LinearParams
+from covloc.models import REGIMES, LinearParams, stiffest_rate
 from oracles import dense_covariance, replicate_loop_rows
 
 
@@ -195,9 +195,8 @@ def test_every_fhn_step_is_stable_and_divides_the_output_times(monkeypatch, figu
     assert calls
     for (run, params, base_h), times in calls:
         name = next(name for name, preset in REGIMES.items() if preset.params == params)
-        rate = (1.0 + 2.6**2 + 4.0 * params.d_u + params.w) / params.epsilon
         h = run.step_size
-        assert base_h == cfg["h"] and h <= 0.5 / rate
+        assert base_h == cfg["h"] and h <= 0.5 / stiffest_rate(params)
         assert _whole(base_h / h) and all(_whole(t / h) for t in times)
         assert h == (_DESK_STEPS.get(name, 5e-4) if scale == "desk" else 1e-4), name
 

@@ -221,12 +221,21 @@ class TestConfig:
         (0.2, 0.2, 0.2),
         (1.0, 0.3, 0.25),  # 3.33 steps round up to 4
         (5e-4, 1.2e-4, 1e-4),  # 4.17 steps round up to 5
+        # a span outside [0, inf) keeps the cap, for the run check to reject
+        (-5e-5, 1e-4, 1e-4),
+        (-1.5e-4, 1e-4, 1e-4),
+        (-math.inf, 0.1, 0.1),
+        (math.nan, 0.1, 0.1),
     ],
 )
 def test_dividing_step(span, cap, expected):
     h = integrator.dividing_step(span, cap)
     assert h == expected and h <= cap
-    IntegratorConfig(step_size=h, t_end=span, master_seed=0)  # a whole step count
+    if span >= 0:
+        IntegratorConfig(step_size=h, t_end=span, master_seed=0)  # a whole step count
+    else:
+        with pytest.raises(ContractViolationError, match="t_end"):
+            IntegratorConfig(step_size=h, t_end=span, master_seed=0)
 
 
 class TestSimulatePath:

@@ -104,6 +104,11 @@ class TestErrorBound:
             )
             assert ratio == pytest.approx(math.exp(-0.9), rel=1e-14)
 
+    def test_beta_below_float_resolution_divides_by_its_exact_gap(self):
+        # 1 - e^-beta rounds to 0 at beta = 1e-17; the gap is beta itself
+        assert 1.0 - math.exp(-1e-17) == 0.0
+        assert localization_error_bound(0, 1e-17, 1.0) == pytest.approx(2e17, rel=1e-14)
+
 
 class TestChooseBandwidth:
     def test_generous_target_needs_no_truncation(self):
@@ -130,6 +135,14 @@ class TestChooseBandwidth:
         assert plan.bound_insufficient
         relaxed = plan_localization(1.0, 0.2, 1.6, n_blocks=64, cov_norm=1.0)
         assert not relaxed.bound_insufficient
+
+    @pytest.mark.parametrize("n_blocks", [None, 64])
+    def test_beta_below_float_resolution_ends(self, n_blocks):
+        # e^{-1e-17 l} <= 0.01 * 1e-17 / 2 first near l = 4.44e18; the ring caps it at N/2
+        l = choose_bandwidth(0.01, 1e-17, 1.0, n_blocks)
+        assert l == (32 if n_blocks else pytest.approx(4.444226e18, rel=1e-6))
+        if n_blocks is None:
+            assert localization_error_bound(l, 1e-17, 1.0) <= 0.01
 
 
 class TestSampleSizeRecommendation:

@@ -8,10 +8,10 @@ from covloc import (
     LinearParams,
     PresetNotFoundError,
     REGIMES,
-    default_step_size,
     fhn_model,
     linear_model,
     regime,
+    stiffest_rate,
 )
 from oracles import (
     dense_drift_matrix,
@@ -248,10 +248,10 @@ class TestRegimes:
             regime("regime-z")
 
 
-def test_default_step_sizes():
-    assert default_step_size(FhnParams(epsilon=0.01)) == pytest.approx(1e-4)
-    # 0.1/(a + 4 d_u + w) only binds once it drops below the 1e-3 cap
-    assert default_step_size(LinearParams(a=1.0, d_u=20.0, w=0.0)) == pytest.approx(1e-3)
-    assert default_step_size(LinearParams(a=1.0, d_u=50.0, w=0.0)) == pytest.approx(
-        0.1 / 201.0
-    )
+def test_stiffest_rates():
+    # by hand: 1 + 80 + 0 and 1.37 + 120 + 5; (1 + 6.76) / 0.01 and
+    # (1 + 6.76 + 2 + 0.24) / 0.0125, with 6.76 the squared spike amplitude
+    assert stiffest_rate(LinearParams(a=1.0, d_u=20.0, w=0.0)) == 81.0
+    assert stiffest_rate(LinearParams(a=1.37, d_u=30.0, w=5.0)) == pytest.approx(126.37)
+    assert stiffest_rate(FhnParams(epsilon=0.01)) == pytest.approx(776.0)
+    assert stiffest_rate(FhnParams(epsilon=0.0125, d_u=0.5, w=0.24)) == pytest.approx(800.0)
