@@ -254,11 +254,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"covloc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    threads_help = "threads that draw noise beside the stepping thread"
+
     def common(p):
         p.add_argument("--config", help="experiment config file (INI sections)")
         p.add_argument("--seed", type=int, help="override run.master_seed")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--threads", type=int, help="ensemble worker threads")
+        p.add_argument("--threads", type=int, help=threads_help)
 
     p = sub.add_parser("simulate", help="run an ensemble and write the snapshot")
     common(p)
@@ -289,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=("paper", "desk"), default="desk")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--threads", type=int, help="ensemble worker threads")
+    p.add_argument("--threads", type=int, help=threads_help)
     svg_help = "also plot each CSV that holds one curve: numeric cells, increasing first column"
     p.add_argument("--svg", action="store_true", help=svg_help)
     p.set_defaults(func=_cmd_figure)

@@ -29,6 +29,7 @@ then ``<id>_metadata.json`` recording ``settings``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -47,6 +48,7 @@ from .estimators import (
 from .integrator import (
     EnsembleState,
     IntegratorConfig,
+    _integer,
     dividing_step,
     simulate_ensemble,
     simulate_path,
@@ -363,8 +365,7 @@ def run_figure(
         )
     if scale not in ("paper", "desk"):
         raise ContractViolationError(f"scale must be 'paper' or 'desk', got {scale!r}")
-    if threads < 1:
-        raise ContractViolationError(f"threads must be >= 1, got {threads}")
+    threads = _integer(threads, "threads", 1, math.inf)
     seed = unsigned_64(seed, "seed")
     spec = FIGURES[figure_id]
     cfg = SCALES[figure_id][scale] if figure_id in SCALES else None

@@ -1,25 +1,24 @@
-"""Reproducible Euler-Maruyama stepping for single paths and parallel ensembles.
+"""Reproducible Euler-Maruyama stepping for single paths and ensembles.
 
 Reproducibility contract: sample j's entire noise stream is a pure function
 of its stream pair (master_seed, index), (master_seed, j) unless the caller
 names the pairs, realized by a counter-based Philox generator keyed with the
-pair.  Results are therefore bit-identical across worker counts and
-execution orders; reductions over samples happen in fixed index order.
+pair.  Results are therefore bit-identical whatever thread draws a row and
+however many draw; reductions over samples happen in fixed index order.
 Every sample and every path starts at its model's point mass m0, yet each
 stream opens with N*q standard normals that are drawn and discarded: they are
 part of every stream, so sample j's noise comes after them.
 
-One kernel, ``_advance``, steps (C, N, q) chunks of an ensemble in place
-across min(n_workers, chunks, os.cpu_count()) threads; a path is a
-one-sample ensemble.  K samples are cut into chunks of
-ceil(K / ceil(K / _CHUNK_SAMPLES)) samples, the last one shorter; no chunk
-exceeds _CHUNK_SAMPLES and the chunks are balanced.  Before any
-stepping a call allocates two arrays: its whole (T, K, N, q) result, into
-whose slices the chunks write their snapshots, and one noise array with a
-slot per worker: of W workers, worker w steps chunks w, w + W, ... in order
-on slot w.  Within a chunk, a helper thread and the stepping thread share
-the drawing of each noise block row by row: the helper starts a block while
-the previous one is stepped, and the stepper takes the rows left before it
+One kernel, ``_advance``, steps (C, N, q) chunks of an ensemble in place on
+the calling thread, one chunk after another; a path is a one-sample
+ensemble.  K samples are cut into chunks of ceil(K / ceil(K / _CHUNK_SAMPLES))
+samples, the last one shorter; no chunk exceeds _CHUNK_SAMPLES and the
+chunks are balanced.  Before any stepping a call allocates two arrays: its
+whole (T, K, N, q) result, into whose slices the chunks write their
+snapshots, and one noise array that every chunk reuses.  Drawing normals is
+most of the work, so that is where the threads go: min(n_workers,
+os.cpu_count()) helper threads draw a noise block row by row while the
+previous block is stepped, and the stepper takes the rows left before it
 steps it.  Either way sample c's rows come from its own stream, in order,
 and whichever thread draws a row scales it by sqrt(h) sigma^T while it is in
 cache, so the stepper only adds noise.  ``euler_step`` scales its draw the
@@ -261,18 +260,18 @@ def _physical_memory() -> int | None:
     return pages * size if pages > 0 and size > 0 else None
 
 
-def _array_shapes(model, n_steps, n_out, n_samples, slots, count):
+def _array_shapes(model, n_steps, n_out, n_samples, count):
     """Shapes of a call's (T, K, N, q) result and its noise array, refused
-    before either is allocated when they, with each slot's chunk state,
-    scratch and saved block start, exceed physical memory.  The noise array
-    holds two (count, block, N, q) buffers per slot; blocks run 8 to 256
-    steps, sized so the array holds ``_NOISE_BUDGET`` doubles where the
-    8-step floor allows: at large slots * count * N * q the floor wins and
-    the array exceeds the budget."""
+    before either is allocated when they, with one chunk's state, scratch
+    and saved block start, exceed physical memory.  The noise array holds
+    the two (count, block, N, q) buffers every chunk reuses, one being
+    stepped while the other is drawn; blocks run 8 to 256 steps, sized so the
+    array holds ``_NOISE_BUDGET`` doubles where the 8-step floor allows: at
+    large count * N * q the floor wins and the array exceeds the budget."""
     n, q = model.n_blocks, model.block_dim
-    block = max(8, min(256, _NOISE_BUDGET // (2 * slots * count * n * q)))
-    result, noise = (n_out, n_samples, n, q), (slots, 2, count, min(block, n_steps), n, q)
-    need = 8 * (math.prod(result) + math.prod(noise) + 3 * slots * count * n * q)
+    block = max(8, min(256, _NOISE_BUDGET // (2 * count * n * q)))
+    result, noise = (n_out, n_samples, n, q), (2, count, min(block, n_steps), n, q)
+    need = 8 * (math.prod(result) + math.prod(noise) + 3 * count * n * q)
     have = _physical_memory()
     if have is not None and need > have:
         raise ContractViolationError(
@@ -297,25 +296,26 @@ def simulate_path(
     return PathResult(times=times, states=result[:, 0])
 
 
-def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo):
+def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo, helpers):
     """The stepping kernel: advance the (C, N, q) block ``state`` in place
-    to t_end, sample c drawing its noise from ``gens[c]``; the state at step
-    ``out_steps[i]`` is written into ``out[i]``, a (C, N, q) slice of the
-    call's result, so equal steps give equal, separate snapshots.
+    to t_end on the calling thread, sample c drawing its noise from
+    ``gens[c]``; the state at step ``out_steps[i]`` is written into
+    ``out[i]``, a (C, N, q) slice of the call's result, so equal steps give
+    equal, separate snapshots.
 
     Noise comes in blocks, drawn alternately into the two (C, steps, N, q)
-    ``buffers``, its worker's slot of the call's one noise array (see
-    ``_array_shapes`` for the block length).  A helper thread starts drawing
-    the next block, one sample's row at a time, while the current one is
-    stepped; at the top of each block the stepping thread draws the rows the
-    helper has not taken, then waits for the helper's last row.  Whichever
-    thread draws a row scales it by sqrt(h) sigma^T at once (see
-    ``_noise_scaling``), so a step adds the buffered noise as it is.  The
-    state is checked for finiteness once, at the end of each block; NaNs and
-    infs persist under the update, so a failed check restores the block's
-    saved start and re-steps the block with its still buffered noise,
-    checking every step.  That names the first non-finite step and its first
-    sample ``sample_lo`` + c, an index into the caller's streams.
+    ``buffers`` of the call's one noise array (see ``_array_shapes`` for the
+    block length).  ``helpers`` threads start drawing the next block, one
+    sample's row at a time, while the current one is stepped; at the top of
+    each block the stepping thread draws the rows no helper has taken, then
+    waits for every helper's last row.  Whichever thread draws a row scales
+    it by sqrt(h) sigma^T at once (see ``_noise_scaling``), so a step adds
+    the buffered noise as it is.  The state is checked for finiteness once,
+    at the end of each block; NaNs and infs persist under the update, so a
+    failed check restores the block's saved start and re-steps the block
+    with its still buffered noise, checking every step.  That names the
+    first non-finite step and its first sample ``sample_lo`` + c, an index
+    into the caller's streams.
     """
     count = state.shape[0]
     h, n_steps = config.step_size, config.n_steps
@@ -334,8 +334,8 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo):
     snapshot(0)
 
     def draw(rows, buf, steps):
-        # next() on a shared range iterator is atomic under the GIL, so the
-        # helper and the stepper never take the same row
+        # next() on a shared range iterator is atomic under the GIL, so no
+        # two of the helpers and the stepper take the same row
         for c in rows:
             gens[c].standard_normal(out=buf[c, :steps])
             scale_noise(buf[c, :steps])
@@ -344,15 +344,16 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo):
         rows = iter(range(count))
         buf = buffers[lo // block_steps % 2]
         steps = min(block_steps, n_steps - lo)
-        return rows, buf, steps, helper.submit(draw, rows, buf, steps)
+        return rows, buf, steps, [pool.submit(draw, rows, buf, steps) for _ in range(helpers)]
 
-    with ThreadPoolExecutor(1) as helper, np.errstate(over="ignore", invalid="ignore"):
+    with ThreadPoolExecutor(helpers) as pool, np.errstate(over="ignore", invalid="ignore"):
         pending = start(0)
         for lo in range(0, n_steps, block_steps):
             hi = min(lo + block_steps, n_steps)
             rows, noise, steps, drawing = pending
             draw(rows, noise, steps)
-            drawing.result()
+            for future in drawing:
+                future.result()
             pending = start(hi) if hi < n_steps else None
             np.copyto(start_state, state)
             for k in range(lo + 1, hi + 1):
@@ -363,16 +364,6 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo):
                 for k in range(lo + 1, hi + 1):
                     _step(model, state, noise[:, k - lo - 1], h, work)
                     _require_finite(state, k * h, sample_lo)
-
-
-def _pool_size(n_workers: int, n_chunks: int) -> int:
-    """Worker threads: worker w owns slot w of the call's noise array and
-    steps chunks w, w + W, ... on it in order, W the returned count.
-
-    A chunk is a run of consecutive entries of the call's ``streams``, so the
-    pool never outgrows the number of those runs.
-    """
-    return min(_integer(n_workers, "n_workers", 1, math.inf), n_chunks, os.cpu_count() or 1)
 
 
 def _stream_keys(streams, n_samples: int) -> tuple[int, ...]:
@@ -406,7 +397,9 @@ def simulate_ensemble(
     not an integer >= 1 (a bool is refused), or whose result and buffers
     exceed physical memory, is refused first; then the streams are checked
     before any stepping: one per sample, pairwise distinct, seed and index in
-    [0, 2**64).  The result is independent of chunking, scheduling, and
+    [0, 2**64).  The chunks are stepped in order on the calling thread while
+    min(n_workers, os.cpu_count()) helper threads draw their noise; the
+    result is independent of chunking, of which thread draws a row, and of
     ``n_workers``.  Every chunk runs to its own blow-up, if any, and the
     call reports the earliest (time, sample) of them, whose
     ``sample_index`` indexes ``streams``.  With ``output_times`` given,
@@ -427,37 +420,26 @@ def _simulate(model, config, n_samples, n_workers, output_times, streams):
     output steps and the stream keys."""
     n_samples = _integer(n_samples, "n_samples", 1, math.inf)
     out_steps = _resolve_output_steps(config, output_times)
+    helpers = min(_integer(n_workers, "n_workers", 1, math.inf), os.cpu_count() or 1)
     n_chunks = -(-n_samples // _CHUNK_SAMPLES)
     size = -(-n_samples // n_chunks)
-    starts = range(0, n_samples, size)
-    workers = _pool_size(n_workers, len(starts))
-    shapes = _array_shapes(model, config.n_steps, len(out_steps), n_samples, workers, size)
+    shapes = _array_shapes(model, config.n_steps, len(out_steps), n_samples, size)
     if streams is None:
         streams = [(config.master_seed, j) for j in range(n_samples)]
     seeds = _stream_keys(streams, n_samples)
     result, noise = map(np.empty, shapes)
-
-    def run(worker):
-        errors = []
-        for lo in starts[worker::workers]:
-            gens = [_sample_generator(*stream) for stream in streams[lo : lo + size]]
-            count = len(gens)
-            for gen in gens:  # discard the N*q normals each stream opens with
-                gen.standard_normal((model.n_blocks, model.block_dim))
-            state = np.tile(model.m0, (count, model.n_blocks, 1))
-            out = result[:, lo : lo + count]
-            try:
-                _advance(model, config, state, gens, out_steps, out, noise[worker, :, :count], lo)
-            except NumericalBlowupError as err:
-                errors.append(err)
-        return errors
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(workers)))
-    else:
-        outcomes = [run(0)]
-    errors = [err for chunk_errors in outcomes for err in chunk_errors]
+    errors = []
+    for lo in range(0, n_samples, size):
+        gens = [_sample_generator(*stream) for stream in streams[lo : lo + size]]
+        count = len(gens)
+        for gen in gens:  # discard the N*q normals each stream opens with
+            gen.standard_normal((model.n_blocks, model.block_dim))
+        state = np.tile(model.m0, (count, model.n_blocks, 1))
+        out = result[:, lo : lo + count]
+        try:
+            _advance(model, config, state, gens, out_steps, out, noise[:, :count], lo, helpers)
+        except NumericalBlowupError as err:
+            errors.append(err)
     if errors:
         raise min(errors, key=lambda err: (err.time, err.sample_index))
     result.flags.writeable = False

@@ -134,11 +134,15 @@ class LatticeModelSpec:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (q, q):
             raise ContractViolationError(f"sigma must be {q}x{q}, got {sigma.shape}")
+        if not np.isfinite(sigma).all():
+            raise ContractViolationError(f"sigma must be finite, got {sigma.tolist()}")
         if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())):
             raise ContractViolationError("sigma must be symmetric")
         m0 = np.asarray(self.m0, dtype=float)
         if m0.shape != (q,):
             raise ContractViolationError(f"m0 must have shape ({q},), got {m0.shape}")
+        if not np.isfinite(m0).all():
+            raise ContractViolationError(f"m0 must be finite, got {m0.tolist()}")
         object.__setattr__(self, "sigma", _readonly(0.5 * (sigma + sigma.T)))
         object.__setattr__(self, "m0", _readonly(m0))
 

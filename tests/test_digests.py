@@ -42,7 +42,7 @@ _CONFIGS = {
     "linear": "[model]\nkind = linear\na = 1.0\nd_u = 2.0\nw = 1.0\nsigma_u = 0.5\n\n"
     "[run]\nn_blocks = 16\nn_samples = 37\nt_end = 0.2\nstep_size = 0.002\n"
     "master_seed = 424242\n\n[bounds]\nbetas = 0.2, 0.5\n",
-    # 300 samples run in two chunks, so 2 threads step them on 2 workers
+    # 300 samples run in two chunks, whose noise 2 threads draw at --threads 2
     "regime-c": "[model]\npreset = regime-c\n\n"
     "[run]\nn_blocks = 8\nn_samples = 300\nt_end = 0.01\nstep_size = 0.00025\n"
     "master_seed = 31337\n\n[bounds]\nbetas = 0.5\n",

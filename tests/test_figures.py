@@ -149,6 +149,18 @@ def test_run_figure_rejects_a_seed_that_is_not_a_64_bit_integer(tmp_path, seed):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("threads", [True, 1.5, np.float64(2.0), "2", 0, -1])
+def test_run_figure_rejects_threads_that_are_not_a_positive_integer(tmp_path, monkeypatch, threads):
+    # True and 1.5 used to pass a ``threads < 1`` check and run F1
+    def refuse(*args):
+        raise AssertionError("built before checking threads")
+
+    monkeypatch.setitem(figures.FIGURES, "F1", figures.FigureSpec("refused", refuse))
+    with pytest.raises(ContractViolationError, match="threads must be an integer"):
+        run_figure("F1", seed=3, out_dir=tmp_path, threads=threads)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_figure_takes_a_numpy_integer_seed(tmp_path):
     files = run_figure("F1", seed=np.uint64(3), out_dir=tmp_path)
     assert json.loads(files[1].read_text())["seed"] == 3

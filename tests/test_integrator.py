@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import Future
 
@@ -279,6 +280,17 @@ class TestSimulatePath:
         se = u1_sq.std(ddof=1) / np.sqrt(len(u1_sq))
         assert abs(u1_sq.mean() - target) < 3 * se
 
+    def test_path_output_time_zero_is_the_start(self):
+        model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 8, m0=2.0)
+        cfg = IntegratorConfig(step_size=1e-3, t_end=0.02, master_seed=4)
+        start = simulate_path(model, cfg, output_times=[0.0])
+        assert start.times.tolist() == [0.0]
+        np.testing.assert_array_equal(start.states, np.full((1, 8, 1), 2.0))
+        both = simulate_path(model, cfg, output_times=[0.0, 0.02])
+        np.testing.assert_array_equal(both.states[0], start.states[0])
+        np.testing.assert_array_equal(both.states[1], simulate_path(model, cfg).states[0])
+        assert not both.states.flags.writeable
+
     def test_path_blowup_reports_exact_step(self):
         # the noise alone decides when each block crosses: block 3 first goes
         # non-finite at step 14 and block 2 at step 26, both inside the path's
@@ -339,9 +351,10 @@ class TestSimulateEnsemble:
             assert np.array_equal(got.samples, want.samples)
 
     def test_workers_share_one_noise_budget(self, monkeypatch):
-        # 2 workers split a 2**20-double (8 MiB) budget: each worker's two
-        # noise buffers, the one being stepped and the one being drawn, hold
-        # 2 MiB each; a full budget per worker or per buffer would pass 12 MiB
+        # two drawing threads fill one noise array of 2**20 doubles (8 MiB):
+        # its two buffers, the one being stepped and the one being drawn,
+        # hold 4 MiB each; a full budget per thread or per buffer would pass
+        # 12 MiB
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**20)
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
         model = fhn_model(regime("regime-c").params, 32)
@@ -413,9 +426,9 @@ class TestSimulateEnsemble:
         assert np.array_equal(simulate_path(model, cfg, output_times=times).states, path.states)
 
     def test_shared_row_drawing_survives_frequent_thread_switches(self, monkeypatch):
-        # three workers, each with its helper, on a 2-core box and with the
-        # interpreter switching threads every microsecond: a row taken twice
-        # or skipped would shift or garble a stream and break the equality
+        # three drawing threads beside the stepper, and the interpreter
+        # switching threads every microsecond: a row taken twice or skipped
+        # would shift or garble a stream and break the equality
         model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 4)
         cfg = IntegratorConfig(step_size=1e-3, t_end=40e-3, master_seed=11)
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**10)  # 8-step blocks
@@ -431,9 +444,10 @@ class TestSimulateEnsemble:
             sys.setswitchinterval(interval)
 
     def test_chunks_reuse_noise_slots_under_frequent_thread_switches(self, monkeypatch):
-        # five chunks of 240 on three workers: workers 0 and 1 step chunks 3
-        # and 4 on the slot their first chunk used; a slot that two running
-        # chunks shared would mix their noise and break the equality
+        # five chunks of 240 stepped in turn on the one noise array, three
+        # threads drawing into it: a draw of one chunk still running when the
+        # next chunk reuses the array would mix their noise and break the
+        # equality
         model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 4)
         cfg = IntegratorConfig(step_size=1e-3, t_end=40e-3, master_seed=12)
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**10)  # 8-step blocks
@@ -520,7 +534,7 @@ class TestSimulateEnsemble:
         "budget", [None, 2**10, 21_600], ids=["one-block", "8-step", "12-step"]
     )
     def test_ensemble_blowup_reports_exact_step_sample_and_block(self, monkeypatch, budget):
-        # 300 samples run on 2 workers in chunks of 150: a budget of 2**10
+        # 300 samples run in chunks of 150, 2 threads drawing: a budget of 2**10
         # doubles gives 8-step noise blocks (the floor), 21,600 gives 12-step
         # blocks, and the default takes all 30 steps in one block
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
@@ -627,22 +641,56 @@ class TestSimulateEnsemble:
         with pytest.raises(ContractViolationError, match="n_workers"):
             simulate_ensemble(model, cfg, 4, n_workers=n_workers)
 
-    def test_pool_is_capped_by_chunks_and_cores(self, monkeypatch):
+    def test_drawing_threads_are_capped_by_cores(self, monkeypatch):
+        helpers = []
+        advance = integrator._advance
+
+        def record(*args):
+            helpers.append(args[-1])
+            return advance(*args)
+
+        monkeypatch.setattr(integrator, "_advance", record)
+        model = linear_model(LinearParams(), 4)
+        cfg = IntegratorConfig(step_size=0.01, t_end=0.02, master_seed=1)
+
+        def drawing_threads(n_workers, n_samples=4):
+            helpers.clear()
+            simulate_ensemble(model, cfg, n_samples, n_workers=n_workers)
+            assert len(set(helpers)) == 1
+            return helpers[0]
+
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
-        assert integrator._pool_size(32, 32) == 2
-        assert integrator._pool_size(32, 1) == 1
-        assert integrator._pool_size(1, 32) == 1
+        assert drawing_threads(32, 600) == 2
+        assert drawing_threads(32) == 2
+        assert drawing_threads(1, 600) == 1
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: None)
-        assert integrator._pool_size(8, 4) == 1
+        assert drawing_threads(8) == 1
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 64)
-        assert integrator._pool_size(8, 4) == 4
-        with pytest.raises(ContractViolationError):
-            integrator._pool_size(0, 4)
+        assert drawing_threads(8) == 8
+        with pytest.raises(ContractViolationError, match="n_workers"):
+            drawing_threads(0)
+
+    def test_one_thread_steps_every_chunk(self, monkeypatch):
+        # 600 samples run in three chunks of 200 with three threads drawing
+        # noise; every step of every chunk runs on the calling thread
+        idents = set()
+        step = integrator._step
+
+        def record(*args):
+            idents.add(threading.get_ident())
+            return step(*args)
+
+        monkeypatch.setattr(integrator, "_step", record)
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 3)
+        model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 4)
+        cfg = IntegratorConfig(step_size=1e-3, t_end=20e-3, master_seed=13)
+        simulate_ensemble(model, cfg, 600, n_workers=3)
+        assert idents == {threading.get_ident()}
 
     def test_peak_memory_is_one_result_one_noise_array_and_the_chunks(self, monkeypatch):
-        # 1024 samples in four chunks of 256 on 2 workers, snapshot at all 33
-        # steps: the 4.1 MiB result outweighs the 1 MiB noise array (8-step
-        # blocks), so a second copy of the result would break the bound
+        # 1024 samples in four chunks of 256, 2 threads drawing, snapshot at
+        # all 33 steps: the 4.1 MiB result outweighs the 0.5 MiB noise array
+        # (8-step blocks), so a second copy of the result would break the bound
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**16)
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
         model = fhn_model(regime("regime-c").params, 8)
@@ -651,8 +699,8 @@ class TestSimulateEnsemble:
         times = [s * h for s in range(steps + 1)]
         doubles = 8 * 2  # N * q
         result = 8 * len(times) * k * doubles
-        noise = 8 * workers * 2 * size * 8 * doubles
-        chunks = 8 * workers * 3 * size * doubles  # state, scratch, saved block start
+        noise = 8 * 2 * size * 8 * doubles
+        chunk = 8 * 3 * size * doubles  # state, scratch, saved block start
         assert result > 4 * noise
         tracemalloc.start()
         try:
@@ -661,7 +709,7 @@ class TestSimulateEnsemble:
         finally:
             tracemalloc.stop()
         assert len(states) == len(times)
-        assert peak <= result + noise + chunks + 2**20
+        assert peak <= result + noise + chunk + 2**20
 
     def test_ensemble_state_keeps_a_read_only_array_and_copies_a_writeable_one(self):
         samples = np.arange(24.0).reshape(4, 3, 2)
@@ -686,19 +734,8 @@ class TestSimulateEnsemble:
         assert not np.shares_memory(states[0].samples, states[1].samples)
         assert not any(s.samples.flags.writeable for s in states)
 
-    def test_path_output_time_zero_is_the_start(self):
-        model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 8, m0=2.0)
-        cfg = IntegratorConfig(step_size=1e-3, t_end=0.02, master_seed=4)
-        start = simulate_path(model, cfg, output_times=[0.0])
-        assert start.times.tolist() == [0.0]
-        np.testing.assert_array_equal(start.states, np.full((1, 8, 1), 2.0))
-        both = simulate_path(model, cfg, output_times=[0.0, 0.02])
-        np.testing.assert_array_equal(both.states[0], start.states[0])
-        np.testing.assert_array_equal(both.states[1], simulate_path(model, cfg).states[0])
-        assert not both.states.flags.writeable
-
     def test_preflight_refuses_a_call_beyond_physical_memory(self, monkeypatch):
-        # 1000 samples run in four chunks of 250 on 2 workers; a 2**10-double
+        # 1000 samples run in four chunks of 250, one at a time; a 2**10-double
         # budget is below the 8-step floor, so the noise array counts 8 steps
         def refuse(*args, **kwargs):
             raise AssertionError("stepped past the memory check")
@@ -709,9 +746,9 @@ class TestSimulateEnsemble:
         model = fhn_model(regime("regime-c").params, 16)
         cfg = IntegratorConfig(step_size=1e-4, t_end=20e-4, master_seed=1)
         result = 8 * 2 * 1000 * 16 * 2
-        noise = 8 * 2 * 2 * 250 * 8 * 16 * 2
-        chunks = 8 * 2 * 3 * 250 * 16 * 2
-        need = result + noise + chunks
+        noise = 8 * 2 * 250 * 8 * 16 * 2
+        chunk = 8 * 3 * 250 * 16 * 2
+        need = result + noise + chunk
         monkeypatch.setattr(integrator, "_physical_memory", lambda: need - 1)
         with pytest.raises(ContractViolationError, match=f"needs {need} bytes.* {need - 1} bytes"):
             simulate_ensemble(model, cfg, 1000, n_workers=2, output_times=[0.0, 20e-4])

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -184,6 +185,23 @@ def test_model_spec_validates_sigma_symmetry():
             sigma=np.array([[1.0, 0.5], [0.0, 1.0]]),
             m0=np.zeros(2),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["sigma", "m0"])
+def test_model_spec_refuses_non_finite_sigma_and_m0(field, bad):
+    # a nan sigma used to be refused as asymmetric, an inf one passed with a
+    # RuntimeWarning, and a non-finite m0 passed to blow up at t=0
+    values = {"sigma": np.eye(2), "m0": np.zeros(2)}
+    values[field].flat[0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match=f"{field} must be finite"):
+            LatticeModelSpec(
+                n_blocks=4, block_dim=2, drift=lambda state, out: np.copyto(out, state), **values
+            )
+        with pytest.raises(ContractViolationError, match="m0 must be finite"):
+            linear_model(LinearParams(), 4, m0=bad)
 
 
 def test_model_spec_requires_three_blocks():
