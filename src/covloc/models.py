@@ -147,7 +147,7 @@ def fhn_model(params: FhnParams, n: int) -> LatticeModelSpec:
 
     def drift(state, out):
         # u (1 - 2 d_u - w - u^2/3) - v plus the neighbour and mean-field
-        # terms, on a contiguous copy of u and per-call scratch (two workers
+        # terms, on a contiguous copy of u and per-call scratch (threads may
         # share one model); only the v read and the two writes are strided
         u = state[..., 0].copy()
         du = u * u
