@@ -34,7 +34,6 @@ from .storage import (
     write_ensemble_csv,
     write_metadata,
 )
-from .svgplot import write_line_plot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -203,34 +202,9 @@ def _cmd_figure(args) -> int:
         out_dir=_out_dir(args.out or "figures"),
         threads=1 if args.threads is None else args.threads,
     )
-    if args.svg:
-        _render_svgs(files)
     for path in files:
         print(f"wrote {path}")
     return EXIT_OK
-
-
-def _render_svgs(files) -> None:
-    """Write a quick-look SVG next to each CSV in ``files`` that holds one curve.
-
-    A CSV holds one curve when every data cell parses as a float and its first
-    column strictly increases.  x is that column and the series are the next
-    columns, at most four.  Any other CSV is named on stderr and not plotted.
-    """
-    for path in map(Path, files):
-        if path.suffix != ".csv":
-            continue
-        with open(path, newline="") as fh:
-            header, *rows = csv.reader(fh)
-        try:
-            xs, *ys = [[float(cell) for cell in column] for column in zip(*rows)]
-        except ValueError:  # a cell that is not a number, or no data rows
-            xs, ys = [], []
-        if not ys or not all(a < b for a, b in zip(xs, xs[1:])):
-            print(f"no SVG for {path}: not one curve of numeric columns", file=sys.stderr)
-            continue
-        series = dict(zip(header[1:5], ys))
-        write_line_plot(path.with_suffix(".svg"), xs, series, title=path.stem)
 
 
 def _cmd_models(args) -> int:
@@ -292,8 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--threads", type=int, help=threads_help)
-    svg_help = "also plot each CSV that holds one curve: numeric cells, increasing first column"
-    p.add_argument("--svg", action="store_true", help=svg_help)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("models", help="list the regime presets")

@@ -47,8 +47,10 @@ _RULES = [
 class ExperimentConfig:
     """One experiment, resolved on construction: a missing ``step_size`` is
     min(1e-3, 0.1 / ``stiffest_rate``), shortened by ``dividing_step`` to divide
-    ``t_end``; a missing ``bounds_t`` is ``t_end``; and ``run`` is the IntegratorConfig
-    of the step, ``t_end`` and ``master_seed``, which every subcommand thereby meets."""
+    ``t_end``, and a given one must keep h * ``stiffest_rate`` below 2, where the
+    stiffest linear mode stops decaying under explicit Euler; a missing ``bounds_t``
+    is ``t_end``; and ``run`` is the IntegratorConfig of the step, ``t_end`` and
+    ``master_seed``, which every subcommand thereby meets."""
 
     params: LinearParams | FhnParams
     n_blocks: int
@@ -68,9 +70,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not holds(value):
                 raise ConfigError(f"{rule}, got {value}")
-        h = self.step_size
+        h, rate = self.step_size, stiffest_rate(self.params)
         if h is None:
-            h = dividing_step(self.t_end, min(1e-3, 0.1 / stiffest_rate(self.params)))
+            h = dividing_step(self.t_end, min(1e-3, 0.1 / rate))
+        elif h * rate >= 2.0:
+            raise ConfigError(
+                f"run.step_size = {h} times the stiffest rate {rate:.4g} is {h * rate:.4g}, "
+                "not below explicit Euler's stability limit 2"
+            )
         object.__setattr__(self, "step_size", h)
         t = self.t_end if self.bounds_t is None else self.bounds_t
         object.__setattr__(self, "bounds_t", t)

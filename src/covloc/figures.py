@@ -242,7 +242,7 @@ def _figure_f9(cfg, seed, threads):
 
 def _samples(state: EnsembleState, lo: int, hi: int) -> EnsembleState:
     """Samples lo..hi-1 of an ensemble state, as an ensemble of their own."""
-    return EnsembleState(state.samples[lo:hi], state.time, state.seeds[lo:hi])
+    return EnsembleState(state.samples[lo:hi], state.time)
 
 
 def spatial_vs_mc_rows(

@@ -109,7 +109,7 @@ def dividing_step(span: float, cap: float) -> float:
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """K independent lattice states at a common time, with seed provenance.
+    """K independent lattice states at a common time.
 
     A read-only float array is kept as it is, so slicing a simulated
     ensemble's samples costs no copy; anything else is copied and the copy
@@ -118,7 +118,6 @@ class EnsembleState:
 
     samples: np.ndarray  # (K, N, q), read-only
     time: float
-    seeds: tuple[int, ...]
 
     def __post_init__(self):
         samples = self.samples
@@ -128,10 +127,6 @@ class EnsembleState:
             samples.flags.writeable = False
         if samples.ndim != 3:
             raise ContractViolationError(f"samples must be (K, N, q), got {samples.shape}")
-        if len(self.seeds) != samples.shape[0]:
-            raise ContractViolationError("one derived seed per sample is required")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ContractViolationError("derived seeds must be pairwise distinct")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -291,7 +286,7 @@ def simulate_path(
     Output times must be multiples of h; the default is t_end, and no times
     give an empty path.  The states are a read-only view of the result.
     """
-    result, out_steps, _ = _simulate(model, config, 1, 1, output_times, None)
+    result, out_steps = _simulate(model, config, 1, 1, output_times, None)
     times = np.array([s * config.step_size for s in out_steps])
     return PathResult(times=times, states=result[:, 0])
 
@@ -366,17 +361,16 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo, hel
                     _require_finite(state, k * h, sample_lo)
 
 
-def _stream_keys(streams, n_samples: int) -> tuple[int, ...]:
-    """Philox keys of explicit (master_seed, index) streams, checked before
-    anything is integrated."""
+def _check_streams(streams, n_samples: int) -> None:
+    """Refuse (master_seed, index) streams that are not one per sample,
+    pairwise distinct and valid Philox keys, before anything is integrated."""
     if len(streams) != n_samples:
         raise ContractViolationError(
             f"need one stream per sample: {len(streams)} streams for {n_samples} samples"
         )
-    keys = tuple(sample_stream_key(seed, index) for seed, index in streams)
-    if len(set(keys)) != len(keys):
+    keys = {sample_stream_key(seed, index) for seed, index in streams}
+    if len(keys) != n_samples:
         raise ContractViolationError("streams must be pairwise distinct")
-    return keys
 
 
 def simulate_ensemble(
@@ -408,16 +402,14 @@ def simulate_ensemble(
     EnsembleState at t_end.
     """
     args = (n_samples, n_workers, output_times, streams)
-    result, out_steps, seeds = _simulate(model, config, *args)
-    states = [
-        EnsembleState(result[i], s * config.step_size, seeds) for i, s in enumerate(out_steps)
-    ]
+    result, out_steps = _simulate(model, config, *args)
+    states = [EnsembleState(result[i], s * config.step_size) for i, s in enumerate(out_steps)]
     return states if output_times is not None else states[0]
 
 
 def _simulate(model, config, n_samples, n_workers, output_times, streams):
-    """``simulate_ensemble``'s work: its read-only (T, K, N, q) result, the
-    output steps and the stream keys."""
+    """``simulate_ensemble``'s work: its read-only (T, K, N, q) result and
+    the output steps."""
     n_samples = _integer(n_samples, "n_samples", 1, math.inf)
     out_steps = _resolve_output_steps(config, output_times)
     helpers = min(_integer(n_workers, "n_workers", 1, math.inf), os.cpu_count() or 1)
@@ -426,7 +418,7 @@ def _simulate(model, config, n_samples, n_workers, output_times, streams):
     shapes = _array_shapes(model, config.n_steps, len(out_steps), n_samples, size)
     if streams is None:
         streams = [(config.master_seed, j) for j in range(n_samples)]
-    seeds = _stream_keys(streams, n_samples)
+    _check_streams(streams, n_samples)
     result, noise = map(np.empty, shapes)
     errors = []
     for lo in range(0, n_samples, size):
@@ -443,4 +435,4 @@ def _simulate(model, config, n_samples, n_workers, output_times, streams):
     if errors:
         raise min(errors, key=lambda err: (err.time, err.sample_index))
     result.flags.writeable = False
-    return result, out_steps, seeds
+    return result, out_steps

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's FFT routes: the linear drift matrix
 is built entry by entry and diagonalised densely with eigh, the matrix
-exponential is a scaled-and-squared Taylor series, and the noise covariance
-integral is brute-force trapezoid quadrature.  The CSV writers go through
-csv.writer one numpy scalar at a time, with no line building.  The
+exponential is a scaled-and-squared Taylor series, the noise covariance
+integral is brute-force trapezoid quadrature, and the Euler-Maruyama
+covariance is summed per eigenmode of the dense matrix.  The CSV writers go
+through csv.writer one numpy scalar at a time, with no line building.  The
 spatial-average comparison runs each replicate as an ensemble call of its
 own.  Ring matrices are gathered through the full ring-distance index
 matrix, banded truncation goes through a kron-expanded block mask, and
@@ -54,6 +55,16 @@ def dense_covariance(params, n: int, t: float, cov0: np.ndarray | None = None) -
         propagator = (v * np.exp(lam * t)) @ v.T
         total = total + propagator @ cov0 @ propagator.T
     return total
+
+
+def dense_euler_covariance(params, n: int, h: float, n_steps: int) -> np.ndarray:
+    """Exact covariance after ``n_steps`` explicit Euler-Maruyama steps of h
+    from a point mass, at any h: per eigenmode lambda of A, c_{j+1} = g c_j +
+    h sigma_u^2 with g = (1 + h lambda)^2, so c_n = h sigma_u^2 (1 - g^n)/(1 - g)
+    (g != 1 unless h lambda = -2, Euler's stability limit)."""
+    lam, v = np.linalg.eigh(dense_drift_matrix(params, n))
+    g = (1.0 + h * lam) ** 2
+    return h * params.sigma_u**2 * ((v * ((1.0 - g**n_steps) / (1.0 - g))) @ v.T)
 
 
 def cyclic_distance_matrix(n: int) -> np.ndarray:

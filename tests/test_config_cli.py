@@ -20,7 +20,6 @@ from covloc.lattice import ContractViolationError, ring_matrix
 from covloc.localization import choose_bandwidth, localization_error_bound
 from covloc.models import REGIMES, FhnParams, LinearParams
 from covloc.storage import write_covariance, write_covariance_csv
-from covloc.svgplot import write_line_plot
 
 LINEAR_CFG = """
 [model]
@@ -150,7 +149,7 @@ class TestCliCommands:
         from covloc.storage import read_array, write_covariance_csv
 
         samples, _ = read_array(out / "ensemble.cvl")
-        ens = EnsembleState(samples=samples, time=0.2, seeds=tuple(range(len(samples))))
+        ens = EnsembleState(samples=samples, time=0.2)
         cov = sample_covariance(ens)
         cov_path = tmp_path / "cov.csv"
         write_covariance_csv(cov_path, cov)
@@ -236,21 +235,19 @@ class TestCliCommands:
         for r in rows[1:]:
             _, cov, bound = r.split(",")
             assert 0 < float(cov) < float(bound)
-        assert main(["figure", "F4", "--scale", "desk", "--out", str(out), "--svg"]) == 0
+        assert main(["figure", "F4", "--scale", "desk", "--out", str(out)]) == 0
         rows = (out / "F4_diffusion_decay.csv").read_text().splitlines()
         assert rows[0] == "k,covariance,log_abs_covariance,bound"
-        assert (out / "F4_diffusion_decay.svg").exists()
         meta = json.loads((out / "F4_metadata.json").read_text())
         assert meta["settings"]["beta"] == 0.2
 
-    @pytest.mark.parametrize("figure_id", ["F1", "F3"])
-    def test_figure_svg_skips_a_csv_of_several_curves(self, tmp_path, capsys, figure_id):
-        # F1 and F3 hold one profile per n or d_u, so their first column repeats
+    def test_figure_has_no_svg_flag(self, tmp_path, capsys):
         out = tmp_path / "figs"
-        assert main(["figure", figure_id, "--out", str(out), "--svg"]) == 0
-        assert not list(out.glob("*.svg"))
-        (csv_path,) = out.glob("*.csv")
-        assert str(csv_path) in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "F4", "--svg", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--svg" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_figure_f8_space_time_fields(self, tmp_path):
         out = tmp_path / "figs"
@@ -269,14 +266,45 @@ class TestExitCodes:
         assert main(["simulate"]) == 2
 
     def test_blowup_is_3(self, tmp_path):
+        # h * stiffest_rate = 0.078, yet noise of amplitude 100/sqrt(eps)
+        # kicks u onto the cubic's divergent branch
         cfg = tmp_path / "explode.ini"
         cfg.write_text(
-            "[model]\npreset = regime-f\n\n[run]\nn_blocks = 8\nn_samples = 2\n"
-            "t_end = 5.0\nstep_size = 0.5\nmaster_seed = 1\n\n[outputs]\n"
+            "[model]\nkind = fhn\ndelta1 = 100\n\n[run]\nn_blocks = 8\nn_samples = 2\n"
+            "t_end = 0.01\nstep_size = 0.0001\nmaster_seed = 1\n\n[outputs]\n"
             f"out_dir = {tmp_path / 'x'}\n"
         )
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "model, step, product",
+        [
+            ("preset = regime-f", "0.5", "488"),
+            # a + 4 d_u + w = 10: h * rate = 2.0 exactly, Euler's stability limit
+            ("kind = linear\na = 1.0\nd_u = 2.0\nw = 1.0", "0.2", "2"),
+            # 5/26 divides t_end, and h * rate = 1.92 is inside the limit
+            ("kind = linear\na = 1.0\nd_u = 2.0\nw = 1.0", repr(5 / 26), None),
+        ],
+        ids=["regime-f", "linear-at-the-limit", "linear-inside-the-limit"],
+    )
+    def test_step_at_or_beyond_euler_stability_is_2_and_writes_nothing(
+        self, tmp_path, capsys, model, step, product
+    ):
+        out = tmp_path / "x"
+        cfg = tmp_path / "unstable.ini"
+        cfg.write_text(
+            f"[model]\n{model}\n\n[run]\nn_blocks = 8\nn_samples = 2\nt_end = 5.0\n"
+            f"step_size = {step}\nmaster_seed = 1\n\n[outputs]\nout_dir = {out}\n"
+        )
+        capsys.readouterr()
+        if product is None:
+            assert main(["simulate", "--config", str(cfg)]) == 0
+            return
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert f"step_size = {step} " in err and f" is {product}," in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "cov"])
     def test_ensemble_beyond_physical_memory_is_2_and_writes_nothing(
@@ -293,7 +321,8 @@ class TestExitCodes:
 
     def test_cov_step_that_does_not_divide_t_end_is_2_and_writes_nothing(self, tmp_path):
         out = tmp_path / "cov"
-        text = LINEAR_CFG.replace("t_end = 0.2", "t_end = 1.0").replace("0.002", "0.3")
+        # h * stiffest_rate = 1.5, inside Euler's stability limit
+        text = LINEAR_CFG.replace("t_end = 0.2", "t_end = 1.0").replace("0.002", "0.15")
         assert main(["cov", "--config", _write(tmp_path, text, out=out)]) == 2
         assert not out.exists()
 
@@ -301,7 +330,7 @@ class TestExitCodes:
         "old, new",
         [
             # the step check of simulate and cov holds for bounds too
-            ("t_end = 0.2\nstep_size = 0.002", "t_end = 1.0\nstep_size = 0.3"),
+            ("t_end = 0.2\nstep_size = 0.002", "t_end = 1.0\nstep_size = 0.15"),
             ("betas = 0.2, 0.5", "betas ="),
             # no step_size: the default step must not be taken from a negative t_end
             ("t_end = 0.2\nstep_size = 0.002", "t_end = -0.0005"),
@@ -506,13 +535,6 @@ class TestRejectsBadInput:
         path.write_text("\n".join([header, *edit(lines)]) + "\n")
         rc, out = self._localize(tmp_path, path, "--bandwidth", "2")
         assert rc == 2 and not out.exists()
-
-    @pytest.mark.parametrize("x", [[np.inf] * 3, [0.0, np.nan, 1.0]], ids=["all-inf", "one-nan"])
-    def test_line_plot_rejects_non_finite_x(self, tmp_path, x):
-        # such x used to write "nan" ticks and polyline points, an invalid SVG
-        with pytest.raises(ValueError, match="finite"):
-            write_line_plot(tmp_path / "p.svg", x, {"y": [1.0, 2.0, 3.0]})
-        assert not (tmp_path / "p.svg").exists()
 
     @pytest.mark.parametrize("flag", ["--input", "--reference"])
     @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -13,16 +13,24 @@ A change that alters an output on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_digests.py`` in the same commit and names
 each changed digest in CHANGES.md.  ``sample_covariance`` goes through BLAS
 and numpy's FFT may take another SIMD route on another CPU, so the file
-records the numpy version and the BLAS it was made with.
+records the numpy version, the BLAS with the OpenBLAS kernel it ran, and the
+SIMD extensions numpy found.  The test's own inputs avoid numpy's SIMD
+transcendentals, and one test reruns the gate on numpy's AVX2 path, as on an
+x86-64 host without AVX-512.
 """
 
+import ctypes
 import hashlib
 import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import covloc
 from covloc import figures
 from covloc.cli import main
 from covloc.figures import run_figure, spatial_vs_mc_rows
@@ -71,9 +79,30 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# numpy's AVX-512 dispatch targets: disabling them leaves its AVX2 path
+_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def _openblas_core() -> str | None:
+    """The OpenBLAS kernel numpy's BLAS runs, where numpy's bundled
+    scipy-openblas names it."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def environment() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+        "blas_core": _openblas_core(),
+        "simd": config["SIMD Extensions"]["found"],
+    }
 
 
 def _blowup(h: float, n_workers: int) -> bytes:
@@ -102,7 +131,8 @@ def compute_digests() -> dict[str, str]:
         Path(f"{name}.ini").write_text(text)
         assert main(["simulate", "--config", f"{name}.ini", "--out", f"simulate-{name}"]) == 0
 
-    row = np.exp(-0.4 * np.arange(64)) + 0.01
+    # scalar exp: numpy's vector exp differs between its AVX-512 and AVX2 paths
+    row = np.array([math.exp(-0.4 * k) + 0.01 for k in range(64)])
     write_covariance_csv("ring.csv", BlockCovariance(ring_matrix(row), 64, 1))
     argv = ["localize", "--input", "ring.csv", "--reference", "ring.csv", "--out", "localize"]
     assert main([*argv, "--epsilon", "1e-3", "--beta", "0.4", "--coefficient", "1.0"]) == 0
@@ -144,16 +174,41 @@ def compute_digests() -> dict[str, str]:
     return digests
 
 
-def test_every_output_matches_its_committed_digest(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _require_committed(got: dict[str, str], running: dict) -> None:
     recorded = json.loads(DIGESTS.read_text())
-    got = compute_digests()
     want = recorded["digests"]
     changed = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     assert not changed, (
         f"outputs differ from tests/digests.json: {changed}; recorded with "
-        f"{recorded['environment']}, running {environment()}"
+        f"{recorded['environment']}, running {running}"
     )
+
+
+def test_every_output_matches_its_committed_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _require_committed(compute_digests(), environment())
+
+
+def test_digests_hold_on_numpy_avx2_path(tmp_path):
+    code = (
+        "import json, test_digests as t; "
+        "print(json.dumps({'environment': t.environment(), 'digests': t.compute_digests()}))"
+    )
+    paths = [Path(__file__).parent, Path(covloc.__file__).parents[1], os.environ.get("PYTHONPATH")]
+    pythonpath = os.pathsep.join(str(p) for p in paths if p)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _AVX512, "PYTHONPATH": pythonpath}
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])  # after main's "wrote" lines
+    assert not set(_AVX512.split()) & set(got["environment"]["simd"])
+    _require_committed(got["digests"], got["environment"])
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from covloc import (
 
 def _ensemble(samples):
     samples = np.asarray(samples, dtype=float)
-    return EnsembleState(samples=samples, time=0.0, seeds=tuple(range(samples.shape[0])))
+    return EnsembleState(samples=samples, time=0.0)
 
 
 class TestSampleCovariance:

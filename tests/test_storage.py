@@ -45,7 +45,7 @@ def test_header_layout_is_the_documented_one(tmp_path):
 
 def test_ensemble_roundtrip(tmp_path):
     samples = np.arange(24, dtype=float).reshape(3, 4, 2)
-    ens = EnsembleState(samples=samples, time=2.0, seeds=(1, 2, 3))
+    ens = EnsembleState(samples=samples, time=2.0)
     path = tmp_path / "e.cvl"
     write_array(path, ens.samples, ens.time)
     back, t = read_array(path)
@@ -75,7 +75,7 @@ def test_covariance_csv_roundtrip(tmp_path):
 
 
 def test_ensemble_csv_columns(tmp_path):
-    ens = EnsembleState(samples=np.zeros((2, 3, 1)), time=0.0, seeds=(0, 1))
+    ens = EnsembleState(samples=np.zeros((2, 3, 1)), time=0.0)
     path = tmp_path / "e.csv"
     write_ensemble_csv(path, ens)
     lines = path.read_text().splitlines()
@@ -109,7 +109,7 @@ def test_covariance_csv_matches_the_csv_writer_reference(tmp_path):
 
 
 def test_ensemble_csv_matches_the_csv_writer_reference(tmp_path):
-    ens = EnsembleState(samples=_wide_values((3, 5, 2), 8), time=0.5, seeds=(4, 5, 6))
+    ens = EnsembleState(samples=_wide_values((3, 5, 2), 8), time=0.5)
     write_ensemble_csv(tmp_path / "new.csv", ens)
     reference_ensemble_csv(tmp_path / "ref.csv", ens.samples)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -144,7 +144,7 @@ def test_signed_zeros_in_one_block_keep_their_own_text(tmp_path):
     samples = np.zeros((4, 3, 2))
     samples[::2, :, 1] = -0.0
     samples[1, 1, 0] = 5e-324
-    write_ensemble_csv(tmp_path / "new.csv", EnsembleState(samples, 0.0, (1, 2, 3, 4)))
+    write_ensemble_csv(tmp_path / "new.csv", EnsembleState(samples, 0.0))
     reference_ensemble_csv(tmp_path / "ref.csv", samples)
     text = (tmp_path / "new.csv").read_text()
     assert text == (tmp_path / "ref.csv").read_text()
@@ -155,7 +155,7 @@ def test_ensemble_csv_over_several_blocks_matches_the_reference(tmp_path):
     k = 3 * _rows_per_block(64 * 2) + 5
     samples = _wide_values((k, 64, 2), 10)
     samples[-1] = samples[0]  # values repeated across blocks
-    write_ensemble_csv(tmp_path / "new.csv", EnsembleState(samples, 0.0, tuple(range(k))))
+    write_ensemble_csv(tmp_path / "new.csv", EnsembleState(samples, 0.0))
     reference_ensemble_csv(tmp_path / "ref.csv", samples)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -163,13 +163,13 @@ def test_ensemble_csv_over_several_blocks_matches_the_reference(tmp_path):
 @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 3, 0), (1, 1, 1)])
 def test_ensemble_csv_of_an_empty_or_single_entry_array(tmp_path, shape):
     samples = np.full(shape, 0.25)
-    write_ensemble_csv(tmp_path / "new.csv", EnsembleState(samples, 0.0, tuple(range(shape[0]))))
+    write_ensemble_csv(tmp_path / "new.csv", EnsembleState(samples, 0.0))
     reference_ensemble_csv(tmp_path / "ref.csv", samples)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _writer_peak_bytes(path, samples):
-    ens = EnsembleState(samples, 0.0, tuple(range(len(samples))))
+    ens = EnsembleState(samples, 0.0)
     tracemalloc.start()
     try:
         write_ensemble_csv(path, ens)
