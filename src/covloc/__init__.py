@@ -7,7 +7,6 @@ from .lattice import (
     ContractViolationError,
     LatticeModelSpec,
     LipschitzConstants,
-    UnsupportedModelError,
     cyclic_distance,
     lipschitz_constants,
 )
@@ -39,7 +38,6 @@ from .analytic import (
 )
 from .estimators import (
     EstimatorReport,
-    InsufficientSamplesError,
     SteinCheck,
     monte_carlo_pair_covariance,
     sample_covariance,
@@ -50,9 +48,6 @@ from .estimators import (
 from .bounds import (
     BoundEvaluation,
     BoundInputs,
-    StabilityWindowError,
-    MisuseError,
-    UNSTABLE,
     bound_inputs_from_model,
     covariance_bound,
     diffusion_only_bound,

@@ -23,7 +23,8 @@ Saturation rule: G is +inf once r t passes log(CAP), and every bound is
 clamped to CAP at the end, so a saturated evaluation reads exactly CAP = 1e300
 and is flagged vacuous.  Infinities never cancel to a small value or vanish
 under a decay factor that underflows to 0: both the inf - inf and the
-inf * 0 they would give clamp to CAP as well.  An honest "the bound says
+inf * 0 they would give clamp to CAP as well.  The long-time bound of an
+unstable system is infinite, so it reads CAP too.  An honest "the bound says
 nothing here" beats a NaN or a false zero.
 """
 
@@ -48,17 +49,6 @@ CAP = 1e300
 _LOG_CAP = math.log(CAP)
 # golden-section steps in optimize_beta
 _GOLDEN_ITERATIONS = 60
-
-UNSTABLE = "unstable"
-
-
-class StabilityWindowError(ValueError):
-    """beta lies outside the window where the long-time bound is finite."""
-
-
-class MisuseError(ValueError):
-    """A specialized bound was called outside its specialization."""
-
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -210,7 +200,7 @@ def meanfield_only_bound(inputs: BoundInputs) -> float:
     """
     c = inputs.constants
     if c.lambda_f != 0.0:
-        raise MisuseError(
+        raise ContractViolationError(
             f"mean-field-only bound requires lambda_f = 0, got {c.lambda_f}"
         )
     growth = _mean_field_growth(_doubled(c.lambda_0), _doubled(c.lambda_0 + c.lambda_h), inputs)
@@ -220,7 +210,7 @@ def meanfield_only_bound(inputs: BoundInputs) -> float:
 def diffusion_only_bound(i: int, j: int, beta: float, inputs: BoundInputs) -> float:
     """Local-term-only bound for systems with no mean-field coupling."""
     if inputs.constants.lambda_h != 0.0:
-        raise MisuseError(
+        raise ContractViolationError(
             f"diffusion-only bound requires lambda_h = 0, got {inputs.constants.lambda_h}"
         )
     return covariance_bound(i, j, beta, inputs).local_term
@@ -278,11 +268,11 @@ def estimator_variance_bound(inputs: BoundInputs, beta: float) -> float:
     return _cap(pref * growth)
 
 
-def longtime_bound(i: int, j: int, inputs: BoundInputs, beta: float):
-    """Long-time (t -> infinity) covariance bound, or "unstable".
+def longtime_bound(i: int, j: int, inputs: BoundInputs, beta: float) -> float:
+    """Long-time (t -> infinity) covariance bound.
 
-    Requires lambda_0 + lambda_h + 2 lambda_f < 0 for stability; within the
-    stability window (eta_beta < 0) returns
+    An unstable system (lambda_0 + lambda_h + 2 lambda_f >= 0) has no finite
+    bound and reads CAP.  Within the stability window (eta_beta < 0) returns
 
         sqrt(q) |grad g|^2 S * ((-2/lam) e^{-beta d}
             + (2 (1+e^-beta) / ((1-e^-beta) N)) (1/lam - 1/eta)),
@@ -291,10 +281,10 @@ def longtime_bound(i: int, j: int, inputs: BoundInputs, beta: float):
     """
     c = inputs.constants
     if c.lambda_0 + c.lambda_h + 2.0 * c.lambda_f >= 0.0:
-        return UNSTABLE
+        return CAP
     lam, eta = growth_rates(beta, c)
     if not (lam <= eta < 0.0):
-        raise StabilityWindowError(
+        raise ContractViolationError(
             f"beta={beta} violates lambda_beta <= eta_beta < 0: "
             f"lambda_beta={lam:.6g}, eta_beta={eta:.6g}; shrink beta toward 0"
         )

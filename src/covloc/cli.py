@@ -279,6 +279,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: 0 for --help and --version, 2 for a bad command line
+        return exc.code
     except (ConfigError, ContractViolationError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,10 +20,6 @@ MONTE_CARLO = "monte-carlo"
 SPATIAL_AVERAGE = "spatial-average"
 
 
-class InsufficientSamplesError(ValueError):
-    """The estimator needs more independent samples than were provided."""
-
-
 @dataclass(frozen=True)
 class EstimatorReport:
     estimate: float
@@ -33,13 +29,18 @@ class EstimatorReport:
 
 
 def sample_covariance(ensemble: EnsembleState) -> BlockCovariance:
-    """Classic sample covariance over the K samples, (1/(K-1)) sum of outer products."""
+    """Classic sample covariance over the K samples, (1/(K-1)) sum of outer products.
+
+    Each entry sums its K products in sample order, one full row at a time,
+    so its bits do not depend on the BLAS kernel or SIMD path that runs, and
+    the result is exactly symmetric.
+    """
     k = ensemble.n_samples
     if k < 2:
-        raise InsufficientSamplesError(f"sample covariance needs K >= 2, got K={k}")
+        raise ContractViolationError(f"sample covariance needs K >= 2, got K={k}")
     flat = ensemble.samples.reshape(k, -1)
     centered = flat - flat.mean(axis=0)
-    cov = centered.T @ centered / (k - 1)
+    cov = np.array([(col * centered).sum(axis=0) for col in centered.T[:, :, None]]) / (k - 1)
     return BlockCovariance(cov, ensemble.samples.shape[1], ensemble.samples.shape[2])
 
 
@@ -104,7 +105,7 @@ def monte_carlo_pair_covariance(ensemble: EnsembleState, lag: int) -> EstimatorR
     """
     k, n, _ = ensemble.samples.shape
     if k < 2:
-        raise InsufficientSamplesError(f"need K >= 2 samples, got K={k}")
+        raise ContractViolationError(f"need K >= 2 samples, got K={k}")
     if not (0 <= lag <= n - 1):
         raise ContractViolationError(f"lag must lie in 0..{n - 1}, got {lag}")
     x = ensemble.samples[:, 0, 0]

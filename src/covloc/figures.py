@@ -39,12 +39,7 @@ import numpy as np
 
 from .analytic import analytic_covariance, build_system_matrix
 from .bounds import bound_inputs_from_model, diffusion_only_bound, meanfield_only_bound
-from .estimators import (
-    InsufficientSamplesError,
-    monte_carlo_pair_covariance,
-    sample_covariance,
-    shifted_pair_covariance,
-)
+from .estimators import monte_carlo_pair_covariance, sample_covariance, shifted_pair_covariance
 from .integrator import (
     EnsembleState,
     IntegratorConfig,
@@ -275,7 +270,7 @@ def spatial_vs_mc_rows(
     if not 0 <= max_lag <= n // 2:
         raise ContractViolationError(f"max_lag must lie in 0..{n // 2}, got {max_lag}")
     if k_mc < 2 or sa_replicates < 2:
-        raise InsufficientSamplesError(
+        raise ContractViolationError(
             f"need k_mc >= 2 and sa_replicates >= 2, got {k_mc} and {sa_replicates}"
         )
     params = regime(preset).params

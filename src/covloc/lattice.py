@@ -21,10 +21,6 @@ class ContractViolationError(ValueError):
     """An argument broke a documented precondition."""
 
 
-class UnsupportedModelError(ValueError):
-    """Coupling constants were requested for a model that does not carry them."""
-
-
 def cyclic_distance(i: int, j: int, n: int) -> int:
     """Shortest separation between 1-based block indices on the N-ring.
 
@@ -162,7 +158,7 @@ def lipschitz_constants(model: LatticeModelSpec) -> LipschitzConstants:
     silently void the bound guarantees).
     """
     if model.lipschitz is None:
-        raise UnsupportedModelError(
+        raise ContractViolationError(
             "model carries no coupling constants; supply LipschitzConstants explicitly"
         )
     return model.lipschitz

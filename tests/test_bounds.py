@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from covloc import (
     BoundInputs,
+    ContractViolationError,
     LinearParams,
     LipschitzConstants,
-    MisuseError,
     REGIMES,
-    StabilityWindowError,
-    UNSTABLE,
     analytic_covariance,
     bound_inputs_from_model,
     build_system_matrix,
@@ -151,7 +149,7 @@ class TestMeanfieldOnlyBound:
         assert value * 64 == pytest.approx(0.41329769316713173114, rel=1e-14)
 
     def test_rejects_neighbor_coupling(self):
-        with pytest.raises(MisuseError):
+        with pytest.raises(ContractViolationError, match="requires lambda_f = 0"):
             meanfield_only_bound(_inputs(LipschitzConstants(-2.0, 0.5, 1.0)))
 
     def test_saturates_to_cap_not_zero(self):
@@ -176,7 +174,7 @@ class TestDiffusionOnlyBound:
         assert (np.diff(values) < 0).all()
 
     def test_rejects_meanfield_coupling(self):
-        with pytest.raises(MisuseError):
+        with pytest.raises(ContractViolationError, match="requires lambda_h = 0"):
             diffusion_only_bound(1, 2, 0.2, _inputs(LipschitzConstants(-2.0, 0.5, 1.0)))
 
 
@@ -221,7 +219,7 @@ class TestEstimatorVarianceBound:
 class TestLongtimeBound:
     def test_stability_gate(self):
         inputs = _inputs(LipschitzConstants(-1.0, 0.5, 1.0))  # -1 + 1 + 1 = +1
-        assert longtime_bound(1, 2, inputs, 0.5) == UNSTABLE
+        assert longtime_bound(1, 2, inputs, 0.5) == CAP
 
     def test_meanfield_example_finite(self):
         # frozen from 50-digit evaluation with lam=-6, eta=-1, S=0.25, N=64
@@ -232,7 +230,7 @@ class TestLongtimeBound:
     def test_window_violation_explains_sign(self):
         c = LipschitzConstants(-3.0, 1.0, 0.5)  # stable: -3 + 0.5 + 2 < 0
         inputs = _inputs(c)
-        with pytest.raises(StabilityWindowError, match="eta_beta"):
+        with pytest.raises(ContractViolationError, match="violates lambda_beta <= eta_beta < 0"):
             longtime_bound(1, 2, inputs, 5.0)
 
     def test_is_the_time_limit_of_the_two_term_bound(self):

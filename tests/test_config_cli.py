@@ -243,9 +243,7 @@ class TestCliCommands:
 
     def test_figure_has_no_svg_flag(self, tmp_path, capsys):
         out = tmp_path / "figs"
-        with pytest.raises(SystemExit) as exc:
-            main(["figure", "F4", "--svg", "--out", str(out)])
-        assert exc.value.code == 2
+        assert main(["figure", "F4", "--svg", "--out", str(out)]) == 2
         assert "--svg" in capsys.readouterr().err
         assert not out.exists()
 
@@ -264,6 +262,29 @@ class TestExitCodes:
 
     def test_missing_config_is_2(self):
         assert main(["simulate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--out", "out"],
+            ["cov", "--out", "out"],
+            ["bounds", "--out", "out"],
+            ["localize", "--out", "out"],
+            ["figure", "F4", "--out", "out"],
+            ["models", "--list"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_flag_is_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--no-such-flag"]) == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["figure", "--help"]])
+    def test_help_and_version_are_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
     def test_blowup_is_3(self, tmp_path):
         # h * stiffest_rate = 0.078, yet noise of amplitude 100/sqrt(eps)

@@ -11,12 +11,13 @@ other; this gate also catches a change that alters every output alike.
 
 A change that alters an output on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_digests.py`` in the same commit and names
-each changed digest in CHANGES.md.  ``sample_covariance`` goes through BLAS
-and numpy's FFT may take another SIMD route on another CPU, so the file
-records the numpy version, the BLAS with the OpenBLAS kernel it ran, and the
-SIMD extensions numpy found.  The test's own inputs avoid numpy's SIMD
-transcendentals, and one test reruns the gate on numpy's AVX2 path, as on an
-x86-64 host without AVX-512.
+each changed digest in CHANGES.md.  numpy's FFT may take another SIMD route
+on another CPU, so the file records the numpy version, the BLAS with the
+OpenBLAS kernel it ran, and the SIMD extensions numpy found.  No covered
+output goes through BLAS: ``sample_covariance`` sums in a fixed order.  The
+test's own inputs avoid numpy's SIMD transcendentals, and one test reruns the
+gate on numpy's AVX2 path with OpenBLAS's Sandybridge kernel, as on an x86-64
+host without AVX-512.
 """
 
 import ctypes
@@ -196,7 +197,12 @@ def test_digests_hold_on_numpy_avx2_path(tmp_path):
     )
     paths = [Path(__file__).parent, Path(covloc.__file__).parents[1], os.environ.get("PYTHONPATH")]
     pythonpath = os.pathsep.join(str(p) for p in paths if p)
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _AVX512, "PYTHONPATH": pythonpath}
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": _AVX512,
+        "OPENBLAS_CORETYPE": "Sandybridge",
+        "PYTHONPATH": pythonpath,
+    }
     run = subprocess.run(
         [sys.executable, "-c", code],
         cwd=tmp_path,
@@ -208,6 +214,7 @@ def test_digests_hold_on_numpy_avx2_path(tmp_path):
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout.splitlines()[-1])  # after main's "wrote" lines
     assert not set(_AVX512.split()) & set(got["environment"]["simd"])
+    assert got["environment"]["blas_core"] in (None, "Sandybridge")
     _require_committed(got["digests"], got["environment"])
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covloc import (
+    ContractViolationError,
     EnsembleState,
-    InsufficientSamplesError,
     IntegratorConfig,
     LinearParams,
     analytic_covariance,
@@ -31,6 +31,14 @@ class TestSampleCovariance:
         # pairs (0,0) and (2,2): covariance matrix of all ones times 2
         np.testing.assert_allclose(sample_covariance(ens).data, [[2.0, 2.0], [2.0, 2.0]])
 
+    def test_fixed_order_sum_is_symmetric_and_matches_the_gemm(self):
+        samples = np.random.default_rng(102).standard_normal((300, 24, 2))
+        cov = sample_covariance(_ensemble(samples)).data
+        assert np.array_equal(cov, cov.T)
+        centered = samples.reshape(300, -1) - samples.reshape(300, -1).mean(axis=0)
+        gemm = centered.T @ centered / 299
+        assert np.abs(cov - gemm).max() <= 1e-12 * np.abs(gemm).max()
+
     def test_identical_samples_give_zero(self):
         ens = _ensemble(np.tile([[1.0], [2.0], [3.0]], (5, 1, 1)))
         np.testing.assert_allclose(sample_covariance(ens).data, 0.0, atol=1e-15)
@@ -42,7 +50,7 @@ class TestSampleCovariance:
         assert np.abs(cov.data - np.eye(8)).max() < 0.05
 
     def test_needs_two_samples(self):
-        with pytest.raises(InsufficientSamplesError):
+        with pytest.raises(ContractViolationError, match="needs K >= 2"):
             sample_covariance(_ensemble(np.zeros((1, 4, 1))))
 
     def test_output_is_psd(self):

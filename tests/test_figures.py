@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from covloc import figures
-from covloc.estimators import InsufficientSamplesError
 from covloc.figures import (
     LINEAR_BOTH,
     LINEAR_DIFFUSION,
@@ -218,22 +217,22 @@ def _refuse_to_integrate(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "kwargs, error",
+    "kwargs",
     [
-        ({"max_lag": 9}, ContractViolationError),
-        ({"max_lag": -1}, ContractViolationError),
-        ({"k_mc": 1}, InsufficientSamplesError),
-        ({"sa_replicates": 1}, InsufficientSamplesError),
-        ({"times": []}, ContractViolationError),
-        pytest.param({"times": [0.02, 0.01]}, ContractViolationError, id="decreasing-times"),
+        {"max_lag": 9},
+        {"max_lag": -1},
+        {"k_mc": 1},
+        {"sa_replicates": 1},
+        {"times": []},
+        pytest.param({"times": [0.02, 0.01]}, id="decreasing-times"),
     ],
 )
-def test_spatial_vs_mc_rejects_bad_arguments_before_integrating(monkeypatch, kwargs, error):
+def test_spatial_vs_mc_rejects_bad_arguments_before_integrating(monkeypatch, kwargs):
     monkeypatch.setattr(figures, "simulate_ensemble", _refuse_to_integrate)
     args = {"n": 16, "times": [0.01], "k_mc": 4, "sa_replicates": 3, "h": 5e-4, "seed": 1}
     # the message names the argument, or for times out of order that order
     match = "nondecreasing" if kwargs.get("times") else next(iter(kwargs))
-    with pytest.raises(error, match=match):
+    with pytest.raises(ContractViolationError, match=match):
         list(spatial_vs_mc_rows("regime-f", **{**args, **kwargs}))
 
 

@@ -14,7 +14,6 @@ from covloc import (
     FhnParams,
     LinearParams,
     LipschitzConstants,
-    UnsupportedModelError,
     cyclic_distance,
     fhn_model,
     linear_model,
@@ -91,7 +90,7 @@ def test_lipschitz_constants_refuses_custom_models():
         sigma=np.eye(1),
         m0=np.zeros(1),
     )
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(ContractViolationError, match="carries no coupling constants"):
         lipschitz_constants(spec)
 
 
