@@ -19,11 +19,11 @@ snapshots, and one noise array that every chunk reuses.  Drawing normals is
 most of the work, so that is where the threads go: min(n_workers,
 os.cpu_count()) helper threads draw a noise block row by row while the
 previous block is stepped, and the stepper takes the rows left before it
-steps it.  Either way sample c's rows come from its own stream, in order,
-and whichever thread draws a row scales it by sqrt(h) sigma^T while it is in
-cache, so the stepper only adds noise.  ``euler_step`` scales its draw the
-same way and takes one step with the same step function; noise and blow-ups:
-see ``_advance``.
+steps it.  Either way sample c's rows come from its own stream, in order, as
+raw standard normals; the stepper then scales the whole block by sqrt(h)
+sigma^T with one call and only adds noise as it steps.  ``euler_step`` scales
+its draw the same way and takes one step with the same step function; noise
+and blow-ups: see ``_advance``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ from .lattice import ContractViolationError, LatticeModelSpec
 
 # Noise is pre-generated in blocks of steps sized to keep the noise array small;
 # block size never affects results (each sample is one continuous stream).
-_NOISE_BUDGET = 2**22  # doubles (32 MiB): one call's noise array, above the 8-step floor
+# 2**21 doubles (16 MiB): one call's noise array, above the 8-step floor; 16-step
+# rows at N=128, q=2, C=256.  2**20's 8-step rows cost more CPU, as each row's
+# draw releases and retakes the GIL.
+_NOISE_BUDGET = 2**21
 _CHUNK_SAMPLES = 256
 
 
@@ -171,10 +174,11 @@ def _require_finite(state: np.ndarray, time: float, sample_lo: int) -> None:
 
 
 def _noise_scaling(model: LatticeModelSpec, h: float):
-    """The in-place map rows -> rows @ (sqrt(h) sigma^T) on drawn (steps, N, q)
-    noise rows.  A diagonal sigma, every model's, multiplies by its diagonal
-    tiled over the N blocks: the same bits as the matmul, whose q-wide rows
-    cost several times more.  Any other sigma takes the matmul."""
+    """The in-place map block -> block @ (sqrt(h) sigma^T) on a drawn
+    (C, steps, N, q) noise block.  A diagonal sigma, every model's, multiplies
+    by its diagonal tiled over the N blocks: the same bits as the matmul,
+    whose q-wide rows cost several times more.  Any other sigma takes the
+    matmul."""
     scale = math.sqrt(h) * model.sigma.T
     diagonal = np.diag(scale)
     if np.array_equal(scale, np.diag(diagonal)):
@@ -260,9 +264,10 @@ def _array_shapes(model, n_steps, n_out, n_samples, count):
     before either is allocated when they, with one chunk's state, scratch
     and saved block start, exceed physical memory.  The noise array holds
     the two (count, block, N, q) buffers every chunk reuses, one being
-    stepped while the other is drawn; blocks run 8 to 256 steps, sized so the
-    array holds ``_NOISE_BUDGET`` doubles where the 8-step floor allows: at
-    large count * N * q the floor wins and the array exceeds the budget."""
+    scaled and stepped while the other is drawn; blocks run 8 to 256 steps,
+    sized so the array holds ``_NOISE_BUDGET`` doubles where the 8-step floor
+    allows: at large count * N * q the floor wins and the array exceeds the
+    budget."""
     n, q = model.n_blocks, model.block_dim
     block = max(8, min(256, _NOISE_BUDGET // (2 * count * n * q)))
     result, noise = (n_out, n_samples, n, q), (2, count, min(block, n_steps), n, q)
@@ -303,14 +308,15 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo, hel
     block length).  ``helpers`` threads start drawing the next block, one
     sample's row at a time, while the current one is stepped; at the top of
     each block the stepping thread draws the rows no helper has taken, then
-    waits for every helper's last row.  Whichever thread draws a row scales
-    it by sqrt(h) sigma^T at once (see ``_noise_scaling``), so a step adds
-    the buffered noise as it is.  The state is checked for finiteness once,
-    at the end of each block; NaNs and infs persist under the update, so a
-    failed check restores the block's saved start and re-steps the block
-    with its still buffered noise, checking every step.  That names the
-    first non-finite step and its first sample ``sample_lo`` + c, an index
-    into the caller's streams.
+    waits for every helper's last row.  Rows hold raw standard normals; once
+    the next block's drawing has started, the stepping thread scales the
+    whole block by sqrt(h) sigma^T with one call (see ``_noise_scaling``),
+    so a step adds the buffered noise as it is.  The state is checked for
+    finiteness once, at the end of each block; NaNs and infs persist under
+    the update, so a failed check restores the block's saved start and
+    re-steps the block with its still buffered noise, checking every step.
+    That names the first non-finite step and its first sample
+    ``sample_lo`` + c, an index into the caller's streams.
     """
     count = state.shape[0]
     h, n_steps = config.step_size, config.n_steps
@@ -333,7 +339,6 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo, hel
         # two of the helpers and the stepper take the same row
         for c in rows:
             gens[c].standard_normal(out=buf[c, :steps])
-            scale_noise(buf[c, :steps])
 
     def start(lo):
         rows = iter(range(count))
@@ -350,6 +355,7 @@ def _advance(model, config, state, gens, out_steps, out, buffers, sample_lo, hel
             for future in drawing:
                 future.result()
             pending = start(hi) if hi < n_steps else None
+            scale_noise(noise[:, :steps])
             np.copyto(start_state, state)
             for k in range(lo + 1, hi + 1):
                 _step(model, state, noise[:, k - lo - 1], h, work)

@@ -444,6 +444,33 @@ class TestSimulateEnsemble:
             assert np.array_equal(got.samples, want.samples)
         assert np.array_equal(simulate_path(model, cfg, output_times=times).states, path.states)
 
+    def test_noise_is_scaled_on_the_stepping_thread_once_per_block(self, monkeypatch):
+        # two chunks of 150 samples, two threads drawing, 12-step blocks over
+        # 50 steps: each chunk's noise is scaled in five whole blocks, all on
+        # the calling thread, and the drawing threads only draw
+        n, size, block = 16, 150, 12
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(integrator, "_NOISE_BUDGET", block * 2 * size * n * 2)
+        model = fhn_model(regime("regime-c").params, n)
+        cfg = IntegratorConfig(step_size=1e-4, t_end=50e-4, master_seed=4)
+        expected = simulate_ensemble(model, cfg, 2 * size, n_workers=2)
+        scaling, calls = integrator._noise_scaling, []
+
+        def recording(model, h):
+            scale = scaling(model, h)
+
+            def record(noise):
+                calls.append((threading.get_ident(), noise.shape))
+                return scale(noise)
+
+            return record
+
+        monkeypatch.setattr(integrator, "_noise_scaling", recording)
+        got = simulate_ensemble(model, cfg, 2 * size, n_workers=2)
+        assert got.samples.tobytes() == expected.samples.tobytes()
+        blocks = [(size, block, n, 2)] * 4 + [(size, 2, n, 2)]
+        assert calls == [(threading.get_ident(), shape) for shape in 2 * blocks]
+
     def test_shared_row_drawing_survives_frequent_thread_switches(self, monkeypatch):
         # three drawing threads beside the stepper, and the interpreter
         # switching threads every microsecond: a row taken twice or skipped
@@ -494,7 +521,7 @@ class TestSimulateEnsemble:
     )
     def test_kernel_matches_noise_drawn_up_front(self, make_model, n_workers):
         # 300 samples run in two chunks of 150; the kernel scales each drawn
-        # row once, the reference multiplies every step's noise by np.matmul
+        # block once, the reference multiplies every step's noise by np.matmul
         model = make_model()
         cfg = IntegratorConfig(step_size=1e-4, t_end=30e-4, master_seed=21)
         got = simulate_ensemble(model, cfg, 300, n_workers=n_workers)
@@ -723,6 +750,28 @@ class TestSimulateEnsemble:
             tracemalloc.stop()
         assert len(states) == len(times)
         assert peak <= result + noise + chunk + 2**20
+
+    def test_peak_memory_at_the_fhn_benchmark_shape_holds_a_16_mib_noise_array(
+        self, monkeypatch
+    ):
+        # regime-c at N=128, 512 samples in two chunks of 256, two threads
+        # drawing, at the default budget: the noise array is 2**21 doubles
+        # (16-step blocks); 32-step blocks, 2**22 doubles, would pass the bound,
+        # whose last 4 MiB leave room for the drift's temporaries
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
+        n, k, size, steps, h = 128, 512, 256, 48, 1e-5
+        model = fhn_model(regime("regime-c").params, n)
+        cfg = IntegratorConfig(step_size=h, t_end=steps * h, master_seed=24)
+        result = 8 * k * n * 2
+        noise = 8 * 2**21
+        chunk = 8 * 3 * size * n * 2  # state, scratch, saved block start
+        tracemalloc.start()
+        try:
+            simulate_ensemble(model, cfg, k, n_workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= result + noise + chunk + 4 * 2**20
 
     def test_ensemble_state_keeps_a_read_only_array_and_copies_a_writeable_one(self):
         samples = np.arange(24.0).reshape(4, 3, 2)
