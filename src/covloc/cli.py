@@ -2,7 +2,7 @@
 
 Subcommands: simulate, cov, bounds, localize, figure, models.
 Exit codes: 0 success, 2 configuration error, 3 numerical blowup,
-4 unknown figure or preset.
+4 unknown figure.
 """
 
 from __future__ import annotations
@@ -16,15 +16,14 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import bound_inputs_from_model, covariance_bound
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 from .estimators import monte_carlo_pair_covariance, shifted_pair_covariance
 from .figures import DEFAULT_SEED, FIGURES, UnknownFigureError, run_figure
 from .integrator import NumericalBlowupError, simulate_ensemble
 from .lattice import BlockCovariance, ContractViolationError
 from .localization import localization_error_bound, localize
-from .models import REGIMES, PresetNotFoundError
+from .models import REGIMES
 from .storage import (
-    FormatError,
     read_covariance,
     read_covariance_csv,
     write_array,
@@ -43,7 +42,7 @@ EXIT_UNKNOWN = 4
 
 def _load_config(args) -> ExperimentConfig:
     if not args.config:
-        raise ConfigError("--config is required for this subcommand")
+        raise ContractViolationError("--config is required for this subcommand")
     cfg = parse_config(args.config)
     overrides = {}
     if args.seed is not None:
@@ -57,11 +56,11 @@ def _load_config(args) -> ExperimentConfig:
 
 def _out_dir(path) -> Path:
     """The output directory, checked before any work: a path that is, or lies
-    under, an existing file is a ConfigError."""
+    under, an existing file is a ContractViolationError."""
     out = Path(path)
     for part in (out, *out.parents):
         if part.exists() and not part.is_dir():
-            raise ConfigError(f"output path {path} is blocked by the file {part}")
+            raise ContractViolationError(f"output path {path} is blocked by the file {part}")
     return out
 
 
@@ -87,7 +86,7 @@ def _cmd_cov(args) -> int:
     half = cfg.n_blocks // 2
     max_lag = half if args.max_lag is None else args.max_lag
     if not 0 <= max_lag <= half:
-        raise ConfigError(f"--max-lag must lie in 0..{half}, got {max_lag}")
+        raise ContractViolationError(f"--max-lag must lie in 0..{half}, got {max_lag}")
     ensemble = simulate_ensemble(cfg.build_model(), cfg.run, cfg.n_samples, n_workers=cfg.threads)
     rows = []
     for lag in range(max_lag + 1):
@@ -129,19 +128,19 @@ def _cmd_bounds(args) -> int:
 
 
 def _read_covariance_any(path: str, block_dim: int):
-    """The covariance in ``path``; a path that cannot be opened is a ConfigError."""
+    """The covariance in ``path``; an unreadable or malformed file is a ContractViolationError."""
     try:
         if path.endswith(".csv"):
             return read_covariance_csv(path, block_dim)
         cov, _ = read_covariance(path, block_dim)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ContractViolationError(f"cannot read {path}: {exc.strerror or exc}") from None
     return cov
 
 
 def _cmd_localize(args) -> int:
     if args.input is None:
-        raise ConfigError("--input covariance file is required")
+        raise ContractViolationError("--input covariance file is required")
     out_dir = _out_dir(args.out or "out")
     cov = _read_covariance_any(args.input, args.block_dim)
     if args.bandwidth is not None:
@@ -151,10 +150,10 @@ def _cmd_localize(args) -> int:
             bound = localization_error_bound(bandwidth, args.beta, args.coefficient)
     else:
         if args.epsilon is None or args.beta is None or args.coefficient is None:
-            raise ConfigError(
+            raise ContractViolationError(
                 "either --bandwidth or all of --epsilon/--beta/--coefficient are required"
             )
-        from .localization import choose_bandwidth
+        from .localization import choose_bandwidth  # late import: perfbench's traced run patches it
 
         bandwidth = choose_bandwidth(args.epsilon, args.beta, args.coefficient, cov.n_blocks)
         bound = localization_error_bound(bandwidth, args.beta, args.coefficient)
@@ -163,7 +162,7 @@ def _cmd_localize(args) -> int:
     if args.reference:
         reference = _read_covariance_any(args.reference, args.block_dim)
         if reference.n_blocks != truncated.n_blocks:
-            raise ConfigError(
+            raise ContractViolationError(
                 f"--reference has {reference.n_blocks} blocks, --input has {truncated.n_blocks}"
             )
         error = reference.data - truncated.data
@@ -208,8 +207,6 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_models(args) -> int:
-    if not args.list:
-        raise ConfigError("models requires --list")
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["name", "epsilon", "a", "d_u", "w", "delta1", "delta2", "description"])
     for name in sorted(REGIMES):
@@ -269,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("models", help="list the regime presets")
-    p.add_argument("--list", action="store_true")
     p.set_defaults(func=_cmd_models)
     return parser
 
@@ -281,7 +277,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: 0 for --help and --version, 2 for a bad command line
         return exc.code
-    except (ConfigError, ContractViolationError, FormatError) as exc:
+    except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalBlowupError as exc:
@@ -293,7 +289,7 @@ def main(argv=None) -> int:
         }
         print(json.dumps(report), file=sys.stderr)
         return EXIT_BLOWUP
-    except (UnknownFigureError, PresetNotFoundError) as exc:
+    except UnknownFigureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .integrator import IntegratorConfig, dividing_step
-from .lattice import LatticeModelSpec
+from .lattice import ContractViolationError, LatticeModelSpec
 from .models import (
     FhnParams,
     LinearParams,
@@ -24,10 +24,6 @@ from .models import (
 
 _PARAMS = {"linear": LinearParams, "fhn": FhnParams}
 _MODEL_KEYS = {"preset", "kind"} | {f.name for cls in _PARAMS.values() for f in fields(cls)}
-
-
-class ConfigError(ValueError):
-    """Configuration file is malformed; the message names the offending field."""
 
 
 # (field, rule, check) for ExperimentConfig: every subcommand and every
@@ -69,12 +65,12 @@ class ExperimentConfig:
         for name, rule, holds in _RULES:
             value = getattr(self, name)
             if not holds(value):
-                raise ConfigError(f"{rule}, got {value}")
+                raise ContractViolationError(f"{rule}, got {value}")
         h, rate = self.step_size, stiffest_rate(self.params)
         if h is None:
             h = dividing_step(self.t_end, min(1e-3, 0.1 / rate))
         elif h * rate >= 2.0:
-            raise ConfigError(
+            raise ContractViolationError(
                 f"run.step_size = {h} times the stiffest rate {rate:.4g} is {h * rate:.4g}, "
                 "not below explicit Euler's stability limit 2"
             )
@@ -135,32 +131,32 @@ _SECTIONS = {"model": _MODEL_KEYS} | {
 
 def _get(section, key, convert, where):
     if key not in section:
-        raise ConfigError(f"missing required key {where}.{key}")
+        raise ContractViolationError(f"missing required key {where}.{key}")
     raw = section[key]
     try:
         return convert(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"cannot parse {where}.{key} = {raw!r}") from None
+        raise ContractViolationError(f"cannot parse {where}.{key} = {raw!r}") from None
 
 
 def _parse_model(section) -> LinearParams | FhnParams:
     if "preset" in section:
         extra = set(section) - {"preset"}
         if extra:
-            raise ConfigError(
+            raise ContractViolationError(
                 f"model.preset is exclusive; remove keys {sorted(extra)} or the preset"
             )
         try:
             return regime(section["preset"]).params
         except PresetNotFoundError as exc:
-            raise ConfigError(f"model.preset: {exc}") from None
+            raise ContractViolationError(f"model.preset: {exc}") from None
     kind = _get(section, "kind", str, "model")
     if kind not in _PARAMS:
-        raise ConfigError(f"model.kind must be 'linear' or 'fhn', got {kind!r}")
+        raise ContractViolationError(f"model.kind must be 'linear' or 'fhn', got {kind!r}")
     names = [f.name for f in fields(_PARAMS[kind])]
     extra = set(section) - {"kind", *names}
     if extra:
-        raise ConfigError(f"unknown keys for model.kind = {kind}: {sorted(extra)}")
+        raise ContractViolationError(f"unknown keys for model.kind = {kind}: {sorted(extra)}")
     return _PARAMS[kind](
         **{key: _get(section, key, float, "model") for key in names if key in section}
     )
@@ -175,19 +171,19 @@ def parse_config(path) -> ExperimentConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         # configparser's messages can span lines; the CLI reports one
         message = " ".join(str(exc).split())
-        raise ConfigError(f"cannot parse config file {path}: {message}") from None
+        raise ContractViolationError(f"cannot parse config file {path}: {message}") from None
     if not read:
-        raise ConfigError(f"cannot read config file {path}")
+        raise ContractViolationError(f"cannot read config file {path}")
 
     for name, section in sections.items():
         if name not in _SECTIONS:
-            raise ConfigError(f"unknown section [{name}]")
+            raise ContractViolationError(f"unknown section [{name}]")
         unknown = set(section) - _SECTIONS[name]
         if unknown:
-            raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
+            raise ContractViolationError(f"unknown keys in [{name}]: {sorted(unknown)}")
     for required in ("model", "run"):
         if required not in sections:
-            raise ConfigError(f"missing required section [{required}]")
+            raise ContractViolationError(f"missing required section [{required}]")
 
     params = _parse_model(sections["model"])
     values = {}

@@ -18,7 +18,7 @@ DriftFn = Callable[[np.ndarray, np.ndarray], None]
 
 
 class ContractViolationError(ValueError):
-    """An argument broke a documented precondition."""
+    """An argument, config file or input file broke a documented precondition; the CLI exits 2."""
 
 
 def cyclic_distance(i: int, j: int, n: int) -> int:

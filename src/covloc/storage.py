@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .integrator import EnsembleState
-from .lattice import BlockCovariance
+from .lattice import BlockCovariance, ContractViolationError
 
 MAGIC = b"CVL1"
 _HEADER = struct.Struct("<4sQQQd")
@@ -39,15 +39,11 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _BLOCK_VALUES = 16384
 
 
-class FormatError(ValueError):
-    """The file does not follow the documented layout."""
-
-
 def write_array(path, array: np.ndarray, time: float) -> None:
     """Write a 3-d float array with a time stamp in the CVL1 layout."""
     array = np.ascontiguousarray(array, dtype="<f8")
     if array.ndim != 3:
-        raise FormatError(f"CVL1 stores 3-d arrays, got shape {array.shape}")
+        raise ContractViolationError(f"CVL1 stores 3-d arrays, got shape {array.shape}")
     k, n, q = array.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, k, n, q, float(time)))
@@ -59,18 +55,18 @@ def read_array(path) -> tuple[np.ndarray, float]:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
+            raise ContractViolationError(f"{path}: truncated header")
         magic, k, n, q, time = _HEADER.unpack(header)
         if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
+            raise ContractViolationError(f"{path}: bad magic {magic!r}")
         expected = _HEADER.size + 8 * k * n * q
         found = os.fstat(fh.fileno()).st_size
         if found != expected:
-            raise FormatError(f"{path}: expected {expected} bytes, found {found}")
+            raise ContractViolationError(f"{path}: expected {expected} bytes, found {found}")
         # the payload is read straight into the array, with no bytes copy
         data = np.empty((k, n, q), dtype="<f8")
         if fh.readinto(data) != data.nbytes:
-            raise FormatError(f"{path}: truncated payload")
+            raise ContractViolationError(f"{path}: truncated payload")
     return data, time
 
 
@@ -82,9 +78,11 @@ def write_covariance(path, cov: BlockCovariance, time: float = 0.0) -> None:
 def _n_blocks(path, d: int, block_dim: int) -> int:
     """Block count of a d x d covariance read from ``path``."""
     if block_dim < 1:
-        raise FormatError(f"{path}: block_dim must be >= 1, got {block_dim}")
+        raise ContractViolationError(f"{path}: block_dim must be >= 1, got {block_dim}")
     if d % block_dim:
-        raise FormatError(f"{path}: dimension {d} is not a multiple of block_dim {block_dim}")
+        raise ContractViolationError(
+            f"{path}: dimension {d} is not a multiple of block_dim {block_dim}"
+        )
     return d // block_dim
 
 
@@ -92,7 +90,7 @@ def read_covariance(path, block_dim: int = 1) -> tuple[BlockCovariance, float]:
     data, time = read_array(path)
     k, n, q = data.shape
     if q != 1 or k != n:
-        raise FormatError(f"{path}: not a covariance container, shape {data.shape}")
+        raise ContractViolationError(f"{path}: not a covariance container, shape {data.shape}")
     return BlockCovariance(data[:, :, 0], _n_blocks(path, k, block_dim), block_dim), time
 
 
@@ -109,7 +107,7 @@ def _cell(x) -> str:
         return repr(float(x))
     text = str(x)
     if _NEEDS_QUOTES.search(text):
-        raise FormatError(f"CSV cell {text!r} would need quoting")
+        raise ContractViolationError(f"CSV cell {text!r} would need quoting")
     return text
 
 
@@ -123,7 +121,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
     Floats are written as their shortest round-trip repr, every other cell
     as its str(); no cell is quoted, so a cell holding a comma, a double
-    quote or a line break raises FormatError.
+    quote or a line break raises ContractViolationError.
     """
     with open(path, "w", newline="") as fh:
         fh.write(_csv_line(header))
@@ -184,25 +182,25 @@ def read_covariance_csv(path, block_dim: int = 1) -> BlockCovariance:
         try:
             header = next(csv.reader(fh), None)
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise FormatError(f"{path}: not a CSV text file ({exc})") from None
+            raise ContractViolationError(f"{path}: not a CSV text file ({exc})") from None
         if header != ["row", "col", "value"]:
-            raise FormatError(f"{path}: expected header row,col,value, got {header}")
+            raise ContractViolationError(f"{path}: expected header row,col,value, got {header}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty body is reported below
                 entries = np.loadtxt(fh, _CSV_ENTRY, comments=None, delimiter=",", ndmin=1)
         except ValueError as exc:
-            raise FormatError(f"{path}: {exc} (data rows count from 0)") from None
+            raise ContractViolationError(f"{path}: {exc} (data rows count from 0)") from None
     if not len(entries):
-        raise FormatError(f"{path}: no entries")
+        raise ContractViolationError(f"{path}: no entries")
     rows, cols = entries["row"] - 1, entries["col"] - 1
     if min(rows.min(), cols.min()) < 0:
-        raise FormatError(f"{path}: row and col indices must be >= 1")
+        raise ContractViolationError(f"{path}: row and col indices must be >= 1")
     d = int(max(rows.max(), cols.max())) + 1
     flat = rows * d + cols
     # d*d entries with no repeat means every entry appears exactly once
     if len(entries) != d * d or np.bincount(flat).max() > 1:
-        raise FormatError(
+        raise ContractViolationError(
             f"{path}: {len(entries)} entries for a {d}x{d} covariance, "
             "which needs each of its entries exactly once"
         )

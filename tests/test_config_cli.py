@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covloc import BlockCovariance, integrator
+from covloc import BlockCovariance, ContractViolationError, integrator
 from covloc.cli import main
-from covloc.config import ConfigError, parse_config
+from covloc.config import parse_config
 from covloc.figures import FIGURES
 from covloc.integrator import IntegratorConfig
-from covloc.lattice import ContractViolationError, ring_matrix
+from covloc.lattice import ring_matrix
 from covloc.localization import choose_bandwidth, localization_error_bound
 from covloc.models import REGIMES, FhnParams, LinearParams
 from covloc.storage import write_covariance, write_covariance_csv
@@ -78,27 +78,27 @@ class TestParseConfig:
 
     def test_unknown_key_rejected_with_name(self, tmp_path):
         bad = LINEAR_CFG.replace("sigma_u = 0.5", "sigma = 0.5")
-        with pytest.raises(ConfigError, match="sigma"):
+        with pytest.raises(ContractViolationError, match="sigma"):
             parse_config(_write(tmp_path, bad, out="o"))
 
     def test_unknown_section_rejected(self, tmp_path):
         bad = LINEAR_CFG + "\n[extras]\nfoo = 1\n"
-        with pytest.raises(ConfigError, match="extras"):
+        with pytest.raises(ContractViolationError, match="extras"):
             parse_config(_write(tmp_path, bad, out="o"))
 
     def test_missing_required_key(self, tmp_path):
         bad = LINEAR_CFG.replace("master_seed = 424242", "")
-        with pytest.raises(ConfigError, match="master_seed"):
+        with pytest.raises(ContractViolationError, match="master_seed"):
             parse_config(_write(tmp_path, bad, out="o"))
 
     def test_unparsable_value_names_field(self, tmp_path):
         bad = LINEAR_CFG.replace("t_end = 0.2", "t_end = soon")
-        with pytest.raises(ConfigError, match="t_end"):
+        with pytest.raises(ContractViolationError, match="t_end"):
             parse_config(_write(tmp_path, bad, out="o"))
 
     def test_preset_conflicts_with_explicit_params(self, tmp_path):
         bad = PRESET_CFG.replace("preset = regime-f", "preset = regime-f\nd_u = 3")
-        with pytest.raises(ConfigError, match="exclusive"):
+        with pytest.raises(ContractViolationError, match="exclusive"):
             parse_config(_write(tmp_path, bad, out="o"))
 
 
@@ -174,7 +174,7 @@ class TestCliCommands:
         assert report["measured_error"] >= 0
 
     def test_models_list(self, capsys):
-        assert main(["models", "--list"]) == 0
+        assert main(["models"]) == 0
         outp = capsys.readouterr().out.splitlines()
         assert outp[0].startswith("name,epsilon,a,d_u,w")
         assert len(outp) == 1 + 12
@@ -185,6 +185,9 @@ class TestCliCommands:
         assert {row[0]: row[-1] for row in rows} == {
             name: preset.description for name, preset in REGIMES.items()
         }
+        # the table is the command's one output, so it takes no flag
+        assert main(["models", "--list"]) == 2
+        assert "unrecognized arguments: --list" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "model, t_end, step",
@@ -271,7 +274,7 @@ class TestExitCodes:
             ["bounds", "--out", "out"],
             ["localize", "--out", "out"],
             ["figure", "F4", "--out", "out"],
-            ["models", "--list"],
+            ["models"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -426,7 +429,7 @@ class TestExitCodes:
     def test_unknown_figure_is_4(self, tmp_path):
         assert main(["figure", "F99", "--out", str(tmp_path)]) == 4
 
-    def test_unknown_preset_is_4(self, tmp_path):
+    def test_unknown_preset_is_2(self, tmp_path):
         cfg = tmp_path / "p.ini"
         cfg.write_text(
             "[model]\npreset = regime-z\n\n[run]\nn_blocks = 8\nn_samples = 1\n"

@@ -1,8 +1,10 @@
 """Static checks on the library source: no module imports a name it never
 uses, every defaulted parameter is set by at least one caller and left to its
-default by another, and every name a comment or docstring cites is defined."""
+default by another, every name a comment or docstring cites is defined, and
+the library defines one exception class per kind of failure."""
 
 import ast
+import builtins
 import io
 import re
 import tokenize
@@ -219,3 +221,45 @@ def test_every_cited_name_is_defined():
     defined = set().union(*map(defined_names, sources.values()))
     undefined = {name: sorted(cited_names(s) - defined) for name, s in sources.items()}
     assert {name: names for name, names in undefined.items() if names} == {}
+
+
+def exception_classes(sources: list[str]) -> set[str]:
+    """Classes defined in ``sources`` that derive, directly or through one
+    another, from a builtin exception."""
+    classes = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+    builtin = {
+        name
+        for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    found = set()
+    while True:
+        grown = {name for name, bases in classes.items() if bases & (builtin | found)}
+        if grown == found:
+            return found
+        found = grown
+
+
+def test_exception_classes_follows_bases_through_the_sources():
+    sources = [
+        "class A(ValueError):\n    pass\nclass B(A):\n    pass\n",
+        "class C(B):\n    pass\nclass D:\n    pass\nclass E(D, object):\n    pass\n",
+    ]
+    assert exception_classes(sources) == {"A", "B", "C"}
+
+
+def test_one_exception_class_per_kind_of_failure():
+    # a broken precondition (CLI exit 2), a blow-up (exit 3), and an unknown
+    # figure (exit 4) or preset name
+    found = exception_classes([p.read_text() for p in SRC.glob("*.py")])
+    assert found == {
+        "ContractViolationError",
+        "NumericalBlowupError",
+        "PresetNotFoundError",
+        "UnknownFigureError",
+    }

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from oracles import reference_covariance_csv, reference_csv, reference_ensemble_csv
 
-from covloc import BlockCovariance, EnsembleState, localize
+from covloc import BlockCovariance, ContractViolationError, EnsembleState, localize
 from covloc.lattice import ring_matrix
 from covloc.storage import (
     _BLOCK_VALUES,
-    FormatError,
     read_array,
     read_covariance,
     read_covariance_csv,
@@ -191,16 +190,16 @@ def test_writer_memory_is_bounded_by_one_block_not_the_file(tmp_path):
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "line\nbreak", "cr\r"])
 def test_csv_rejects_a_cell_that_needs_quoting(tmp_path, cell):
-    with pytest.raises(FormatError, match="quoting"):
+    with pytest.raises(ContractViolationError, match="quoting"):
         write_csv(tmp_path / "bad.csv", ["label"], [(cell,)])
-    with pytest.raises(FormatError, match="quoting"):
+    with pytest.raises(ContractViolationError, match="quoting"):
         write_csv(tmp_path / "bad.csv", [cell], [])
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.cvl"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(FormatError):
+    with pytest.raises(ContractViolationError):
         read_array(path)
 
 
@@ -209,14 +208,14 @@ def test_truncated_payload_rejected(tmp_path):
     write_array(path, np.zeros((2, 2, 1)), 0.0)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(FormatError):
+    with pytest.raises(ContractViolationError):
         read_array(path)
 
 
 def test_covariance_reader_checks_shape(tmp_path):
     path = tmp_path / "notcov.cvl"
     write_array(path, np.zeros((3, 4, 2)), 0.0)
-    with pytest.raises(FormatError):
+    with pytest.raises(ContractViolationError):
         read_covariance(path)
 
 
@@ -229,9 +228,9 @@ def test_readers_reject_a_nonpositive_block_dim(tmp_path):
     write_covariance(tmp_path / "c.cvl", _small_covariance())
     write_covariance_csv(tmp_path / "c.csv", _small_covariance())
     for block_dim in (0, -2):
-        with pytest.raises(FormatError, match="block_dim"):
+        with pytest.raises(ContractViolationError, match="block_dim"):
             read_covariance(tmp_path / "c.cvl", block_dim)
-        with pytest.raises(FormatError, match="block_dim"):
+        with pytest.raises(ContractViolationError, match="block_dim"):
             read_covariance_csv(tmp_path / "c.csv", block_dim)
 
 
@@ -250,7 +249,7 @@ def test_covariance_csv_needs_every_entry_exactly_once(tmp_path, edit):
     write_covariance_csv(path, _small_covariance())
     header, *lines = path.read_text().splitlines()
     path.write_text("\n".join([header] + edit(lines)) + "\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(ContractViolationError):
         read_covariance_csv(path)
 
 
@@ -258,5 +257,5 @@ def test_covariance_csv_rejects_malformed_rows(tmp_path):
     path = tmp_path / "c.csv"
     for body in ("", "1,1\n", "1,x,0.5\n", "1,1.5,0.5\n"):
         path.write_text("row,col,value\n" + body)
-        with pytest.raises(FormatError):
+        with pytest.raises(ContractViolationError):
             read_covariance_csv(path)
