@@ -107,7 +107,10 @@ def growth_rates(beta: float, c: LipschitzConstants) -> tuple[float, float]:
     """(lambda_beta, eta_beta) for a given beta > 0."""
     if beta <= 0:
         raise ContractViolationError(f"beta must be positive, got {beta}")
-    lam = c.lambda_0 + c.lambda_f * (math.exp(beta) + math.exp(-beta))
+    try:
+        lam = c.lambda_0 + c.lambda_f * (math.exp(beta) + math.exp(-beta))
+    except OverflowError:  # e^beta passes the float range; every bound then reads CAP
+        lam = c.lambda_0 if c.lambda_f == 0.0 else math.inf
     return lam, lam + c.lambda_h
 
 

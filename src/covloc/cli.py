@@ -145,9 +145,6 @@ def _cmd_localize(args) -> int:
     cov = _read_covariance_any(args.input, args.block_dim)
     if args.bandwidth is not None:
         bandwidth = args.bandwidth
-        bound = None
-        if args.beta is not None and args.coefficient is not None:
-            bound = localization_error_bound(bandwidth, args.beta, args.coefficient)
     else:
         if args.epsilon is None or args.beta is None or args.coefficient is None:
             raise ContractViolationError(
@@ -156,6 +153,8 @@ def _cmd_localize(args) -> int:
         from .localization import choose_bandwidth  # late import: perfbench's traced run patches it
 
         bandwidth = choose_bandwidth(args.epsilon, args.beta, args.coefficient, cov.n_blocks)
+    bound = None
+    if args.beta is not None and args.coefficient is not None:
         bound = localization_error_bound(bandwidth, args.beta, args.coefficient)
     truncated = localize(cov, bandwidth)
     measured = None

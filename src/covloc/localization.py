@@ -6,6 +6,7 @@ q x q block granularity: within-block structure at one site is never split.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -63,33 +64,20 @@ def localization_error_bound(l: int, beta: float, local_coefficient: float) -> f
     return 2.0 * local_coefficient * math.exp(-beta * l) / _one_minus_exp(beta)
 
 
-def choose_bandwidth(
-    epsilon: float,
-    beta: float,
-    local_coefficient: float,
-    n_blocks: int | None = None,
-) -> int:
-    """Smallest bandwidth whose truncation-error bound is at most epsilon.
-
-    With ``n_blocks`` given the result is capped at floor(N/2) (beyond which
-    truncation does nothing); use a LocalizationPlan to see whether the cap
-    was hit.
+def choose_bandwidth(epsilon: float, beta: float, local_coefficient: float, n_blocks: int) -> int:
+    """Smallest bandwidth in 0..floor(N/2) whose truncation-error bound is at
+    most epsilon, else the cap floor(N/2), beyond which truncation does nothing.
+    The bound decreases in the bandwidth, so one bisection over 0..N/2 finds it.
     """
     if not epsilon > 0:
         raise ContractViolationError(f"epsilon must be positive, got {epsilon}")
-    if localization_error_bound(0, beta, local_coefficient) <= epsilon:
-        l = 0
-    else:
-        # invert e^{-beta l} <= eps (1 - e^-beta) / (2 c), then fix up float edges
-        target = epsilon * _one_minus_exp(beta) / (2.0 * local_coefficient)
-        l = max(0, math.ceil(-math.log(target) / beta))
-        while l > 0 and localization_error_bound(l - 1, beta, local_coefficient) <= epsilon:
-            l -= 1
-        while localization_error_bound(l, beta, local_coefficient) > epsilon:
-            l += 1
-    if n_blocks is not None:
-        l = min(l, n_blocks // 2)
-    return l
+
+    def fits(l):
+        return localization_error_bound(l, beta, local_coefficient) <= epsilon
+
+    if fits(0):  # also checks beta and the coefficient on any ring
+        return 0
+    return bisect.bisect_left(range(n_blocks // 2), True, key=fits)
 
 
 def recommended_sample_size(

@@ -69,6 +69,24 @@ class TestGrowthRates:
         lam, eta = growth_rates(1.0, LipschitzConstants(-6.0, 0.0, 5.0))
         assert (lam, eta) == (-6.0, -1.0)
 
+    def test_beta_past_the_float_range(self):
+        # e^800 overflows a float: lambda_beta is +inf with neighbor coupling
+        # and stays exactly lambda_0 without it
+        assert growth_rates(800.0, LipschitzConstants(-2.0, 0.5, 1.0)) == (math.inf, math.inf)
+        assert growth_rates(800.0, LipschitzConstants(-3.0, 0.0, 1.0)) == (-3.0, -2.0)
+
+    def test_every_bound_reads_cap_past_the_float_range(self):
+        c = LipschitzConstants(-2.0, 0.5, 1.0)
+        inputs = _inputs(c, n=16)
+        for j in (1, 2, 9):
+            ev = covariance_bound(1, j, 800.0, inputs)
+            assert ev.vacuous and ev.total == CAP
+        assert estimator_variance_bound(inputs, 800.0) == CAP
+        assert kernel_entry_bound(1, 2, c, 16, 1.0, 800.0) == CAP
+        finite = _inputs(LipschitzConstants(-3.0, 0.0, 1.0), n=16)
+        assert not covariance_bound(1, 2, 800.0, finite).vacuous
+        assert estimator_variance_bound(finite, 800.0) < CAP
+
 
 class TestCovarianceBound:
     def test_zero_time_zero_initial_noise(self):

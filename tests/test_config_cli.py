@@ -140,6 +140,20 @@ class TestCliCommands:
         assert rows and all(row.split(",")[4] == "1e+300" for row in rows)
         assert json.loads((out / "bounds_metadata.json").read_text())["any_vacuous"]
 
+    def test_bounds_beta_past_the_float_range_reads_cap(self, tmp_path, capsys):
+        # e^800 overflows a float: with neighbor coupling every bound at that
+        # beta is vacuous; without it the rows stay finite
+        for d_u, expect_cap in (("1.0", True), ("0.0", False)):
+            out = tmp_path / f"bounds-{d_u}"
+            text = LINEAR_CFG.replace("d_u = 2.0", f"d_u = {d_u}").replace("w = 1.0", "w = 0.5")
+            text = text.replace("betas = 0.2, 0.5", "betas = 0.2, 800")
+            assert main(["bounds", "--config", _write(tmp_path, text, out=out)]) == 0
+            rows = list(csv.DictReader((out / "bounds.csv").open()))
+            far = [row for row in rows if float(row["beta"]) == 800.0]
+            assert len(far) == 16
+            assert all((row["total"] == "1e+300") == expect_cap for row in far)
+            assert ("vacuous" in capsys.readouterr().err) == expect_cap
+
     def test_localize_via_files(self, tmp_path):
         out = tmp_path / "cov"
         cfg = _write(tmp_path, LINEAR_CFG, out=out)
@@ -526,6 +540,22 @@ class TestRejectsBadInput:
         assert rc == 0 and captured.err == "" and len(captured.out.splitlines()) == 1
         report = json.loads((out / "localize_report.jsonl").read_text())
         assert report["bandwidth"] == 4 and report["error_bound"] == pytest.approx(2e17)
+
+    @pytest.mark.parametrize(
+        "choose",
+        [
+            ["--epsilon", "0.01", "--beta", "1e-300", "--coefficient", "1.0"],
+            ["--epsilon", "1e-300", "--beta", "0.2", "--coefficient", "1e300"],
+        ],
+        ids=["beta-1e-300", "epsilon-1e-300"],
+    )
+    def test_target_out_of_reach_takes_the_whole_ring(self, tmp_path, choose):
+        # no bandwidth on a 16-ring meets either target, so the choice is N/2
+        path = tmp_path / "c16.csv"
+        write_covariance_csv(path, BlockCovariance(np.eye(16), 16, 1))
+        rc, out = self._localize(tmp_path, path, *choose)
+        assert rc == 0
+        assert json.loads((out / "localize_report.jsonl").read_text())["bandwidth"] == 8
 
     def test_cvl_input_writes_the_bytes_of_csv_input(self, tmp_path):
         choose = ["--epsilon", "0.05", "--beta", "0.3", "--coefficient", "2.0"]

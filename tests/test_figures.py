@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from covloc import figures
+from covloc import figures, fhn_model, regime, shifted_pair_covariance, simulate_ensemble
 from covloc.figures import (
     LINEAR_BOTH,
     LINEAR_DIFFUSION,
@@ -255,3 +255,30 @@ def test_spatial_vs_mc_steps_all_paths_in_one_call(monkeypatch):
     monkeypatch.setattr(figures, "simulate_ensemble", counted)
     list(spatial_vs_mc_rows("regime-f", 16, [0.01], 4, 3, 5e-4, 1))
     assert len(calls) == 1 and len(calls[0]) == 4 + 3
+
+
+# the gap between neighbouring presets' ratios must exceed this many of its
+# delta-method standard errors
+_LADDER_Z = 5.0
+
+
+def test_stronger_diffusion_correlates_further():
+    # paper claim: diffusion localizes, and stronger diffusion correlates
+    # neighbours more.  c(lag 1)/c(lag 0) of the pooled shift estimator rises
+    # along the ladder, each gap many standard errors wide
+    ratios, errors = [], []
+    ladder = ("diffusion-strongly-mixed", "diffusion-weakly-coherent", "diffusion-strongly-coherent")
+    for ridx, name in enumerate(ladder):
+        params = regime(name).params
+        run = figures._fhn_run(params, 5e-4, 0.5, figures.DEFAULT_SEED, 7, ridx)
+        ens = simulate_ensemble(fhn_model(params, 32), run, 512, n_workers=2)
+        ratio = shifted_pair_covariance(ens, 1).estimate / shifted_pair_covariance(ens, 0).estimate
+        # per-sample lag products; the delta method gives the ratio's error
+        centered = ens.samples[:, :, 0] - ens.samples[:, :, 0].mean()
+        lag1 = (centered * np.roll(centered, -1, axis=1)).mean(axis=1)
+        lag0 = (centered * centered).mean(axis=1)
+        ratios.append(ratio)
+        errors.append((lag1 - ratio * lag0).std(ddof=1) / np.sqrt(len(lag0)) / lag0.mean())
+    for k in range(len(ratios) - 1):
+        gap = ratios[k + 1] - ratios[k]
+        assert gap > _LADDER_Z * np.hypot(errors[k], errors[k + 1]), (ratios, errors)

@@ -1,7 +1,8 @@
 """Static checks on the library source: no module imports a name it never
 uses, every defaulted parameter is set by at least one caller and left to its
-default by another, every name a comment or docstring cites is defined, and
-the library defines one exception class per kind of failure."""
+default by another, every name a comment or docstring cites is defined, the
+library defines one exception class per kind of failure, and every loop is
+bounded by its input."""
 
 import ast
 import builtins
@@ -263,3 +264,20 @@ def test_one_exception_class_per_kind_of_failure():
         "PresetNotFoundError",
         "UnknownFigureError",
     }
+
+
+def while_loops(source: str) -> list[int]:
+    """Line numbers of the ``while`` statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)]
+
+
+def test_while_loops_finds_statements_not_words():
+    source = 'x = "while"\n# while\nwhile x:\n    for y in x:\n        while y:\n            break\n'
+    assert while_loops(source) == [3, 5]
+
+
+def test_no_unbounded_loop():
+    # every library loop runs over a range or a collection, so no input can
+    # keep one going
+    found = {p.name: while_loops(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -113,21 +113,21 @@ class TestErrorBound:
 class TestChooseBandwidth:
     def test_generous_target_needs_no_truncation(self):
         bound0 = localization_error_bound(0, 1.0, 1.0)
-        assert choose_bandwidth(bound0 * 1.01, 1.0, 1.0) == 0
+        assert choose_bandwidth(bound0 * 1.01, 1.0, 1.0, 2**20) == 0
 
     def test_hand_inversion(self):
         # e^-L <= 0.1 (1 - e^-1)/2 = 0.0316 first at L = 4
-        assert choose_bandwidth(0.1, 1.0, 1.0) == 4
+        assert choose_bandwidth(0.1, 1.0, 1.0, 2**20) == 4
 
     def test_result_is_minimal(self):
         for eps in (0.3, 0.05, 1e-3, 1e-7):
-            l = choose_bandwidth(eps, 0.45, 2.5)
+            l = choose_bandwidth(eps, 0.45, 2.5, 2**20)
             assert localization_error_bound(l, 0.45, 2.5) <= eps
             if l > 0:
                 assert localization_error_bound(l - 1, 0.45, 2.5) > eps
 
     def test_monotone_in_target(self):
-        assert choose_bandwidth(0.05, 1.0, 1.0) >= choose_bandwidth(0.1, 1.0, 1.0)
+        assert choose_bandwidth(0.05, 1.0, 1.0, 2**20) >= choose_bandwidth(0.1, 1.0, 1.0, 2**20)
 
     def test_cap_and_flag(self):
         plan = plan_localization(1e-9, 0.2, 1.6, n_blocks=64, cov_norm=1.0)
@@ -136,13 +136,25 @@ class TestChooseBandwidth:
         relaxed = plan_localization(1.0, 0.2, 1.6, n_blocks=64, cov_norm=1.0)
         assert not relaxed.bound_insufficient
 
-    @pytest.mark.parametrize("n_blocks", [None, 64])
+    @pytest.mark.parametrize("n_blocks", [64])
     def test_beta_below_float_resolution_ends(self, n_blocks):
         # e^{-1e-17 l} <= 0.01 * 1e-17 / 2 first near l = 4.44e18; the ring caps it at N/2
-        l = choose_bandwidth(0.01, 1e-17, 1.0, n_blocks)
-        assert l == (32 if n_blocks else pytest.approx(4.444226e18, rel=1e-6))
-        if n_blocks is None:
-            assert localization_error_bound(l, 1e-17, 1.0) <= 0.01
+        assert choose_bandwidth(0.01, 1e-17, 1.0, n_blocks) == 32
+
+    @given(
+        st.floats(5e-324, 1e10),
+        st.floats(5e-324, 1e3),
+        st.floats(0.0, 1e300),
+        st.integers(0, 2**40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_smallest_fitting_bandwidth_or_the_cap(self, epsilon, beta, coefficient, n_blocks):
+        l = choose_bandwidth(epsilon, beta, coefficient, n_blocks)
+        assert 0 <= l <= n_blocks // 2
+        if l < n_blocks // 2:
+            assert localization_error_bound(l, beta, coefficient) <= epsilon
+        if l > 0:
+            assert localization_error_bound(l - 1, beta, coefficient) > epsilon
 
 
 class TestSampleSizeRecommendation:
@@ -196,15 +208,15 @@ def test_error_bound_rejects_a_nonfinite_or_negative_coefficient(bad):
     with pytest.raises(ContractViolationError, match="local_coefficient"):
         localization_error_bound(3, 0.2, bad)
     with pytest.raises(ContractViolationError, match="local_coefficient"):
-        choose_bandwidth(0.01, 0.2, bad)
+        choose_bandwidth(0.01, 0.2, bad, 2**20)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
 def test_error_bound_rejects_a_nonfinite_or_nonpositive_beta(bad):
     with pytest.raises(ContractViolationError, match="beta"):
-        choose_bandwidth(0.01, bad, 1.0)
+        choose_bandwidth(0.01, bad, 1.0, 2**20)
 
 
 def test_choose_bandwidth_rejects_a_nan_epsilon():
     with pytest.raises(ContractViolationError, match="epsilon"):
-        choose_bandwidth(math.nan, 0.2, 1.0)
+        choose_bandwidth(math.nan, 0.2, 1.0, 2**20)
