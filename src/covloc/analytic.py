@@ -41,12 +41,14 @@ def _noise_kernel(lam: np.ndarray, t: float) -> np.ndarray:
 def _covariance_row(sys: np.ndarray, sigma_u: float, t: float) -> np.ndarray:
     """First row of the covariance at time t from zero initial covariance;
     ``sys`` is a ``build_system_matrix`` spectrum, as in the functions below."""
+    if not t >= 0:
+        raise ContractViolationError(f"t must be nonnegative, got {t}")
     return np.fft.ifft(sigma_u**2 * _noise_kernel(sys, t)).real
 
 
 def analytic_mean(sys: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
     """e^{At} u0."""
-    if t < 0:
+    if not t >= 0:
         raise ContractViolationError(f"t must be nonnegative, got {t}")
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != sys.shape:
@@ -65,8 +67,6 @@ def analytic_covariance(
     The initial covariance is propagated symmetrically, e^{At} cov0 e^{At};
     cov0=None is a zero initial covariance.
     """
-    if t < 0:
-        raise ContractViolationError(f"t must be nonnegative, got {t}")
     n = len(sys)
     total = ring_matrix(_covariance_row(sys, sigma_u, t))
     if cov0 is not None:

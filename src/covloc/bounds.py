@@ -16,8 +16,13 @@ is exactly 0 without mean field.  The covariance grows with the propagator
 squared, sigma^2 int e^{2As} ds, and the Chernoff bound on the lattice heat
 kernel, I_d(x) <= e^{x cosh beta - beta d}, puts the local rate of e^{2As}
 at 2 lambda_beta.  A rate r <= 0 is kept as r, which already dominates since
-G is increasing in r; a positive rate is doubled.  The surrogate kernel
-Q(s) = e^{2Gs} takes the same doubled rates.
+G is increasing in r; a positive rate is doubled.
+
+Two more bounds are evaluations of ``covariance_bound``.  The surrogate
+kernel Q(s) = e^{2Gs} is the covariance at time s of the noise-free
+surrogate started at the identity, so its entry bound is the two-term bound
+with S = 0, S0 = 1 and t = s.  The long-time bound is the two-term bound at
+t = infinity, where G(r) = -S / r for r < 0.
 
 Saturation rule: G is +inf once r t passes log(CAP), and every bound is
 clamped to CAP at the end, so a saturated evaluation reads exactly CAP = 1e300
@@ -31,7 +36,7 @@ nothing here" beats a NaN or a false zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +70,7 @@ class BoundInputs:
     def __post_init__(self):
         if min(self.sigma_sq_frob, self.sigma0_sq_frob, self.grad_g_sup) < 0:
             raise ContractViolationError("norms must be nonnegative")
-        if self.t < 0:
+        if not self.t >= 0:
             raise ContractViolationError(f"t must be nonnegative, got {self.t}")
         if self.n < 3 or self.q < 1:
             raise ContractViolationError("need n >= 3 and q >= 1")
@@ -151,11 +156,6 @@ def _one_minus_exp(beta: float) -> float:
     return 1.0 - math.exp(-beta) or -math.expm1(-beta)
 
 
-def _global_factor(beta: float, n: int) -> float:
-    """(1 + e^-beta) / ((1 - e^-beta) N), the weight of the global term."""
-    return (1.0 + math.exp(-beta)) / (_one_minus_exp(beta) * n)
-
-
 def _prefactor(inputs: BoundInputs) -> float:
     """2 sqrt(q) |grad g|^2, the common factor of both terms."""
     return 2.0 * math.sqrt(inputs.q) * inputs.grad_g_sup**2
@@ -183,9 +183,8 @@ def covariance_bound(i: int, j: int, beta: float, inputs: BoundInputs) -> BoundE
     pref = _prefactor(inputs)
     dist = cyclic_distance(i, j, inputs.n)
     local = _cap(pref * _growth(lam2, inputs.t, inputs) * math.exp(-beta * dist))
-    global_ = _cap(
-        pref * _global_factor(beta, inputs.n) * _mean_field_growth(lam2, eta2, inputs)
-    )
+    weight = (1.0 + math.exp(-beta)) / (_one_minus_exp(beta) * inputs.n)
+    global_ = _cap(pref * weight * _mean_field_growth(lam2, eta2, inputs))
     return BoundEvaluation(
         beta=beta,
         lambda_beta=lam,
@@ -272,15 +271,12 @@ def estimator_variance_bound(inputs: BoundInputs, beta: float) -> float:
 
 
 def longtime_bound(i: int, j: int, inputs: BoundInputs, beta: float) -> float:
-    """Long-time (t -> infinity) covariance bound.
+    """Long-time covariance bound: ``covariance_bound`` at t = infinity,
+    where G(r) = -S / r for r < 0.
 
     An unstable system (lambda_0 + lambda_h + 2 lambda_f >= 0) has no finite
-    bound and reads CAP.  Within the stability window (eta_beta < 0) returns
-
-        sqrt(q) |grad g|^2 S * ((-2/lam) e^{-beta d}
-            + (2 (1+e^-beta) / ((1-e^-beta) N)) (1/lam - 1/eta)),
-
-    the exact t -> infinity limit of the two-term bound with S0 = 0.
+    bound and reads CAP.  Within the stability window (eta_beta < 0) this is
+    sqrt(q) |grad g|^2 S ((-2/lam) e^{-beta d} + 2 (1+e^-beta)(1/lam - 1/eta) / ((1-e^-beta) N)).
     """
     c = inputs.constants
     if c.lambda_0 + c.lambda_h + 2.0 * c.lambda_f >= 0.0:
@@ -291,11 +287,7 @@ def longtime_bound(i: int, j: int, inputs: BoundInputs, beta: float) -> float:
             f"beta={beta} violates lambda_beta <= eta_beta < 0: "
             f"lambda_beta={lam:.6g}, eta_beta={eta:.6g}; shrink beta toward 0"
         )
-    dist = cyclic_distance(i, j, inputs.n)
-    pref = math.sqrt(inputs.q) * inputs.grad_g_sup**2 * inputs.sigma_sq_frob
-    local = (-2.0 / lam) * math.exp(-beta * dist)
-    global_ = 2.0 * _global_factor(beta, inputs.n) * (1.0 / lam - 1.0 / eta)
-    return pref * (local + global_)
+    return covariance_bound(i, j, beta, replace(inputs, t=math.inf)).total
 
 
 def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
@@ -307,7 +299,7 @@ def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
     inverse FFT of e^{2 s g_k}, where g_k is G's spectrum
     (``circulant_spectrum``).  Q(0) is the identity.
     """
-    if s < 0:
+    if not s >= 0:
         raise ContractViolationError(f"s must be nonnegative, got {s}")
     kernel_row = np.fft.ifft(np.exp(2.0 * s * circulant_spectrum(c, n))).real
     return ring_matrix(kernel_row)
@@ -316,19 +308,10 @@ def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
 def kernel_entry_bound(
     i: int, j: int, c: LipschitzConstants, n: int, s: float, beta: float
 ) -> float:
-    """Closed-form entrywise upper bound for the surrogate kernel:
+    """Entrywise bound on the surrogate kernel Q(s): ``covariance_bound`` of
+    the noise-free surrogate started at the identity (S = 0, S0 = 1, q = 1,
+    |grad g| = 1, t = s), which is, with that function's doubled rates,
 
-    2 e^{lam^ s} (e^{-beta d(i,j)} + (1+e^-beta)(e^{(eta^ - lam^) s} - 1) / ((1-e^-beta) N))
-
-    with the doubled rates lam^ = max(lam_beta, 2 lam_beta) and
-    eta^ = max(eta_beta, 2 eta_beta); eta^ - lam^ is lam_h when both rates
-    are nonpositive.
+    2 e^{lam^ s} (e^{-beta d(i,j)} + (1+e^-beta)(e^{(eta^ - lam^) s} - 1) / ((1-e^-beta) N)).
     """
-    lam, eta = growth_rates(beta, c)
-    lam2 = _doubled(lam)
-    rise = _doubled(eta) - lam2
-    if max(lam2, rise) * s > _LOG_CAP:
-        return CAP  # e^{lam^ s} or e^{(eta^ - lam^) s} saturates
-    tail = _global_factor(beta, n) * math.expm1(rise * s)
-    dist = cyclic_distance(i, j, n)
-    return _cap(2.0 * math.exp(lam2 * s) * (math.exp(-beta * dist) + tail))
+    return covariance_bound(i, j, beta, BoundInputs(c, 0.0, 1.0, 1, 1.0, s, n)).total

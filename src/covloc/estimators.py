@@ -18,6 +18,8 @@ from .integrator import EnsembleState
 
 MONTE_CARLO = "monte-carlo"
 SPATIAL_AVERAGE = "spatial-average"
+# Gauss-Legendre nodes of the theta integral in stein_identity_residual
+_STEIN_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,6 @@ def stein_identity_residual(
     g_pair,
     dim: int,
     n_mc: int = 100_000,
-    n_theta: int = 64,
     *,
     seed: int,
 ) -> SteinCheck:
@@ -157,7 +158,7 @@ def stein_identity_residual(
     gx = np.asarray(g(x), dtype=float)
     cov_products = (fx - fx.mean()) * (gx - gx.mean()) * (n_mc / (n_mc - 1))
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    nodes, weights = np.polynomial.legendre.leggauss(_STEIN_NODES)
     theta = 0.25 * np.pi * (nodes + 1.0)
     weights = 0.25 * np.pi * weights
     gfx = np.asarray(grad_f(x), dtype=float)

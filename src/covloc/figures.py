@@ -43,13 +43,12 @@ from .estimators import monte_carlo_pair_covariance, sample_covariance, shifted_
 from .integrator import (
     EnsembleState,
     IntegratorConfig,
-    _integer,
     dividing_step,
     simulate_ensemble,
     simulate_path,
     unsigned_64,
 )
-from .lattice import ContractViolationError
+from .lattice import ContractViolationError, _integer
 from .models import (
     FhnParams,
     LinearParams,

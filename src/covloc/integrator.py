@@ -29,14 +29,13 @@ and blow-ups: see ``_advance``.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ContractViolationError, LatticeModelSpec
+from .lattice import ContractViolationError, LatticeModelSpec, _integer
 
 # Noise is pre-generated in blocks of steps sized to keep the noise array small;
 # block size never affects results (each sample is one continuous stream).
@@ -135,18 +134,6 @@ class EnsembleState:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[0]
-
-
-def _integer(value, what: str, low: int, high: float) -> int:
-    """A Python or numpy integer in [low, high) as an int; a bool, a float or
-    anything else is refused: the one rule of seeds, indices and counts."""
-    try:
-        number = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = None
-    if number is not None and low <= number < high:
-        return number
-    raise ContractViolationError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
 
 
 def unsigned_64(value, what: str) -> int:

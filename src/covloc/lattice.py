@@ -8,6 +8,7 @@ ring, and distances between blocks are measured along the ring.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +20,18 @@ DriftFn = Callable[[np.ndarray, np.ndarray], None]
 
 class ContractViolationError(ValueError):
     """An argument, config file or input file broke a documented precondition; the CLI exits 2."""
+
+
+def _integer(value, what: str, low: int, high: float) -> int:
+    """A Python or numpy integer in [low, high) as an int; a bool, a float or
+    anything else is refused: the one rule of seeds, indices and counts."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is not None and low <= number < high:
+        return number
+    raise ContractViolationError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
 
 
 def cyclic_distance(i: int, j: int, n: int) -> int:
@@ -126,6 +139,8 @@ class LatticeModelSpec:
             )
         if self.block_dim < 1:
             raise ContractViolationError(f"block_dim must be >= 1, got {self.block_dim}")
+        _integer(self.n_blocks, "n_blocks", 3, math.inf)
+        _integer(self.block_dim, "block_dim", 1, math.inf)
         q = self.block_dim
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (q, q):

@@ -98,11 +98,14 @@ def recommended_sample_size(
     if l < 0:
         raise ContractViolationError(f"bandwidth must be nonnegative, got {l}")
     l_eff = max(l, 1)
-    rate = c_constant * min(
-        epsilon / (2.0 * l_eff * cov_norm),
-        epsilon**2 / (4.0 * l_eff**2 * cov_norm**2),
-    )
-    k = math.ceil((2.0 * math.log(n) + math.log(8.0 / delta)) / rate)
+    try:  # a rate that underflows to 0, an overflowing |C|^2 or an infinite K
+        rate = c_constant * min(
+            epsilon / (2.0 * l_eff * cov_norm),
+            epsilon**2 / (4.0 * l_eff**2 * cov_norm**2),
+        )
+        k = math.ceil((2.0 * math.log(n) + math.log(8.0 / delta)) / rate)
+    except (ZeroDivisionError, OverflowError):
+        raise ContractViolationError("the required K exceeds the float range") from None
     return max(k, 2)
 
 

@@ -153,7 +153,7 @@ def test_criterion_6_gaussian_covariance_identity():
         (identity, negate, -1.0),
     ]
     for f_pair, g_pair, target in cases:
-        chk = stein_identity_residual(f_pair, g_pair, dim=1, n_mc=100_000, n_theta=64, seed=2024)
+        chk = stein_identity_residual(f_pair, g_pair, dim=1, n_mc=100_000, seed=2024)
         assert chk.residual < 3.0 * chk.std_error, (target, chk)
     _ok(6, "Gaussian integration-by-parts identity within 3 MC standard errors")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from covloc import (
     ContractViolationError,
     IntegratorConfig,
     LinearParams,
+    LipschitzConstants,
     analytic_covariance,
     analytic_mean,
     bound_inputs_from_model,
@@ -16,6 +19,7 @@ from covloc import (
     monte_carlo_pair_covariance,
     shifted_pair_covariance,
     simulate_ensemble,
+    surrogate_kernel,
 )
 
 from oracles import (
@@ -238,3 +242,23 @@ def test_euler_ensemble_matches_the_exact_discrete_covariance():
         reports = shifted_pair_covariance(ensemble, lag), monte_carlo_pair_covariance(ensemble, lag)
         for rep in reports:
             assert abs(rep.estimate - exact[lag]) <= 5.0 * rep.std_error, (lag, rep.method)
+
+
+_TIMED = {
+    "circulant_covariance_row": lambda t: circulant_covariance_row(LinearParams(), 8, t),
+    "analytic_covariance": lambda t: analytic_covariance(
+        build_system_matrix(LinearParams(), 8), None, 0.5, t
+    ),
+    "analytic_mean": lambda t: analytic_mean(build_system_matrix(LinearParams(), 8), np.ones(8), t),
+    "surrogate_kernel": lambda t: surrogate_kernel(LipschitzConstants(-1.0, 0.5, 0.2), 8, t),
+    "BoundInputs": lambda t: bound_inputs_from_model(linear_model(LinearParams(), 8), t),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+@pytest.mark.parametrize("route", sorted(_TIMED))
+def test_a_negative_or_nan_time_is_refused(route, t):
+    # circulant_covariance_row read a negative variance at t = -1, and every
+    # route read a NaN row, a NaN mean or a vacuous CAP bound at t = nan
+    with pytest.raises(ContractViolationError, match=f"must be nonnegative, got {t}"):
+        _TIMED[route](t)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -340,6 +341,47 @@ class TestKernelEntryBound:
             2.0 * math.exp(lam * 1.5)
         )
 
+    def test_is_the_written_out_closed_form(self):
+        """2 e^{lam^ s} (e^{-beta d} + (1+e^-beta)(e^{(eta^ - lam^) s} - 1) / ((1-e^-beta) N)),
+        evaluated in 40 digits, wherever e^{lam^ s} stays above e^-600 and
+        no exponent passes log(CAP)."""
+        rng = np.random.default_rng(27)
+        checked = 0
+        for _ in range(3000):
+            lambda_h = rng.choice([0.0, 10.0]) * rng.random()
+            c = LipschitzConstants(rng.uniform(-60.0, 10.0), rng.uniform(0.0, 5.0), lambda_h)
+            n, s, beta = int(rng.integers(3, 300)), rng.uniform(0.0, 20.0), rng.uniform(0.01, 5.0)
+            lam, eta = growth_rates(beta, c)
+            lam2, eta2 = max(lam, 2.0 * lam), max(eta, 2.0 * eta)
+            if lam2 * s < -600.0 or max(lam2, eta2) * s > math.log(CAP):
+                continue
+            d = int(rng.integers(0, n // 2 + 1))
+            with localcontext() as ctx:
+                ctx.prec = 40
+                e, rise = (-Decimal(beta)).exp(), Decimal(eta2 - lam2) * Decimal(s)
+                closed = 2 * (Decimal(lam2) * Decimal(s)).exp() * (
+                    (-Decimal(beta) * d).exp() + (1 + e) * (rise.exp() - 1) / ((1 - e) * n)
+                )
+            bound = kernel_entry_bound(1, 1 + d, c, n, s, beta)
+            assert bound == pytest.approx(float(closed), rel=1e-8)
+            checked += 1
+        assert checked > 1000
+
+    def test_a_mean_field_rise_past_the_cap_stays_finite(self):
+        # (eta^ - lam^) s = 804 passes log(CAP) while eta^ s = 4 does not:
+        # the parent read CAP, the two-term bound reads 6.97
+        c = LipschitzConstants(-400.0, 0.0, 401.0)
+        bound = kernel_entry_bound(1, 2, c, 64, 2.0, 0.5)
+        assert bound < CAP
+        assert bound >= surrogate_kernel(c, 64, 2.0)[0, 1] == pytest.approx(0.853, abs=1e-3)
+
+    def test_refuses_a_negative_time_and_a_short_ring(self):
+        c = LipschitzConstants(-2.0, 0.5, 0.3)
+        with pytest.raises(ContractViolationError, match="t must be nonnegative"):
+            kernel_entry_bound(1, 2, c, 8, -1.0, 0.5)
+        with pytest.raises(ContractViolationError, match="need n >= 3"):
+            kernel_entry_bound(1, 2, c, 2, 1.0, 0.5)
+
 
 def test_dominance_on_exact_linear_covariances():
     """The two-term bound dominates the exact covariance of all three linear
@@ -517,6 +559,5 @@ def test_saturated_bounds_read_cap_and_never_nan():
                     assert ev.vacuous == (max(ev.local_term, ev.global_term) == CAP)
                     if c.lambda_h == 0.0:
                         check(diffusion_only_bound(1, 1 + d, beta, inputs), lam2 * t)
-                    rise = eta2 - lam2
-                    check(kernel_entry_bound(1, 1 + d, c, 64, t, beta), max(lam2, rise) * t)
+                    check(kernel_entry_bound(1, 1 + d, c, 64, t, beta), max(lam2 * t, gap))
     assert n_saturated > 1000

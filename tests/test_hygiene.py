@@ -1,8 +1,8 @@
 """Static checks on the library source: no module imports a name it never
-uses, every defaulted parameter is set by at least one caller and left to its
-default by another, every name a comment or docstring cites is defined, the
-library defines one exception class per kind of failure, and every loop is
-bounded by its input."""
+uses, every defaulted parameter is set by at least one caller to a value other
+than its default and left to its default by another, every name a comment or
+docstring cites is defined, the library defines one exception class per kind
+of failure, and every loop is bounded by its input."""
 
 import ast
 import builtins
@@ -49,9 +49,9 @@ def test_every_imported_name_is_used(path):
 
 
 def _defaulted_parameters(tree):
-    """(function name, parameter, position or None) for every defaulted
-    parameter; positions count after ``self``/``cls``, and a class's
-    ``__init__`` goes by the class name, as its callers spell it."""
+    """(function name, parameter, position or None, default expression) for
+    every defaulted parameter; positions count after ``self``/``cls``, and a
+    class's ``__init__`` goes by the class name, as its callers spell it."""
     found = []
     classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
     init_owner = {
@@ -64,16 +64,17 @@ def _defaulted_parameters(tree):
         positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
         if positional[:1] in (["self"], ["cls"]):
             positional = positional[1:]
-        for pos in range(len(positional) - len(fn.args.defaults), len(positional)):
-            found.append((name, positional[pos], pos))
+        first = len(positional) - len(fn.args.defaults)
+        for pos, default in enumerate(fn.args.defaults, first):
+            found.append((name, positional[pos], pos, default))
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
             if default is not None:
-                found.append((name, arg.arg, None))
+                found.append((name, arg.arg, None, default))
     return found
 
 
 def _calls_by_name(trees):
-    """Function name -> one (parameters set by keyword, positions set,
+    """Function name -> one (keyword -> argument, positional arguments,
     whether it passes ``*args`` or ``**kwargs``) per call."""
     calls = {}
     for tree in trees:
@@ -84,33 +85,50 @@ def _calls_by_name(trees):
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name is None:
                 continue
-            keywords = {k.arg for k in call.keywords if k.arg}
+            keywords = {k.arg: k.value for k in call.keywords if k.arg}
             splat = any(isinstance(a, ast.Starred) for a in call.args)
             splat |= any(k.arg is None for k in call.keywords)
-            calls.setdefault(name, []).append((keywords, len(call.args), splat))
+            calls.setdefault(name, []).append((keywords, call.args, splat))
     return calls
 
 
 def _defaults_and_calls(definitions: str, callers: list[str]):
-    """(function.parameter, [(call sets it, call passes a splat)]) for each
-    defaulted parameter in ``definitions``.  Calls match by function name
-    alone."""
+    """(function.parameter, default, [(argument the call sets it to or None,
+    call passes a splat)]) for each defaulted parameter in ``definitions``.
+    Calls match by function name alone."""
     calls = _calls_by_name(ast.parse(c) for c in callers)
-    for name, param, pos in _defaulted_parameters(ast.parse(definitions)):
-        outcomes = [
-            (param in keywords or (pos is not None and pos < positions), splat)
-            for keywords, positions, splat in calls.get(name, [])
-        ]
-        yield f"{name}.{param}", outcomes
+    for name, param, pos, default in _defaulted_parameters(ast.parse(definitions)):
+        outcomes = []
+        for keywords, args, splat in calls.get(name, []):
+            positional = args[pos] if pos is not None and pos < len(args) else None
+            outcomes.append((keywords.get(param, positional), splat))
+        yield f"{name}.{param}", default, outcomes
 
 
-def unset_defaults(definitions: str, callers: list[str]) -> list[str]:
+def _literal(node):
+    """(value,) for a literal expression, None for anything else."""
+    try:
+        return (ast.literal_eval(node),)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def unchanged_defaults(definitions: str, callers: list[str]) -> list[str]:
     """Each defaulted parameter in ``definitions`` that no call in
-    ``callers`` sets, by keyword or by position; a splat may set it."""
+    ``callers`` sets, by keyword or by position, to a value other than its
+    default, so the parameter has one value; a non-literal argument or a
+    splat may differ."""
+
+    def changes(arg, default):
+        if arg is None:
+            return False
+        value = _literal(arg)
+        return value is None or value != _literal(default)
+
     return sorted(
         name
-        for name, outcomes in _defaults_and_calls(definitions, callers)
-        if not any(sets or splat for sets, splat in outcomes)
+        for name, default, outcomes in _defaults_and_calls(definitions, callers)
+        if not any(splat or changes(arg, default) for arg, splat in outcomes)
     )
 
 
@@ -120,8 +138,8 @@ def always_set_defaults(definitions: str, callers: list[str]) -> list[str]:
     may leave it unset."""
     return sorted(
         name
-        for name, outcomes in _defaults_and_calls(definitions, callers)
-        if outcomes and all(sets and not splat for sets, splat in outcomes)
+        for name, _, outcomes in _defaults_and_calls(definitions, callers)
+        if outcomes and all(arg is not None and not splat for arg, splat in outcomes)
     )
 
 
@@ -135,14 +153,6 @@ _DEFINITIONS = (
 )
 
 
-def test_unset_defaults_finds_only_parameters_no_call_sets():
-    callers = [
-        "f(0, 5)\nmod.f(0, e=6)\n",
-        "g(*args)\nK(1, 2)\nk.m(3)\n",
-    ]
-    assert unset_defaults(_DEFINITIONS, callers) == ["f.c", "f.d", "h.y", "m.s"]
-
-
 def test_always_set_defaults_finds_only_parameters_every_call_sets():
     callers = [
         "f(0, 5, e=1)\nmod.f(0, 6, 7, e=2)\n",
@@ -151,13 +161,21 @@ def test_always_set_defaults_finds_only_parameters_every_call_sets():
     assert always_set_defaults(_DEFINITIONS, callers) == ["K.q", "f.b", "f.e"]
 
 
+def test_unchanged_defaults_finds_only_parameters_no_call_changes():
+    callers = [
+        "f(0, 1, c=x)\nmod.f(0, d=3, e=-4)\nf(0, e=4.0)\n",
+        "g(*args)\nK(1, None)\nk.m(3)\nk.m(s=2)\n",
+    ]
+    assert unchanged_defaults(_DEFINITIONS, callers) == ["K.q", "f.b", "f.d", "h.y", "m.s"]
+
+
 def _library_findings(finder):
     callers = [p.read_text() for p in CALLER_SOURCES]
     return [f"{path.name}:{name}" for path in MODULES for name in finder(path.read_text(), callers)]
 
 
-def test_every_defaulted_parameter_has_a_caller():
-    assert _library_findings(unset_defaults) == []
+def test_every_defaulted_parameter_is_changed_by_some_caller():
+    assert _library_findings(unchanged_defaults) == []
 
 
 def test_no_defaulted_parameter_is_set_by_every_caller():

@@ -20,6 +20,7 @@ from covloc import (
     lipschitz_constants,
 )
 from covloc.analytic import analytic_covariance, build_system_matrix
+from covloc.config import ExperimentConfig
 from covloc.lattice import _SYMMETRY_TILE, LatticeModelSpec, ring_matrix
 from covloc.localization import localize
 
@@ -206,6 +207,17 @@ def test_model_spec_refuses_non_finite_sigma_and_m0(field, bad):
 def test_model_spec_requires_three_blocks():
     with pytest.raises(ContractViolationError):
         linear_model(LinearParams(), 2)
+
+
+def test_model_spec_refuses_non_integer_sizes():
+    # a 4.5-block model used to build and then fail in numpy inside simulate_ensemble
+    for n_blocks, block_dim in ((4.5, 1), (4.0, 1), (4, 1.0), (4, True)):
+        q = int(block_dim)
+        with pytest.raises(ContractViolationError, match="must be an integer"):
+            LatticeModelSpec(n_blocks, block_dim, lambda s, out: None, np.eye(q), np.zeros(q))
+    config = ExperimentConfig(LinearParams(), n_blocks=4.5, t_end=1.0, master_seed=1)
+    with pytest.raises(ContractViolationError, match="n_blocks must be an integer"):
+        config.build_model()
 
 
 def test_lipschitz_constants_nonnegative():

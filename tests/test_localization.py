@@ -180,6 +180,20 @@ class TestSampleSizeRecommendation:
     def test_never_below_two(self):
         assert recommended_sample_size(100.0, 1, 4, 0.01, 0.5) >= 2
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: recommended_sample_size(1e-170, 1, 64, 1.0, 0.05),
+            lambda: plan_localization(1e-200, 0.2, 1.0, 64, 1.0),
+            lambda: recommended_sample_size(1e-3, 1, 64, 1e300, 0.05),
+        ],
+        ids=["rate-underflows", "plan-rate-underflows", "norm-squared-overflows"],
+    )
+    def test_k_past_the_float_range_is_refused(self, call):
+        # a ZeroDivisionError, or an OverflowError from |C|^2, at the parent
+        with pytest.raises(ContractViolationError, match="exceeds the float range"):
+            call()
+
     def test_plan_passes_delta_and_c_constant_through(self):
         plan = plan_localization(0.5, 0.2, 1.6, n_blocks=64, cov_norm=1.0, delta=0.1, c_constant=2.0)
         assert plan.c_constant == 2.0
