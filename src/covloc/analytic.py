@@ -65,16 +65,18 @@ def analytic_covariance(
     """Covariance of the linear lattice at time t from initial covariance cov0.
 
     The initial covariance is propagated symmetrically, e^{At} cov0 e^{At};
-    cov0=None is a zero initial covariance.
+    cov0=None is a zero initial covariance, whose covariance is circulant and
+    is handed over as its first row, never built dense.
     """
     n = len(sys)
-    total = ring_matrix(_covariance_row(sys, sigma_u, t))
-    if cov0 is not None:
-        cov0 = np.asarray(cov0, dtype=float)
-        if cov0.shape != (n, n):
-            raise ContractViolationError(f"cov0 must be ({n}, {n}), got {cov0.shape}")
-        e = np.exp(sys * t)
-        total = total + np.fft.ifft2(np.outer(e, e) * np.fft.fft2(cov0)).real
+    row = _covariance_row(sys, sigma_u, t)
+    if cov0 is None:
+        return BlockCovariance.from_ring_row(row)
+    cov0 = np.asarray(cov0, dtype=float)
+    if cov0.shape != (n, n):
+        raise ContractViolationError(f"cov0 must be ({n}, {n}), got {cov0.shape}")
+    e = np.exp(sys * t)
+    total = ring_matrix(row) + np.fft.ifft2(np.outer(e, e) * np.fft.fft2(cov0)).real
     return BlockCovariance(total, n_blocks=n, block_dim=1)
 
 

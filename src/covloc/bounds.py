@@ -36,6 +36,7 @@ nothing here" beats a NaN or a false zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -297,11 +298,18 @@ def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
     [lambda_0, lambda_f, 0, ..., 0, lambda_f] + lambda_h / N, so
     Q(s) = e^{2 G s} is the symmetric circulant whose first row is the
     inverse FFT of e^{2 s g_k}, where g_k is G's spectrum
-    (``circulant_spectrum``).  Q(0) is the identity.
+    (``circulant_spectrum``).  Q(0) is the identity.  Once 2 s max_k g_k
+    passes the log of the largest float, e^{2 s g_k} overflows and the
+    kernel is refused.
     """
     if not s >= 0:
         raise ContractViolationError(f"s must be nonnegative, got {s}")
-    kernel_row = np.fft.ifft(np.exp(2.0 * s * circulant_spectrum(c, n))).real
+    spectrum = circulant_spectrum(c, n)
+    if not 2.0 * s * float(spectrum.max()) <= math.log(sys.float_info.max):
+        raise ContractViolationError(
+            f"e^(2 s g) exceeds the float range at s={s}, largest mode g={spectrum.max():.6g}"
+        )
+    kernel_row = np.fft.ifft(np.exp(2.0 * s * spectrum)).real
     return ring_matrix(kernel_row)
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .integrator import IntegratorConfig, dividing_step
-from .lattice import ContractViolationError, LatticeModelSpec
+from .lattice import ContractViolationError, LatticeModelSpec, _integer
 from .models import (
     FhnParams,
     LinearParams,
@@ -26,13 +26,13 @@ _PARAMS = {"linear": LinearParams, "fhn": FhnParams}
 _MODEL_KEYS = {"preset", "kind"} | {f.name for cls in _PARAMS.values() for f in fields(cls)}
 
 
-# (field, rule, check) for ExperimentConfig: every subcommand and every
-# command-line override meets the same contract, whether or not it reads the
-# field; t_end, step_size and master_seed meet IntegratorConfig's
+# ExperimentConfig's checks: every subcommand and every command-line override
+# meets the same contract, whether or not it reads the field; t_end, step_size
+# and master_seed meet IntegratorConfig's.  (field, least value) for the
+# counts, which must be integers, bools refused ...
+_COUNTS = [("n_blocks", 3), ("n_samples", 1), ("threads", 1)]
+# ... and (field, rule, check) for the rest
 _RULES = [
-    ("n_blocks", "run.n_blocks must be >= 3", lambda v: v >= 3),
-    ("n_samples", "run.n_samples must be >= 1", lambda v: v >= 1),
-    ("threads", "run.threads must be >= 1", lambda v: v >= 1),
     ("betas", "bounds.betas must list positive numbers", lambda v: v and all(b > 0 for b in v)),
     ("grad_g_sup", "bounds.grad_g_sup must be nonnegative", lambda v: v >= 0),
     ("bounds_t", "bounds.t must be nonnegative", lambda v: v is None or v >= 0),
@@ -62,6 +62,9 @@ class ExperimentConfig:
     run: IntegratorConfig = field(init=False)
 
     def __post_init__(self):
+        for name, low in _COUNTS:
+            count = _integer(getattr(self, name), f"run.{name}", low, math.inf)
+            object.__setattr__(self, name, count)
         for name, rule, holds in _RULES:
             value = getattr(self, name)
             if not holds(value):

@@ -30,19 +30,26 @@ class EstimatorReport:
     method: str
 
 
-def sample_covariance(ensemble: EnsembleState) -> BlockCovariance:
+def sample_covariance(
+    ensemble: EnsembleState, rows: int | None = None
+) -> BlockCovariance | np.ndarray:
     """Classic sample covariance over the K samples, (1/(K-1)) sum of outer products.
 
     Each entry sums its K products in sample order, one full row at a time,
     so its bits do not depend on the BLAS kernel or SIMD path that runs, and
-    the result is exactly symmetric.
+    the result is exactly symmetric.  With ``rows``, only the first ``rows``
+    scalar rows are summed, with the same bits, and returned as a
+    (rows, Nq) array instead of a BlockCovariance.
     """
     k = ensemble.n_samples
     if k < 2:
         raise ContractViolationError(f"sample covariance needs K >= 2, got K={k}")
     flat = ensemble.samples.reshape(k, -1)
     centered = flat - flat.mean(axis=0)
-    cov = np.array([(col * centered).sum(axis=0) for col in centered.T[:, :, None]]) / (k - 1)
+    cols = centered.T[:rows, :, None]
+    cov = np.array([(col * centered).sum(axis=0) for col in cols]) / (k - 1)
+    if rows is not None:
+        return cov
     return BlockCovariance(cov, ensemble.samples.shape[1], ensemble.samples.shape[2])
 
 

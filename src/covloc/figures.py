@@ -193,11 +193,12 @@ def _figure_f7(cfg, seed, threads):
     for ridx, name in enumerate(_DIFFUSION_REGIMES):
         params = regime(name).params
         run = _fhn_run(params, cfg["h"], 5.0, seed, 7, ridx)
-        cov = sample_covariance(
-            simulate_ensemble(fhn_model(params, n), run, cfg["k"], n_workers=threads)
+        # scalar rows 0 and 1: block 1's u and v against every block
+        top = sample_covariance(
+            simulate_ensemble(fhn_model(params, n), run, cfg["k"], n_workers=threads), rows=2
         )
-        for comp, label in ((1, "u"), (2, "v")):
-            rows.extend((name, label, i, cov.entry(1, i, comp, comp)) for i in range(1, n + 1))
+        for comp, label in ((0, "u"), (1, "v")):
+            rows.extend((name, label, i, c) for i, c in enumerate(top[comp, comp::2].tolist(), 1))
     header = ["regime", "component", "i", "covariance"]
     settings = {"t": 5.0, **cfg, "regimes": list(_DIFFUSION_REGIMES)}
     return "fhn_diffusion_covariance", header, rows, settings
@@ -227,9 +228,9 @@ def _figure_f9(cfg, seed, threads):
                 fhn_model(params, n), run, cfg["k"], n_workers=threads, output_times=[3.0, 5.0]
             )
             for state in states:
-                cov = sample_covariance(state)
-                for comp, label in ((1, "u"), (2, "v")):
-                    rows.append((w, float(state.time), n, label, cov.entry(1, 2, comp, comp)))
+                top = sample_covariance(state, rows=2)  # block 1's u and v rows
+                for comp, label in ((0, "u"), (1, "v")):
+                    rows.append((w, float(state.time), n, label, float(top[comp, 2 + comp])))
     settings = {**cfg, "w_list": [0.3, 0.5], "t_list": [3.0, 5.0]}
     return "fhn_meanfield_vs_n", ["w", "t", "n", "component", "covariance"], rows, settings
 

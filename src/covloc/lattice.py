@@ -49,18 +49,27 @@ def cyclic_distance(i: int, j: int, n: int) -> int:
     return min(abs(i - j), abs(i + n - j), abs(j - i + n))
 
 
+def _circulant_view(row: np.ndarray) -> np.ndarray:
+    """Read-only (n, n) view whose entry (i, j) is row[(j - i) mod n], in O(n)
+    memory: row i is a window of the row repeated twice."""
+    n = len(row)
+    return sliding_window_view(np.concatenate((row, row))[1:], n)[::-1]
+
+
 def ring_matrix(row: np.ndarray) -> np.ndarray:
     """(n, n) matrix whose entry (i, j) is ``row[d]``, d the ring distance of
     blocks i and j, built without an (n, n) index array.
 
-    Only row[0..floor(n/2)] is read.  Entry (i, j) is folded[(j - i) mod n],
-    so row i is a window of the folded row repeated twice.
+    Only row[0..floor(n/2)] is read: the circulant of the folded row.
     """
+    return _circulant_view(_folded(row)).copy()
+
+
+def _folded(row: np.ndarray) -> np.ndarray:
+    """row[min(k, n - k)] for k = 0..n-1: the first row of ``ring_matrix``'s matrix."""
     n = len(row)
     k = np.arange(n)
-    folded = row[np.minimum(k, n - k)]
-    windows = sliding_window_view(np.concatenate((folded, folded))[1:], n)
-    return windows[::-1].copy()
+    return row[np.minimum(k, n - k)]
 
 
 @dataclass(frozen=True)
@@ -199,11 +208,56 @@ def _exactly_symmetric(data: np.ndarray) -> bool:
     return True
 
 
+def _block_circulant(data: np.ndarray, q: int) -> bool:
+    """Whether block (i, j) of ``data`` depends only on (j - i) mod N, bit for
+    bit: every block equals its upper-left neighbour, and the first block
+    column continues the last.  The second block row against the first,
+    rolled by one block, turns most other matrices away first.  An empty
+    matrix has no first row and is not counted."""
+    bits = data.view(np.uint64)
+    if not len(bits) or (
+        len(bits) > q and not np.array_equal(bits[q : 2 * q], np.roll(bits[:q], q, axis=1))
+    ):
+        return False
+    return np.array_equal(bits[q:, q:], bits[:-q, :-q]) and np.array_equal(
+        bits[q:, :q], bits[:-q, -q:]
+    )
+
+
+def _symmetrized(a: np.ndarray, mirror: np.ndarray, exact: bool) -> np.ndarray:
+    """``a`` checked finite, then itself when it equals its transpose bit for
+    bit (``exact``), else 0.5 * (a + mirror) when it is within a relative 1e-12
+    of it.  ``mirror`` holds the transpose's entries where ``a`` holds its own:
+    the matrix and its transpose, or a circulant's first row and the
+    transpose's first row."""
+    # nan and inf propagate into the extremes, with no |a| temporary
+    high, low = float(a.max(initial=0.0)), float(a.min(initial=0.0))
+    if not (math.isfinite(high) and math.isfinite(low)):
+        raise ContractViolationError("matrix has a nan or infinite entry")
+    if exact:
+        return a
+    scale = max(high, -low, np.finfo(float).tiny)
+    asym = float(np.abs(a - mirror).max(initial=0.0))
+    if asym > 1e-12 * scale:
+        raise ContractViolationError(
+            f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
+        )
+    return 0.5 * (a + mirror)
+
+
 class BlockCovariance:
     """qN x qN symmetric covariance with q x q block accessors.
 
     Block indices are 1-based; block (i, j) is rows (i-1)q..iq-1 and columns
-    (j-1)q..jq-1 of the full matrix.
+    (j-1)q..jq-1 of the full matrix.  ``circulant`` records whether block
+    (i, j) depends only on (j - i) mod N, bit for bit, tested once on
+    construction.
+
+    Storage: a circulant with q = 1 is kept as its first row, in O(N) memory,
+    and its finite check, symmetry check and symmetrizing run on that row.
+    Every other matrix, a q > 1 block-circulant one included, is kept as a
+    dense copy.  ``data`` is read-only either way, and for a q = 1 circulant
+    it is an (N, N) strided view of the row, not a contiguous array.
     """
 
     def __init__(self, data: np.ndarray, n_blocks: int, block_dim: int):
@@ -214,22 +268,30 @@ class BlockCovariance:
                 f"expected a {d}x{d} matrix for N={n_blocks}, q={block_dim}; "
                 f"got {data.shape}"
             )
-        # nan and inf propagate into the extremes, with no |data| temporary
-        high, low = float(data.max(initial=0.0)), float(data.min(initial=0.0))
-        if not (math.isfinite(high) and math.isfinite(low)):
-            raise ContractViolationError("matrix has a nan or infinite entry")
-        if _exactly_symmetric(data):
-            self.data = _readonly(data)
-        else:
-            scale = max(high, -low, np.finfo(float).tiny)
-            asym = float(np.abs(data - data.T).max(initial=0.0))
-            if asym > 1e-12 * scale:
-                raise ContractViolationError(
-                    f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}"
-                )
-            self.data = _readonly(0.5 * (data + data.T))
         self.n_blocks = int(n_blocks)
         self.block_dim = int(block_dim)
+        self.circulant = _block_circulant(data, self.block_dim)
+        if self.circulant and self.block_dim == 1:
+            self._store_first_row(data[0])
+        else:
+            self.data = _readonly(_symmetrized(data, data.T, _exactly_symmetric(data)))
+
+    @classmethod
+    def from_ring_row(cls, row: np.ndarray) -> BlockCovariance:
+        """The q = 1 covariance of ``ring_matrix`` of ``row``, bit for bit, built
+        in O(N) memory: entry (i, j) is row[d], d the ring distance of blocks
+        i and j."""
+        cov = cls.__new__(cls)
+        cov.n_blocks, cov.block_dim, cov.circulant = len(row), 1, True
+        cov._store_first_row(_folded(np.asarray(row, dtype=float)))
+        return cov
+
+    def _store_first_row(self, row: np.ndarray) -> None:
+        """Check and keep the circulant whose first row is ``row``; the
+        transpose's first row is row[(N - k) mod N]."""
+        mirror = np.roll(row[::-1], 1)
+        exact = np.array_equal(row.view(np.uint64), mirror.view(np.uint64))
+        self.data = _circulant_view(_symmetrized(row, mirror, exact))
 
     def block(self, i: int, j: int) -> np.ndarray:
         """q x q sub-block for 1-based block indices (i, j)."""
@@ -256,15 +318,12 @@ class BlockCovariance:
         its spectrum from the block DFT of its first block row: the union over
         m of the eigenvalues of the Hermitian q x q matrices
         sum_k B[k] e^{-2 pi i m k / N} (Gray, Toeplitz and Circulant Matrices,
-        2006), one FFT and N small eigenproblems.  The check is exact, with no tolerance: every
-        block equals its upper-left neighbour, and the first block column
-        continues the last.  This route agrees with the dense one within a
-        relative 1e-12.  Any other matrix goes through a dense eigvalsh.
+        2006), one FFT and N small eigenproblems.  This route, taken when
+        ``circulant`` is set, agrees with the dense one within a relative
+        1e-12.  Any other matrix goes through a dense eigvalsh.
         """
         data, q = self.data, self.block_dim
-        if np.array_equal(data[q:, q:], data[:-q, :-q]) and np.array_equal(
-            data[q:, :q], data[:-q, -q:]
-        ):
+        if self.circulant:
             first_row = data[:q].reshape(q, self.n_blocks, q).swapaxes(0, 1)
             spectrum = np.linalg.eigvalsh(np.fft.fft(first_row, axis=0))
         else:

@@ -41,7 +41,10 @@ def localize(c: BlockCovariance, l: int) -> BlockCovariance:
     """
     if l < 0:
         raise ContractViolationError(f"bandwidth must be nonnegative, got {l}")
-    mask = ring_matrix(np.arange(c.n_blocks) <= l)
+    keep = np.arange(c.n_blocks) <= l  # by ring distance
+    if c.circulant and c.block_dim == 1:  # masks the stored first row alone
+        return BlockCovariance.from_ring_row(np.where(keep, c.data[0], 0.0))
+    mask = ring_matrix(keep)
     q = c.block_dim
     if q > 1:
         mask = mask.repeat(q, axis=0).repeat(q, axis=1)

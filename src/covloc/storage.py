@@ -3,7 +3,10 @@
 Binary layout ("CVL1"): 4-byte magic, then K, N, q as little-endian unsigned
 64-bit integers, then the time stamp as a little-endian float64, then K*N*q
 row-major float64 values.  Ensembles store their (K, N, q) samples directly;
-covariance matrices reuse the same container as (qN, qN, 1).
+covariance matrices reuse the same container as (qN, qN, 1).  The payload is
+written in blocks of whole rows of the first axis, about _BLOCK_VALUES values
+each, so an array held as a strided view, such as a circulant covariance's
+``data``, is never copied whole.
 
 All text output is deterministic: floats are written with shortest
 round-trip repr and metadata records with sorted keys, so identical data
@@ -32,22 +35,26 @@ from .lattice import BlockCovariance, ContractViolationError
 MAGIC = b"CVL1"
 _HEADER = struct.Struct("<4sQQQd")
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-# Entries per row block of an array CSV.  A block's cells, one Python string
-# per entry, are the writer's working set: 2**16 entries (about 12 MB) wrote
-# arrays with no repeated value slower than formatting row by row, 2**14 did
-# not, and both keep repeated values cheap.
+# Entries per row block of an array CSV, and about the values per row block
+# of a CVL1 payload.  A block's cells, one Python string per entry, are the CSV
+# writer's working set: 2**16 entries (about 12 MB) wrote arrays with no
+# repeated value slower than formatting row by row, 2**14 did not, and both
+# keep repeated values cheap.
 _BLOCK_VALUES = 16384
 
 
 def write_array(path, array: np.ndarray, time: float) -> None:
-    """Write a 3-d float array with a time stamp in the CVL1 layout."""
-    array = np.ascontiguousarray(array, dtype="<f8")
+    """Write a 3-d float array with a time stamp in the CVL1 layout, one block
+    of whole rows (first-axis entries) at a time."""
+    array = np.asarray(array)
     if array.ndim != 3:
         raise ContractViolationError(f"CVL1 stores 3-d arrays, got shape {array.shape}")
     k, n, q = array.shape
+    step = max(1, _BLOCK_VALUES // max(1, n * q))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, k, n, q, float(time)))
-        fh.write(array.tobytes())
+        for start in range(0, k, step):
+            fh.write(np.ascontiguousarray(array[start : start + step], dtype="<f8"))
 
 
 def read_array(path) -> tuple[np.ndarray, float]:

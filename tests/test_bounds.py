@@ -326,6 +326,14 @@ class TestSurrogateKernel:
             np.testing.assert_allclose(q[r], np.roll(q[0], r), atol=1e-12)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_kernel_past_the_float_range(self):
+        c = LipschitzConstants(10.0, 5.0, 0.0)  # largest mode g = 20
+        with pytest.raises(ContractViolationError, match="float range"):
+            surrogate_kernel(c, 16, 40.0)  # 2 s g = 1600
+        assert np.isfinite(surrogate_kernel(c, 16, 17.0)).all()  # 2 s g = 680
+
+
 class TestKernelEntryBound:
     def test_s_zero_dominates_identity(self):
         c = LipschitzConstants(-2.0, 0.5, 0.3)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from covloc import BlockCovariance, ContractViolationError, integrator
 from covloc.cli import main
-from covloc.config import parse_config
+from covloc.config import ExperimentConfig, parse_config
 from covloc.figures import FIGURES
 from covloc.integrator import IntegratorConfig
 from covloc.lattice import ring_matrix
@@ -100,6 +100,15 @@ class TestParseConfig:
         bad = PRESET_CFG.replace("preset = regime-f", "preset = regime-f\nd_u = 3")
         with pytest.raises(ContractViolationError, match="exclusive"):
             parse_config(_write(tmp_path, bad, out="o"))
+
+    @pytest.mark.parametrize(
+        "field, bad", [("n_blocks", 4.5), ("n_samples", 2.5), ("threads", 1.5), ("threads", True)]
+    )
+    def test_counts_must_be_integers(self, field, bad):
+        # the file and CLI routes parse these with int; a library caller need not
+        kwargs = {"n_blocks": 8, field: bad}
+        with pytest.raises(ContractViolationError, match=f"run.{field} must be an integer"):
+            ExperimentConfig(LinearParams(), t_end=1.0, master_seed=1, **kwargs)
 
 
 class TestCliCommands:

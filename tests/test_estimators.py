@@ -39,6 +39,14 @@ class TestSampleCovariance:
         gemm = centered.T @ centered / 299
         assert np.abs(cov - gemm).max() <= 1e-12 * np.abs(gemm).max()
 
+    def test_leading_rows_have_the_bits_of_the_full_matrix(self):
+        # figures F7 and F9 read block 1's rows alone
+        samples = np.random.default_rng(103).standard_normal((50, 12, 2))
+        full = sample_covariance(_ensemble(samples)).data
+        top = sample_covariance(_ensemble(samples), rows=2)
+        assert top.shape == (2, 24)
+        assert top.tobytes() == full[:2].tobytes()
+
     def test_identical_samples_give_zero(self):
         ens = _ensemble(np.tile([[1.0], [2.0], [3.0]], (5, 1, 1)))
         np.testing.assert_allclose(sample_covariance(ens).data, 0.0, atol=1e-15)

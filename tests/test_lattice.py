@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -215,9 +216,8 @@ def test_model_spec_refuses_non_integer_sizes():
         q = int(block_dim)
         with pytest.raises(ContractViolationError, match="must be an integer"):
             LatticeModelSpec(n_blocks, block_dim, lambda s, out: None, np.eye(q), np.zeros(q))
-    config = ExperimentConfig(LinearParams(), n_blocks=4.5, t_end=1.0, master_seed=1)
     with pytest.raises(ContractViolationError, match="n_blocks must be an integer"):
-        config.build_model()
+        ExperimentConfig(LinearParams(), n_blocks=4.5, t_end=1.0, master_seed=1)
 
 
 def test_lipschitz_constants_nonnegative():
@@ -297,6 +297,33 @@ class TestBlockCovariance:
         cov = BlockCovariance(data, 4, 1)
         assert cov.lag_profile().tolist() == [1.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
+    def test_a_circulant_is_kept_as_its_first_row(self, n):
+        row = np.random.default_rng(n).standard_normal(n)  # not a palindrome
+        dense = ring_matrix(row)
+        for cov in (BlockCovariance.from_ring_row(row), BlockCovariance(dense, n, 1)):
+            assert cov.circulant
+            assert cov.data.tobytes() == dense.tobytes()
+            base = cov.data
+            while base.base is not None:
+                base = base.base
+            assert base.nbytes <= 16 * n  # the row twice, not the n x n matrix
+            with pytest.raises(ValueError, match="read-only"):
+                cov.data[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [3, 5, 300])
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-13])
+    def test_a_circulant_is_symmetrized_on_its_row(self, n, asymmetry):
+        row = ring_matrix(np.random.default_rng(n).standard_normal(n))[0]
+        row[1] *= 1.0 + asymmetry  # row[n - 1] is its mirror image
+        idx = np.arange(n)
+        data = row[(idx[None, :] - idx[:, None]) % n]  # entry (i, j) = row[(j - i) mod n]
+        if asymmetry:
+            assert not np.array_equal(data, data.T)
+        cov = BlockCovariance(data, n, 1)
+        assert cov.circulant
+        assert cov.data.tobytes() == symmetrized(data).tobytes()
+
     @given(st.integers(3, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_accepts_any_symmetric_matrix(self, n, seed):
@@ -349,8 +376,16 @@ def _circulant_with_one_pair_perturbed():
     return data, 2
 
 
+def _circulant_with_one_entry_perturbed():
+    data = ring_matrix(np.random.default_rng(5).standard_normal(9))
+    data[4, 4] += 1e-3
+    return data, 1
+
+
 @pytest.mark.parametrize(
-    "make", [_toeplitz_not_circulant, _circulant_with_one_pair_perturbed], ids=["toeplitz", "perturbed"]
+    "make",
+    [_toeplitz_not_circulant, _circulant_with_one_pair_perturbed, _circulant_with_one_entry_perturbed],
+    ids=["toeplitz", "perturbed", "perturbed-q1"],
 )
 def test_norm2_of_a_matrix_that_is_not_block_circulant_is_the_dense_route(make, monkeypatch):
     data, q = make()
@@ -362,8 +397,10 @@ def test_norm2_of_a_matrix_that_is_not_block_circulant_is_the_dense_route(make, 
         shapes.append(np.shape(a))
         return original(a, *args, **kwargs)
 
+    cov = BlockCovariance(data, len(data) // q, q)
+    assert not cov.circulant and cov.data.flags.c_contiguous  # stored dense
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    assert BlockCovariance(data, len(data) // q, q).norm2() == expected
+    assert cov.norm2() == expected
     assert shapes == [data.shape]
 
 
@@ -377,3 +414,18 @@ def test_localization_error_norm_takes_no_dense_eigvalsh(monkeypatch):
     expected = dense_norm2(error.data)
     monkeypatch.setattr(np.linalg, "eigvalsh", _eigvalsh_only_on_blocks(1))
     assert error.norm2() == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_exact_linear_covariance_localizes_and_takes_its_norm_in_o_n_memory():
+    """At N=4096 a dense covariance would need 128 MiB."""
+    params = LinearParams(a=1.0, d_u=20.0, w=0.0, sigma_u=0.5)
+    n = 4096
+    tracemalloc.start()
+    try:
+        cov = analytic_covariance(build_system_matrix(params, n), None, params.sigma_u, 5.0)
+        norm = localize(cov, 37).norm2()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert norm == pytest.approx(cov.norm2(), rel=1e-3)  # the band holds the mass

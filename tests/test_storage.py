@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,18 @@ def test_covariance_roundtrip(tmp_path):
     back, t = read_covariance(path, block_dim=2)
     np.testing.assert_array_equal(back.data, cov.data)
     assert (back.n_blocks, back.block_dim, t) == (4, 2, 5.0)
+
+
+def test_a_circulant_covariance_writes_the_bytes_of_its_dense_copy(tmp_path):
+    n = 300  # 54 rows per payload block: six blocks, the last one partial
+    row = np.random.default_rng(12).standard_normal(n)
+    cov = BlockCovariance.from_ring_row(row)
+    dense = ring_matrix(row)
+    path = tmp_path / "c.cvl"
+    write_covariance(path, cov, 2.5)
+    assert path.read_bytes() == struct.pack("<4sQQQd", b"CVL1", n, n, 1, 2.5) + dense.tobytes()
+    back, _ = read_covariance(path)
+    assert back.circulant and back.data.tobytes() == dense.tobytes()
 
 
 def test_covariance_csv_roundtrip(tmp_path):
