@@ -300,7 +300,8 @@ def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
     inverse FFT of e^{2 s g_k}, where g_k is G's spectrum
     (``circulant_spectrum``).  Q(0) is the identity.  Once 2 s max_k g_k
     passes the log of the largest float, e^{2 s g_k} overflows and the
-    kernel is refused.
+    kernel is refused.  The result is ``ring_matrix`` of that row, a
+    read-only O(N) view, to be copied before writing.
     """
     if not s >= 0:
         raise ContractViolationError(f"s must be nonnegative, got {s}")

@@ -49,27 +49,16 @@ def cyclic_distance(i: int, j: int, n: int) -> int:
     return min(abs(i - j), abs(i + n - j), abs(j - i + n))
 
 
-def _circulant_view(row: np.ndarray) -> np.ndarray:
-    """Read-only (n, n) view whose entry (i, j) is row[(j - i) mod n], in O(n)
-    memory: row i is a window of the row repeated twice."""
-    n = len(row)
-    return sliding_window_view(np.concatenate((row, row))[1:], n)[::-1]
-
-
 def ring_matrix(row: np.ndarray) -> np.ndarray:
-    """(n, n) matrix whose entry (i, j) is ``row[d]``, d the ring distance of
-    blocks i and j, built without an (n, n) index array.
-
-    Only row[0..floor(n/2)] is read: the circulant of the folded row.
+    """Read-only (n, n) matrix whose entry (i, j) is ``row[d]``, d the ring
+    distance of blocks i and j, so only row[0..floor(n/2)] is read: the
+    circulant of the folded row, as a view in O(n) memory (row i is a window
+    of that row repeated twice).  Copy it before writing to it.
     """
-    return _circulant_view(_folded(row)).copy()
-
-
-def _folded(row: np.ndarray) -> np.ndarray:
-    """row[min(k, n - k)] for k = 0..n-1: the first row of ``ring_matrix``'s matrix."""
     n = len(row)
     k = np.arange(n)
-    return row[np.minimum(k, n - k)]
+    folded = row[np.minimum(k, n - k)]
+    return sliding_window_view(np.concatenate((folded, folded))[1:], n)[::-1]
 
 
 @dataclass(frozen=True)
@@ -142,12 +131,6 @@ class LatticeModelSpec:
     bound_sigma_sq_frob: float | None = None
 
     def __post_init__(self):
-        if self.n_blocks < 3:
-            raise ContractViolationError(
-                f"cyclic neighbor structure needs n_blocks >= 3, got {self.n_blocks}"
-            )
-        if self.block_dim < 1:
-            raise ContractViolationError(f"block_dim must be >= 1, got {self.block_dim}")
         _integer(self.n_blocks, "n_blocks", 3, math.inf)
         _integer(self.block_dim, "block_dim", 1, math.inf)
         q = self.block_dim
@@ -188,53 +171,31 @@ def lipschitz_constants(model: LatticeModelSpec) -> LipschitzConstants:
     return model.lipschitz
 
 
-# side of the square tiles _exactly_symmetric compares: at d=2048 a 128-side
-# tile pair took 9 ms against 12-23 ms for sides 64, 256 and 512
-_SYMMETRY_TILE = 128
-
-
-def _exactly_symmetric(data: np.ndarray) -> bool:
-    """Whether ``data`` equals its transpose bit for bit, one tile pair at a time.
-
-    Bits, not values: 0.0 and -0.0 mirrored is not symmetric here, so it goes
-    through the symmetrizing route, which stores +0.0 in both places.
-    """
-    bits = data.view(np.uint64)
-    t = _SYMMETRY_TILE
-    for i in range(0, len(bits), t):
-        for j in range(i, len(bits), t):
-            if not np.array_equal(bits[i : i + t, j : j + t], bits[j : j + t, i : i + t].T):
-                return False
-    return True
-
-
 def _block_circulant(data: np.ndarray, q: int) -> bool:
     """Whether block (i, j) of ``data`` depends only on (j - i) mod N, bit for
     bit: every block equals its upper-left neighbour, and the first block
     column continues the last.  The second block row against the first,
-    rolled by one block, turns most other matrices away first.  An empty
-    matrix has no first row and is not counted."""
+    rolled by one block, turns most other matrices away first."""
     bits = data.view(np.uint64)
-    if not len(bits) or (
-        len(bits) > q and not np.array_equal(bits[q : 2 * q], np.roll(bits[:q], q, axis=1))
-    ):
+    if len(bits) > q and not np.array_equal(bits[q : 2 * q], np.roll(bits[:q], q, axis=1)):
         return False
     return np.array_equal(bits[q:, q:], bits[:-q, :-q]) and np.array_equal(
         bits[q:, :q], bits[:-q, -q:]
     )
 
 
-def _symmetrized(a: np.ndarray, mirror: np.ndarray, exact: bool) -> np.ndarray:
-    """``a`` checked finite, then itself when it equals its transpose bit for
-    bit (``exact``), else 0.5 * (a + mirror) when it is within a relative 1e-12
-    of it.  ``mirror`` holds the transpose's entries where ``a`` holds its own:
-    the matrix and its transpose, or a circulant's first row and the
-    transpose's first row."""
+def _symmetrized(a: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """``a`` checked finite, then itself when it equals ``mirror`` bit for bit,
+    else 0.5 * (a + mirror) when it is within a relative 1e-12 of it.
+    ``mirror`` holds the transpose's entries where ``a`` holds its own: the
+    matrix and its transpose, or a circulant's first row and the transpose's
+    first row.  Bits, not values: 0.0 mirrored by -0.0 goes through the
+    formula, which stores +0.0 in both places."""
     # nan and inf propagate into the extremes, with no |a| temporary
     high, low = float(a.max(initial=0.0)), float(a.min(initial=0.0))
     if not (math.isfinite(high) and math.isfinite(low)):
         raise ContractViolationError("matrix has a nan or infinite entry")
-    if exact:
+    if np.array_equal(a.view(np.uint64), mirror.view(np.uint64)):
         return a
     scale = max(high, -low, np.finfo(float).tiny)
     asym = float(np.abs(a - mirror).max(initial=0.0))
@@ -256,25 +217,25 @@ class BlockCovariance:
     Storage: a circulant with q = 1 is kept as its first row, in O(N) memory,
     and its finite check, symmetry check and symmetrizing run on that row.
     Every other matrix, a q > 1 block-circulant one included, is kept as a
-    dense copy.  ``data`` is read-only either way, and for a q = 1 circulant
-    it is an (N, N) strided view of the row, not a contiguous array.
+    dense copy.  ``data`` is read-only either way; for a q = 1 circulant it
+    is ``ring_matrix`` of the row, an O(N) view, to be copied before writing.
     """
 
     def __init__(self, data: np.ndarray, n_blocks: int, block_dim: int):
+        self.n_blocks = _integer(n_blocks, "n_blocks", 1, math.inf)
+        self.block_dim = _integer(block_dim, "block_dim", 1, math.inf)
         data = np.asarray(data, dtype=float)
-        d = n_blocks * block_dim
+        d = self.n_blocks * self.block_dim
         if data.shape != (d, d):
             raise ContractViolationError(
                 f"expected a {d}x{d} matrix for N={n_blocks}, q={block_dim}; "
                 f"got {data.shape}"
             )
-        self.n_blocks = int(n_blocks)
-        self.block_dim = int(block_dim)
         self.circulant = _block_circulant(data, self.block_dim)
         if self.circulant and self.block_dim == 1:
             self._store_first_row(data[0])
         else:
-            self.data = _readonly(_symmetrized(data, data.T, _exactly_symmetric(data)))
+            self.data = _readonly(_symmetrized(data, data.T))
 
     @classmethod
     def from_ring_row(cls, row: np.ndarray) -> BlockCovariance:
@@ -283,15 +244,13 @@ class BlockCovariance:
         i and j."""
         cov = cls.__new__(cls)
         cov.n_blocks, cov.block_dim, cov.circulant = len(row), 1, True
-        cov._store_first_row(_folded(np.asarray(row, dtype=float)))
+        cov._store_first_row(ring_matrix(np.asarray(row, dtype=float))[0])
         return cov
 
     def _store_first_row(self, row: np.ndarray) -> None:
         """Check and keep the circulant whose first row is ``row``; the
         transpose's first row is row[(N - k) mod N]."""
-        mirror = np.roll(row[::-1], 1)
-        exact = np.array_equal(row.view(np.uint64), mirror.view(np.uint64))
-        self.data = _circulant_view(_symmetrized(row, mirror, exact))
+        self.data = ring_matrix(_symmetrized(row, np.roll(row[::-1], 1)))
 
     def block(self, i: int, j: int) -> np.ndarray:
         """q x q sub-block for 1-based block indices (i, j)."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _one_minus_exp
-from .lattice import BlockCovariance, ContractViolationError, ring_matrix
+from .lattice import BlockCovariance, ContractViolationError, _integer, ring_matrix
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,9 @@ def localize(c: BlockCovariance, l: int) -> BlockCovariance:
     """Zero every block with ring distance > l; idempotent, symmetry preserving.
 
     Bandwidths at or above floor(N/2) leave the matrix unchanged (no pair of
-    blocks is that far apart).  Negative bandwidths are out of range.
+    blocks is that far apart).  A bandwidth is a nonnegative integer.
     """
-    if l < 0:
-        raise ContractViolationError(f"bandwidth must be nonnegative, got {l}")
+    l = _integer(l, "bandwidth", 0, math.inf)
     keep = np.arange(c.n_blocks) <= l  # by ring distance
     if c.circulant and c.block_dim == 1:  # masks the stored first row alone
         return BlockCovariance.from_ring_row(np.where(keep, c.data[0], 0.0))
@@ -58,8 +57,7 @@ def localization_error_bound(l: int, beta: float, local_coefficient: float) -> f
     """
     if not 0 < beta < math.inf:
         raise ContractViolationError(f"beta must be positive and finite, got {beta}")
-    if l < 0:
-        raise ContractViolationError(f"bandwidth must be nonnegative, got {l}")
+    _integer(l, "bandwidth", 0, math.inf)
     if not 0 <= local_coefficient < math.inf:
         raise ContractViolationError(
             f"local_coefficient must be finite and nonnegative, got {local_coefficient}"
@@ -98,9 +96,7 @@ def recommended_sample_size(
     """
     if min(epsilon, n, cov_norm, delta, c_constant) <= 0 or delta >= 1:
         raise ContractViolationError("all inputs must be positive with delta < 1")
-    if l < 0:
-        raise ContractViolationError(f"bandwidth must be nonnegative, got {l}")
-    l_eff = max(l, 1)
+    l_eff = max(_integer(l, "bandwidth", 0, math.inf), 1)
     try:  # a rate that underflows to 0, an overflowing |C|^2 or an infinite K
         rate = c_constant * min(
             epsilon / (2.0 * l_eff * cov_norm),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -332,6 +333,19 @@ class TestSurrogateKernel:
         with pytest.raises(ContractViolationError, match="float range"):
             surrogate_kernel(c, 16, 40.0)  # 2 s g = 1600
         assert np.isfinite(surrogate_kernel(c, 16, 17.0)).all()  # 2 s g = 680
+
+    def test_is_a_read_only_view_in_o_n_memory(self):
+        """At N=4096 a dense kernel would need 128 MiB."""
+        tracemalloc.start()
+        try:
+            q = surrogate_kernel(LipschitzConstants(-41.0, 20.0, 0.0), 4096, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert q.shape == (4096, 4096)
+        with pytest.raises(ValueError, match="read-only"):
+            q[0, 0] = 1.0
 
 
 class TestKernelEntryBound:

@@ -1,8 +1,9 @@
 """Static checks on the library source: no module imports a name it never
-uses, every defaulted parameter is set by at least one caller to a value other
-than its default and left to its default by another, every name a comment or
-docstring cites is defined, the library defines one exception class per kind
-of failure, and every loop is bounded by its input."""
+uses, every module-level private name is read somewhere in the library, every
+defaulted parameter is set by at least one caller to a value other than its
+default and left to its default by another, every name a comment or docstring
+cites is defined, the library defines one exception class per kind of failure,
+and every loop is bounded by its input."""
 
 import ast
 import builtins
@@ -46,6 +47,38 @@ def test_unused_imports_finds_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level _private functions, classes and constants of ``sources``
+    that no source reads, by name or as an attribute."""
+    defined, read = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(n for n in defined - read if re.match(r"_[A-Za-z]", n))
+
+
+def test_unread_private_names_finds_only_module_level_names_nobody_reads():
+    sources = [
+        "_A = 1\n_B, _C = 2, 3\n_D: int = 4\n__all__ = []\n"
+        "def _f():\n    return _A + m._g()\nclass _K:\n    _inner = 0\ndef pub():\n    pass\n",
+        "def _g():\n    _local = 1\n    return _local\nx = _B\n",
+    ]
+    assert unread_private_names(sources) == ["_C", "_D", "_K", "_f"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names([p.read_text() for p in SRC.glob("*.py")]) == []
 
 
 def _defaulted_parameters(tree):

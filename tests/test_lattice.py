@@ -22,7 +22,7 @@ from covloc import (
 )
 from covloc.analytic import analytic_covariance, build_system_matrix
 from covloc.config import ExperimentConfig
-from covloc.lattice import _SYMMETRY_TILE, LatticeModelSpec, ring_matrix
+from covloc.lattice import LatticeModelSpec, ring_matrix
 from covloc.localization import localize
 
 
@@ -62,11 +62,19 @@ def test_distance_matrix_agrees_with_scalar():
             assert dm[i, j] == cyclic_distance(i + 1, j + 1, 11)
 
 
+def _base(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``a`` views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 64, 65])
 def test_ring_matrix_equals_the_distance_gather(n):
     row = np.random.default_rng(n).standard_normal(n)  # not a palindrome
     built = ring_matrix(row)
-    assert built.flags.c_contiguous
+    assert not built.flags.writeable
+    assert _base(built).size <= 2 * n  # O(n) values, not the n x n matrix
     assert built.tobytes() == gathered_ring_matrix(row).tobytes()
 
 
@@ -220,6 +228,13 @@ def test_model_spec_refuses_non_integer_sizes():
         ExperimentConfig(LinearParams(), n_blocks=4.5, t_end=1.0, master_seed=1)
 
 
+@pytest.mark.parametrize("n_blocks, block_dim, field", [("4", 1, "n_blocks"), (4, "1", "block_dim")])
+def test_model_spec_refuses_string_sizes(n_blocks, block_dim, field):
+    # both used to raise a TypeError from comparing a string with an int
+    with pytest.raises(ContractViolationError, match=f"{field} must be an integer"):
+        LatticeModelSpec(n_blocks, block_dim, lambda s, out: None, np.eye(1), np.zeros(1))
+
+
 def test_lipschitz_constants_nonnegative():
     with pytest.raises(ContractViolationError):
         LipschitzConstants(0.0, -1.0, 0.0)
@@ -244,19 +259,34 @@ class TestBlockCovariance:
         with pytest.raises(ContractViolationError, match="component indices must lie in 1..2"):
             cov.entry(1, 1, m, n)
 
+    @pytest.mark.parametrize(
+        "data, n_blocks, block_dim, field",
+        [
+            (np.eye(5), 2.5, 2, "n_blocks"),
+            (np.eye(4), 4.0, 1, "n_blocks"),
+            (np.eye(1), 1, True, "block_dim"),
+            (np.eye(2), 2, np.float64(1.0), "block_dim"),
+            (np.eye(0), 0, 1, "n_blocks"),
+        ],
+    )
+    def test_sizes_must_be_positive_integers(self, data, n_blocks, block_dim, field):
+        # n_blocks=2.5 with q=2 passed the 5x5 shape check, stored n_blocks=2
+        # and failed in norm2's reshape; block_dim=True was taken as 1
+        with pytest.raises(ContractViolationError, match=f"{field} must be an integer"):
+            BlockCovariance(data, n_blocks, block_dim)
+
     def test_symmetrized_on_construction(self):
         base = np.array([[1.0, 0.5], [0.5 + 1e-14, 2.0]])
         cov = BlockCovariance(base, 2, 1)  # needs n_blocks * block_dim = 2
         assert np.array_equal(cov.data, cov.data.T)
 
-    # d = 300 spans three tiles a side, with a partial last tile
-    @pytest.mark.parametrize("d", [2, 5, _SYMMETRY_TILE + 1, 300])
+    @pytest.mark.parametrize("d", [2, 5, 129, 300])
     @pytest.mark.parametrize("asymmetry", [0.0, 1e-13])
     def test_data_equals_the_symmetrizing_formula(self, d, asymmetry):
         rng = np.random.default_rng(d)
         m = rng.standard_normal((d, d))
         data = m + m.T
-        data[d - 1, 0] *= 1.0 + asymmetry  # in the last tile pair
+        data[d - 1, 0] *= 1.0 + asymmetry
         if asymmetry:
             assert not np.array_equal(data, data.T)
         cov = BlockCovariance(data, d, 1)
@@ -304,17 +334,14 @@ class TestBlockCovariance:
         for cov in (BlockCovariance.from_ring_row(row), BlockCovariance(dense, n, 1)):
             assert cov.circulant
             assert cov.data.tobytes() == dense.tobytes()
-            base = cov.data
-            while base.base is not None:
-                base = base.base
-            assert base.nbytes <= 16 * n  # the row twice, not the n x n matrix
+            assert _base(cov.data).nbytes <= 16 * n  # the row twice, not the n x n matrix
             with pytest.raises(ValueError, match="read-only"):
                 cov.data[0, 0] = 1.0
 
     @pytest.mark.parametrize("n", [3, 5, 300])
     @pytest.mark.parametrize("asymmetry", [0.0, 1e-13])
     def test_a_circulant_is_symmetrized_on_its_row(self, n, asymmetry):
-        row = ring_matrix(np.random.default_rng(n).standard_normal(n))[0]
+        row = ring_matrix(np.random.default_rng(n).standard_normal(n))[0].copy()
         row[1] *= 1.0 + asymmetry  # row[n - 1] is its mirror image
         idx = np.arange(n)
         data = row[(idx[None, :] - idx[:, None]) % n]  # entry (i, j) = row[(j - i) mod n]
@@ -377,7 +404,7 @@ def _circulant_with_one_pair_perturbed():
 
 
 def _circulant_with_one_entry_perturbed():
-    data = ring_matrix(np.random.default_rng(5).standard_normal(9))
+    data = ring_matrix(np.random.default_rng(5).standard_normal(9)).copy()
     data[4, 4] += 1e-3
     return data, 1
 

@@ -76,6 +76,30 @@ class TestLocalize:
         with pytest.raises(ContractViolationError):
             localize(_random_cov(4), -1)
 
+
+@pytest.mark.parametrize("l", [1.5, 1.0, "1", True, -1, np.float64(2.0)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda l: localize(_random_cov(4), l),
+        lambda l: localize(BlockCovariance.from_ring_row(np.ones(4)), l),
+        lambda l: localization_error_bound(l, 1.0, 1.0),
+        lambda l: recommended_sample_size(1.0, l, 64, 1.0, 0.05),
+    ],
+    ids=["localize-dense", "localize-circulant", "error-bound", "sample-size"],
+)
+def test_a_bandwidth_is_a_nonnegative_integer(call, l):
+    # 1.5 used to act as bandwidth 1 in localize and as 1.5 in the bounds, and
+    # "1" raised a TypeError from the comparison with 0
+    with pytest.raises(ContractViolationError, match="bandwidth must be an integer"):
+        call(l)
+
+
+def test_a_numpy_integer_bandwidth_is_accepted():
+    cov = _random_cov(4)
+    assert localize(cov, np.int64(1)).data.tobytes() == localize(cov, 1).data.tobytes()
+    assert localization_error_bound(np.int64(2), 1.0, 1.0) == localization_error_bound(2, 1.0, 1.0)
+
     @given(st.integers(3, 16), st.integers(0, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_idempotent_symmetric_never_grows(self, n, l, seed):
