@@ -76,6 +76,16 @@ class TestLocalize:
         with pytest.raises(ContractViolationError):
             localize(_random_cov(4), -1)
 
+    @given(st.integers(3, 16), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_idempotent_symmetric_never_grows(self, n, l, seed):
+        cov = _random_cov(n, seed=seed)
+        once = localize(cov, l)
+        twice = localize(once, l)
+        np.testing.assert_array_equal(once.data, twice.data)
+        np.testing.assert_array_equal(once.data, once.data.T)
+        assert np.abs(once.data).max() <= np.abs(cov.data).max()
+
 
 @pytest.mark.parametrize("l", [1.5, 1.0, "1", True, -1, np.float64(2.0)])
 @pytest.mark.parametrize(
@@ -99,16 +109,6 @@ def test_a_numpy_integer_bandwidth_is_accepted():
     cov = _random_cov(4)
     assert localize(cov, np.int64(1)).data.tobytes() == localize(cov, 1).data.tobytes()
     assert localization_error_bound(np.int64(2), 1.0, 1.0) == localization_error_bound(2, 1.0, 1.0)
-
-    @given(st.integers(3, 16), st.integers(0, 8), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_idempotent_symmetric_never_grows(self, n, l, seed):
-        cov = _random_cov(n, seed=seed)
-        once = localize(cov, l)
-        twice = localize(once, l)
-        np.testing.assert_array_equal(once.data, twice.data)
-        np.testing.assert_array_equal(once.data, once.data.T)
-        assert np.abs(once.data).max() <= np.abs(cov.data).max()
 
 
 class TestErrorBound:
