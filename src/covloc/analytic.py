@@ -13,9 +13,12 @@ for |lambda t| << 1.  tests/oracles.py holds the dense reference route.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lattice import BlockCovariance, ContractViolationError, circulant_spectrum, ring_matrix
+from .lattice import _FINITE, _real
 from .models import LinearParams, linear_model
 
 
@@ -41,15 +44,14 @@ def _noise_kernel(lam: np.ndarray, t: float) -> np.ndarray:
 def _covariance_row(sys: np.ndarray, sigma_u: float, t: float) -> np.ndarray:
     """First row of the covariance at time t from zero initial covariance;
     ``sys`` is a ``build_system_matrix`` spectrum, as in the functions below."""
-    if not t >= 0:
-        raise ContractViolationError(f"t must be nonnegative, got {t}")
+    t = _real(t, "t", 0.0, math.inf)
+    sigma_u = _real(sigma_u, "sigma_u", -math.sqrt(_FINITE), math.sqrt(_FINITE))  # a finite square
     return np.fft.ifft(sigma_u**2 * _noise_kernel(sys, t)).real
 
 
 def analytic_mean(sys: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
     """e^{At} u0."""
-    if not t >= 0:
-        raise ContractViolationError(f"t must be nonnegative, got {t}")
+    t = _real(t, "t", 0.0, math.inf)
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != sys.shape:
         raise ContractViolationError(f"u0 must have shape {sys.shape}, got {u0.shape}")

@@ -36,7 +36,6 @@ nothing here" beats a NaN or a false zero.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +49,7 @@ from .lattice import (
     lipschitz_constants,
     ring_matrix,
 )
+from .lattice import _FINITE, _POSITIVE, _integer, _real
 
 CAP = 1e300
 _LOG_CAP = math.log(CAP)
@@ -69,12 +69,11 @@ class BoundInputs:
     n: int
 
     def __post_init__(self):
-        if min(self.sigma_sq_frob, self.sigma0_sq_frob, self.grad_g_sup) < 0:
-            raise ContractViolationError("norms must be nonnegative")
-        if not self.t >= 0:
-            raise ContractViolationError(f"t must be nonnegative, got {self.t}")
-        if self.n < 3 or self.q < 1:
-            raise ContractViolationError("need n >= 3 and q >= 1")
+        for name in ("sigma_sq_frob", "sigma0_sq_frob", "grad_g_sup"):
+            _real(getattr(self, name), name, 0.0, _FINITE)
+        _real(self.t, "t", 0.0, math.inf)  # t = inf is the long-time bound
+        _integer(self.q, "q", 1, math.inf)
+        _integer(self.n, "n", 3, math.inf)
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,7 @@ def bound_inputs_from_model(
 
 def growth_rates(beta: float, c: LipschitzConstants) -> tuple[float, float]:
     """(lambda_beta, eta_beta) for a given beta > 0."""
-    if beta <= 0:
-        raise ContractViolationError(f"beta must be positive, got {beta}")
+    beta = _real(beta, "beta", _POSITIVE, _FINITE)
     try:
         lam = c.lambda_0 + c.lambda_f * (math.exp(beta) + math.exp(-beta))
     except OverflowError:  # e^beta passes the float range; every bound then reads CAP
@@ -303,10 +301,9 @@ def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
     kernel is refused.  The result is ``ring_matrix`` of that row, a
     read-only O(N) view, to be copied before writing.
     """
-    if not s >= 0:
-        raise ContractViolationError(f"s must be nonnegative, got {s}")
+    s = _real(s, "s", 0.0, math.inf)
     spectrum = circulant_spectrum(c, n)
-    if not 2.0 * s * float(spectrum.max()) <= math.log(sys.float_info.max):
+    if not 2.0 * s * float(spectrum.max()) <= math.log(_FINITE):
         raise ContractViolationError(
             f"e^(2 s g) exceeds the float range at s={s}, largest mode g={spectrum.max():.6g}"
         )

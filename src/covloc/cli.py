@@ -20,7 +20,7 @@ from .config import ExperimentConfig, parse_config
 from .estimators import monte_carlo_pair_covariance, shifted_pair_covariance
 from .figures import DEFAULT_SEED, FIGURES, UnknownFigureError, run_figure
 from .integrator import NumericalBlowupError, simulate_ensemble
-from .lattice import BlockCovariance, ContractViolationError
+from .lattice import BlockCovariance, ContractViolationError, _integer
 from .localization import localization_error_bound, localize
 from .models import REGIMES
 from .storage import (
@@ -84,9 +84,7 @@ def _cmd_cov(args) -> int:
     cfg = _load_config(args)
     out_dir = _out_dir(cfg.out_dir)
     half = cfg.n_blocks // 2
-    max_lag = half if args.max_lag is None else args.max_lag
-    if not 0 <= max_lag <= half:
-        raise ContractViolationError(f"--max-lag must lie in 0..{half}, got {max_lag}")
+    max_lag = _integer(half if args.max_lag is None else args.max_lag, "--max-lag", 0, half + 1)
     ensemble = simulate_ensemble(cfg.build_model(), cfg.run, cfg.n_samples, n_workers=cfg.threads)
     rows = []
     for lag in range(max_lag + 1):

@@ -11,7 +11,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .integrator import IntegratorConfig, dividing_step
-from .lattice import ContractViolationError, LatticeModelSpec, _integer
+from .lattice import _FINITE, _POSITIVE, ContractViolationError, LatticeModelSpec, _integer, _real
 from .models import (
     FhnParams,
     LinearParams,
@@ -29,14 +29,8 @@ _MODEL_KEYS = {"preset", "kind"} | {f.name for cls in _PARAMS.values() for f in 
 # ExperimentConfig's checks: every subcommand and every command-line override
 # meets the same contract, whether or not it reads the field; t_end, step_size
 # and master_seed meet IntegratorConfig's.  (field, least value) for the
-# counts, which must be integers, bools refused ...
+# counts, which must be integers, bools refused; the other reals must be finite.
 _COUNTS = [("n_blocks", 3), ("n_samples", 1), ("threads", 1)]
-# ... and (field, rule, check) for the rest
-_RULES = [
-    ("betas", "bounds.betas must list positive numbers", lambda v: v and all(b > 0 for b in v)),
-    ("grad_g_sup", "bounds.grad_g_sup must be nonnegative", lambda v: v >= 0),
-    ("bounds_t", "bounds.t must be nonnegative", lambda v: v is None or v >= 0),
-]
 
 
 @dataclass(frozen=True)
@@ -65,10 +59,13 @@ class ExperimentConfig:
         for name, low in _COUNTS:
             count = _integer(getattr(self, name), f"run.{name}", low, math.inf)
             object.__setattr__(self, name, count)
-        for name, rule, holds in _RULES:
-            value = getattr(self, name)
-            if not holds(value):
-                raise ContractViolationError(f"{rule}, got {value}")
+        if not self.betas:
+            raise ContractViolationError(f"bounds.betas must list a beta, got {self.betas}")
+        for beta in self.betas:
+            _real(beta, "bounds.betas", _POSITIVE, _FINITE)
+        _real(self.grad_g_sup, "bounds.grad_g_sup", 0.0, _FINITE)
+        if self.bounds_t is not None:  # a missing bounds.t is t_end
+            _real(self.bounds_t, "bounds.t", 0.0, _FINITE)
         h, rate = self.step_size, stiffest_rate(self.params)
         if h is None:
             h = dividing_step(self.t_end, min(1e-3, 0.1 / rate))
@@ -104,27 +101,19 @@ def _parse_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
-def _finite(raw: str) -> float:
-    """float(raw), with nan and +-inf refused as unparsable."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not finite")
-    return value
-
-
 # (section, key) -> (ExperimentConfig field, converter); omitted keys take the
 # field's default, and fields without one are required
 _FIELDS = {
     ("run", "n_blocks"): ("n_blocks", int),
     ("run", "n_samples"): ("n_samples", int),
-    ("run", "t_end"): ("t_end", _finite),
+    ("run", "t_end"): ("t_end", float),
     ("run", "master_seed"): ("master_seed", int),
-    ("run", "step_size"): ("step_size", _finite),
+    ("run", "step_size"): ("step_size", float),
     ("run", "threads"): ("threads", int),
     ("outputs", "out_dir"): ("out_dir", str),
-    ("bounds", "betas"): ("betas", lambda raw: tuple(_finite(x) for x in _parse_list(raw))),
-    ("bounds", "grad_g_sup"): ("grad_g_sup", _finite),
-    ("bounds", "t"): ("bounds_t", _finite),
+    ("bounds", "betas"): ("betas", lambda raw: tuple(float(x) for x in _parse_list(raw))),
+    ("bounds", "grad_g_sup"): ("grad_g_sup", float),
+    ("bounds", "t"): ("bounds_t", float),
 }
 _REQUIRED = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
 _SECTIONS = {"model": _MODEL_KEYS} | {

@@ -9,11 +9,12 @@ different lattice positions within one sample are correlated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BlockCovariance, ContractViolationError
+from .lattice import BlockCovariance, ContractViolationError, _integer
 from .integrator import EnsembleState
 
 MONTE_CARLO = "monte-carlo"
@@ -37,14 +38,15 @@ def sample_covariance(
 
     Each entry sums its K products in sample order, one full row at a time,
     so its bits do not depend on the BLAS kernel or SIMD path that runs, and
-    the result is exactly symmetric.  With ``rows``, only the first ``rows``
-    scalar rows are summed, with the same bits, and returned as a
-    (rows, Nq) array instead of a BlockCovariance.
+    the result is exactly symmetric.  With ``rows``, a count in 1..Nq, only
+    the first ``rows`` scalar rows are summed, with the same bits, and
+    returned as a (rows, Nq) array instead of a BlockCovariance.
     """
     k = ensemble.n_samples
     if k < 2:
         raise ContractViolationError(f"sample covariance needs K >= 2, got K={k}")
     flat = ensemble.samples.reshape(k, -1)
+    rows = rows if rows is None else _integer(rows, "rows", 1, flat.shape[1] + 1)
     centered = flat - flat.mean(axis=0)
     cols = centered.T[:rows, :, None]
     cov = np.array([(col * centered).sum(axis=0) for col in cols]) / (k - 1)
@@ -85,8 +87,7 @@ def shifted_pair_covariance(ensemble: EnsembleState, lag: int) -> EstimatorRepor
     per-sample lag products.
     """
     k, n, _ = ensemble.samples.shape
-    if not (0 <= lag <= n // 2):
-        raise ContractViolationError(f"lag must lie in 0..{n // 2}, got {lag}")
+    lag = _integer(lag, "lag", 0, n // 2 + 1)
     x = ensemble.samples[:, :, 0]
     centered = x - x.mean()
     products = centered * np.roll(centered, -lag, axis=1)
@@ -115,8 +116,7 @@ def monte_carlo_pair_covariance(ensemble: EnsembleState, lag: int) -> EstimatorR
     k, n, _ = ensemble.samples.shape
     if k < 2:
         raise ContractViolationError(f"need K >= 2 samples, got K={k}")
-    if not (0 <= lag <= n - 1):
-        raise ContractViolationError(f"lag must lie in 0..{n - 1}, got {lag}")
+    lag = _integer(lag, "lag", 0, n)
     x = ensemble.samples[:, 0, 0]
     y = ensemble.samples[:, lag, 0]
     products = (x - x.mean()) * (y - y.mean())
@@ -153,8 +153,9 @@ def stein_identity_residual(
     standard error is that of the per-draw difference, so correlation between
     the sides is accounted for.
     """
-    if dim < 1:
-        raise ContractViolationError(f"dim must be >= 1, got {dim}")
+    dim = _integer(dim, "dim", 1, math.inf)
+    n_mc = _integer(n_mc, "n_mc", 2, math.inf)
+    seed = _integer(seed, "seed", 0, 2**128)  # a Philox key
     f, grad_f = f_pair
     g, grad_g = g_pair
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -46,9 +46,8 @@ from .integrator import (
     dividing_step,
     simulate_ensemble,
     simulate_path,
-    unsigned_64,
 )
-from .lattice import ContractViolationError, _integer
+from .lattice import _FINITE, _POSITIVE, ContractViolationError, _integer, _real
 from .models import (
     FhnParams,
     LinearParams,
@@ -117,7 +116,7 @@ DEFAULT_SEED = 20240 * 100003
 
 def _derived_seed(master_seed: int, *tags: int) -> int:
     """Well-mixed 64-bit sub-seed for an independent sub-experiment."""
-    seq = np.random.SeedSequence([unsigned_64(master_seed, "seed")] + [int(t) for t in tags])
+    seq = np.random.SeedSequence([_integer(master_seed, "seed", 0, 2**64)] + [int(t) for t in tags])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -266,13 +265,11 @@ def spatial_vs_mc_rows(
     """
     if not times or list(times) != sorted(times):
         raise ContractViolationError(f"times must be nonempty and nondecreasing, got {times}")
-    max_lag = n // 2 if max_lag is None else max_lag
-    if not 0 <= max_lag <= n // 2:
-        raise ContractViolationError(f"max_lag must lie in 0..{n // 2}, got {max_lag}")
-    if k_mc < 2 or sa_replicates < 2:
-        raise ContractViolationError(
-            f"need k_mc >= 2 and sa_replicates >= 2, got {k_mc} and {sa_replicates}"
-        )
+    n = _integer(n, "n", 3, math.inf)
+    max_lag = _integer(n // 2 if max_lag is None else max_lag, "max_lag", 0, n // 2 + 1)
+    k_mc = _integer(k_mc, "k_mc", 2, math.inf)
+    sa_replicates = _integer(sa_replicates, "sa_replicates", 2, math.inf)
+    h = _real(h, "h", _POSITIVE, _FINITE)
     params = regime(preset).params
     model = build_model(params, n)
     lags = range(max_lag + 1)
@@ -361,7 +358,7 @@ def run_figure(
     if scale not in ("paper", "desk"):
         raise ContractViolationError(f"scale must be 'paper' or 'desk', got {scale!r}")
     threads = _integer(threads, "threads", 1, math.inf)
-    seed = unsigned_64(seed, "seed")
+    seed = _integer(seed, "seed", 0, 2**64)
     spec = FIGURES[figure_id]
     cfg = SCALES[figure_id][scale] if figure_id in SCALES else None
     stem, header, rows, settings = spec.builder(cfg, seed, threads)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ContractViolationError, LatticeModelSpec, _integer
+from .lattice import _FINITE, _POSITIVE, ContractViolationError, LatticeModelSpec, _integer, _real
 
 # Noise is pre-generated in blocks of steps sized to keep the noise array small;
 # block size never affects results (each sample is one continuous stream).
@@ -70,15 +70,9 @@ class IntegratorConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.step_size) and math.isfinite(self.t_end)):
-            raise ContractViolationError(
-                f"step_size and t_end must be finite, got ({self.step_size}, {self.t_end})"
-            )
-        if self.step_size <= 0:
-            raise ContractViolationError(f"step_size must be positive, got {self.step_size}")
-        if self.t_end < 0:
-            raise ContractViolationError(f"t_end must be nonnegative, got {self.t_end}")
-        object.__setattr__(self, "master_seed", unsigned_64(self.master_seed, "master_seed"))
+        _real(self.step_size, "step_size", _POSITIVE, _FINITE)
+        _real(self.t_end, "t_end", 0.0, _FINITE)
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", 0, 2**64))
         if _whole_steps(self.t_end, self.step_size) is None:
             raise ContractViolationError(
                 f"t_end/step_size = {self.t_end / self.step_size!r} is not an integer step count"
@@ -129,6 +123,7 @@ class EnsembleState:
             samples.flags.writeable = False
         if samples.ndim != 3:
             raise ContractViolationError(f"samples must be (K, N, q), got {samples.shape}")
+        _real(self.time, "time", -math.inf, math.inf)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -136,15 +131,10 @@ class EnsembleState:
         return self.samples.shape[0]
 
 
-def unsigned_64(value, what: str) -> int:
-    """An integer in [0, 2**64) as an int; see ``_integer``."""
-    return _integer(value, what, 0, 2**64)
-
-
 def sample_stream_key(master_seed: int, sample_index: int) -> int:
     """128-bit Philox key for one sample: (master_seed << 64) | sample_index."""
-    high = unsigned_64(master_seed, "stream seed")
-    return high << 64 | unsigned_64(sample_index, "stream index")
+    high = _integer(master_seed, "stream seed", 0, 2**64)
+    return high << 64 | _integer(sample_index, "stream index", 0, 2**64)
 
 
 def _sample_generator(master_seed: int, sample_index: int) -> np.random.Generator:
@@ -196,8 +186,7 @@ def euler_step(
     sqrt(h) * noise @ sigma^T by the kernel's step function.  Deterministic
     given (state, noise); ``t`` only dates a blow-up report, whose sample is 0.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ContractViolationError(f"h must be positive and finite, got {h}")
+    t, h = _real(t, "t", -math.inf, math.inf), _real(h, "h", _POSITIVE, _FINITE)
     state = np.array(state, dtype=float)
     noise = np.array(noise, dtype=float)
     expected = (model.n_blocks, model.block_dim)

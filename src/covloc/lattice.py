@@ -8,7 +8,9 @@ ring, and distances between blocks are measured along the ring.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +26,7 @@ class ContractViolationError(ValueError):
 
 def _integer(value, what: str, low: int, high: float) -> int:
     """A Python or numpy integer in [low, high) as an int; a bool, a float or
-    anything else is refused: the one rule of seeds, indices and counts."""
+    anything else is refused.  The one rule for counts, beside ``_real``."""
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
@@ -34,18 +36,41 @@ def _integer(value, what: str, low: int, high: float) -> int:
     raise ContractViolationError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
 
 
+_POSITIVE = math.ulp(0.0)  # the least positive float: _real's lower bound for "positive"
+_FINITE = sys.float_info.max  # the largest float: _real's upper bound for "finite"
+
+
+def _real(value, what: str, low: float, high: float) -> float:
+    """A real number in [low, high] as a float: a Python or numpy int or float,
+    or a Fraction; NaN, a bool, an int beyond the float range and anything else
+    are refused.  The one rule for reals, beside ``_integer``.  The message
+    words the range: "positive" for low = _POSITIVE, "nonnegative" for 0,
+    "finite" for high = _FINITE, else the neighbouring float an end excludes."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int or a Fraction beyond the float range
+        number = math.nan
+    if low <= number <= high:
+        return number
+    words = {_FINITE: ["finite"], math.inf: []}.get(high, [])
+    words += {_POSITIVE: ["positive"], 0.0: ["nonnegative"], -_FINITE: [], -math.inf: []}.get(
+        low, [f"above {math.nextafter(low, -math.inf)!r}"]
+    )
+    if high < _FINITE:
+        words.append(f"below {math.nextafter(high, math.inf)!r}")
+    range_ = " and ".join(words) or "a number"
+    raise ContractViolationError(f"{what} must be {range_}, got {value!r}")
+
+
 def cyclic_distance(i: int, j: int, n: int) -> int:
     """Shortest separation between 1-based block indices on the N-ring.
 
     Returns min{|i-j|, |i+n-j|, |j-i+n|}; symmetric in (i, j) and never
     larger than floor(n/2).
     """
-    if n < 1:
-        raise ContractViolationError(f"ring size must be positive, got n={n}")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ContractViolationError(
-            f"block indices must lie in 1..{n}, got ({i}, {j})"
-        )
+    n = _integer(n, "n", 1, math.inf)
+    i, j = _integer(i, "i", 1, n + 1), _integer(j, "j", 1, n + 1)
     return min(abs(i - j), abs(i + n - j), abs(j - i + n))
 
 
@@ -75,11 +100,8 @@ class LipschitzConstants:
     lambda_h: float
 
     def __post_init__(self):
-        if self.lambda_f < 0 or self.lambda_h < 0:
-            raise ContractViolationError(
-                "lambda_f and lambda_h must be nonnegative, got "
-                f"({self.lambda_f}, {self.lambda_h})"
-            )
+        for name, low in (("lambda_0", -_FINITE), ("lambda_f", 0.0), ("lambda_h", 0.0)):
+            _real(getattr(self, name), name, low, _FINITE)
 
 
 def circulant_spectrum(c: LipschitzConstants, n: int) -> np.ndarray:
@@ -87,8 +109,7 @@ def circulant_spectrum(c: LipschitzConstants, n: int) -> np.ndarray:
     with first row [lambda_0, lambda_f, 0, ..., 0, lambda_f] + lambda_h / N:
     the FFT of that row.  This is the linear surrogate's generator, and with
     the linear model's own constants its drift matrix."""
-    if n < 3:
-        raise ContractViolationError(f"need n >= 3, got {n}")
+    n = _integer(n, "n", 3, math.inf)
     row = np.full(n, c.lambda_h / n)
     row[0] += c.lambda_0
     row[1] += c.lambda_f
@@ -133,6 +154,8 @@ class LatticeModelSpec:
     def __post_init__(self):
         _integer(self.n_blocks, "n_blocks", 3, math.inf)
         _integer(self.block_dim, "block_dim", 1, math.inf)
+        if self.bound_sigma_sq_frob is not None:
+            _real(self.bound_sigma_sq_frob, "bound_sigma_sq_frob", 0.0, _FINITE)
         q = self.block_dim
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (q, q):
@@ -255,15 +278,13 @@ class BlockCovariance:
     def block(self, i: int, j: int) -> np.ndarray:
         """q x q sub-block for 1-based block indices (i, j)."""
         n, q = self.n_blocks, self.block_dim
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ContractViolationError(f"block indices must lie in 1..{n}, got ({i}, {j})")
+        i, j = _integer(i, "i", 1, n + 1), _integer(j, "j", 1, n + 1)
         return self.data[(i - 1) * q : i * q, (j - 1) * q : j * q]
 
     def entry(self, i: int, j: int, m: int = 1, n: int = 1) -> float:
         """Scalar entry (m, n) of block (i, j); all indices 1-based."""
         q = self.block_dim
-        if not (1 <= m <= q and 1 <= n <= q):
-            raise ContractViolationError(f"component indices must lie in 1..{q}, got ({m}, {n})")
+        m, n = _integer(m, "component m", 1, q + 1), _integer(n, "component n", 1, q + 1)
         return float(self.block(i, j)[m - 1, n - 1])
 
     def lag_profile(self) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .bounds import _one_minus_exp
 from .lattice import BlockCovariance, ContractViolationError, _integer, ring_matrix
+from .lattice import _FINITE, _POSITIVE, _real
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,9 @@ def localization_error_bound(l: int, beta: float, local_coefficient: float) -> f
 
     Valid when the covariance obeys the local decay |C_ij| <= c e^{-beta d(i,j)}.
     """
-    if not 0 < beta < math.inf:
-        raise ContractViolationError(f"beta must be positive and finite, got {beta}")
-    _integer(l, "bandwidth", 0, math.inf)
-    if not 0 <= local_coefficient < math.inf:
-        raise ContractViolationError(
-            f"local_coefficient must be finite and nonnegative, got {local_coefficient}"
-        )
+    beta = _real(beta, "beta", _POSITIVE, _FINITE)
+    l = _integer(l, "bandwidth", 0, math.inf)
+    local_coefficient = _real(local_coefficient, "local_coefficient", 0.0, _FINITE)
     return 2.0 * local_coefficient * math.exp(-beta * l) / _one_minus_exp(beta)
 
 
@@ -70,8 +67,8 @@ def choose_bandwidth(epsilon: float, beta: float, local_coefficient: float, n_bl
     most epsilon, else the cap floor(N/2), beyond which truncation does nothing.
     The bound decreases in the bandwidth, so one bisection over 0..N/2 finds it.
     """
-    if not epsilon > 0:
-        raise ContractViolationError(f"epsilon must be positive, got {epsilon}")
+    epsilon = _real(epsilon, "epsilon", _POSITIVE, math.inf)
+    n_blocks = _integer(n_blocks, "n_blocks", 0, math.inf)
 
     def fits(l):
         return localization_error_bound(l, beta, local_coefficient) <= epsilon
@@ -94,9 +91,12 @@ def recommended_sample_size(
     Inverts 8 exp(2 log N - c K min{eps / (2 L |C|), eps^2 / (4 L^2 |C|^2)})
     for K; bandwidth 0 is treated as 1 in the denominator.  Never below 2.
     """
-    if min(epsilon, n, cov_norm, delta, c_constant) <= 0 or delta >= 1:
-        raise ContractViolationError("all inputs must be positive with delta < 1")
+    epsilon = _real(epsilon, "epsilon", _POSITIVE, math.inf)
     l_eff = max(_integer(l, "bandwidth", 0, math.inf), 1)
+    n = _integer(n, "n", 1, math.inf)
+    cov_norm = _real(cov_norm, "cov_norm", _POSITIVE, _FINITE)
+    delta = _real(delta, "delta", _POSITIVE, math.nextafter(1.0, 0.0))
+    c_constant = _real(c_constant, "c_constant", _POSITIVE, math.inf)
     try:  # a rate that underflows to 0, an overflowing |C|^2 or an infinite K
         rate = c_constant * min(
             epsilon / (2.0 * l_eff * cov_norm),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ContractViolationError, LatticeModelSpec, LipschitzConstants
+from .lattice import _FINITE, _POSITIVE, _real
 
 
 class PresetNotFoundError(LookupError):
@@ -34,13 +35,6 @@ def _ring_neighbour_sum(x: np.ndarray, out: np.ndarray) -> None:
     np.add(x[..., -2], x[..., 0], out=out[..., -1])
 
 
-def _check_finite(params) -> None:
-    """Reject a nan or infinite field, which no sign check below would catch."""
-    for name, value in vars(params).items():
-        if not math.isfinite(value):
-            raise ContractViolationError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class LinearParams:
     """Damped diffusive lattice with mean-field coupling, scalar blocks."""
@@ -51,13 +45,8 @@ class LinearParams:
     sigma_u: float = 0.5
 
     def __post_init__(self):
-        _check_finite(self)
-        if self.a <= 0:
-            raise ContractViolationError(f"damping a must be positive, got {self.a}")
-        if self.d_u < 0 or self.w < 0:
-            raise ContractViolationError("d_u and w must be nonnegative")
-        if self.sigma_u <= 0:
-            raise ContractViolationError(f"sigma_u must be positive, got {self.sigma_u}")
+        for name, low in zip(("a", "d_u", "w", "sigma_u"), (_POSITIVE, 0.0, 0.0, _POSITIVE)):
+            _real(getattr(self, name), name, low, _FINITE)
 
 
 @dataclass(frozen=True)
@@ -77,13 +66,9 @@ class FhnParams:
     delta2: float = 0.4
 
     def __post_init__(self):
-        _check_finite(self)
-        if self.epsilon <= 0:
-            raise ContractViolationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.d_u < 0 or self.w < 0:
-            raise ContractViolationError("d_u and w must be nonnegative")
-        if self.delta1 <= 0 or self.delta2 <= 0:
-            raise ContractViolationError("noise amplitudes must be positive")
+        lows = (_POSITIVE, -_FINITE, 0.0, 0.0, _POSITIVE, _POSITIVE)  # the offset a is any real
+        for name, low in zip(("epsilon", "a", "d_u", "w", "delta1", "delta2"), lows):
+            _real(getattr(self, name), name, low, _FINITE)
 
     def rest_point(self) -> tuple[float, float]:
         """Deterministic fixed point (u*, v*) = (-a, -a + a^3/3)."""
@@ -122,7 +107,7 @@ def linear_model(params: LinearParams, n: int, m0: float = 0.0) -> LatticeModelS
         block_dim=1,
         drift=drift,
         sigma=np.array([[params.sigma_u]]),
-        m0=np.array([m0]),
+        m0=np.array([_real(m0, "m0", -_FINITE, _FINITE)]),
         lipschitz=LipschitzConstants(-a - 2.0 * d_u - w, d_u, w),
     )
 

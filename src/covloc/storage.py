@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import struct
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .integrator import EnsembleState
-from .lattice import BlockCovariance, ContractViolationError
+from .lattice import BlockCovariance, ContractViolationError, _integer
 
 MAGIC = b"CVL1"
 _HEADER = struct.Struct("<4sQQQd")
@@ -84,8 +85,7 @@ def write_covariance(path, cov: BlockCovariance, time: float = 0.0) -> None:
 
 def _n_blocks(path, d: int, block_dim: int) -> int:
     """Block count of a d x d covariance read from ``path``."""
-    if block_dim < 1:
-        raise ContractViolationError(f"{path}: block_dim must be >= 1, got {block_dim}")
+    block_dim = _integer(block_dim, f"{path}: block_dim", 1, math.inf)
     if d % block_dim:
         raise ContractViolationError(
             f"{path}: dimension {d} is not a multiple of block_dim {block_dim}"

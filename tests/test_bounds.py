@@ -247,6 +247,14 @@ class TestLongtimeBound:
         value = longtime_bound(1, 2, inputs, 1.0)
         assert value == pytest.approx(0.044744858468314547953, rel=1e-13)
 
+    def test_evaluates_the_inputs_at_an_infinite_time(self):
+        # t = inf stays a valid BoundInputs time: the long-time bound is the
+        # two-term bound there, and the analytic routes give the stationary law
+        inputs = _inputs(LipschitzConstants(-6.0, 0.0, 5.0), t=math.inf)
+        assert inputs.t == math.inf
+        stationary = covariance_bound(1, 2, 1.0, inputs).total
+        assert stationary == longtime_bound(1, 2, _inputs(inputs.constants), 1.0) < CAP
+
     def test_window_violation_explains_sign(self):
         c = LipschitzConstants(-3.0, 1.0, 0.5)  # stable: -3 + 0.5 + 2 < 0
         inputs = _inputs(c)
@@ -401,7 +409,7 @@ class TestKernelEntryBound:
         c = LipschitzConstants(-2.0, 0.5, 0.3)
         with pytest.raises(ContractViolationError, match="t must be nonnegative"):
             kernel_entry_bound(1, 2, c, 8, -1.0, 0.5)
-        with pytest.raises(ContractViolationError, match="need n >= 3"):
+        with pytest.raises(ContractViolationError, match=r"n must be an integer in \[3, inf\)"):
             kernel_entry_bound(1, 2, c, 2, 1.0, 0.5)
 
 

@@ -47,6 +47,20 @@ class TestSampleCovariance:
         assert top.shape == (2, 24)
         assert top.tobytes() == full[:2].tobytes()
 
+    @pytest.mark.parametrize("rows", [-1, 0, 11, 99, 1.5, 2.0, True, "2"])
+    def test_rows_must_be_a_count_of_scalar_rows(self, rows):
+        # -1 used to return 9 of 10 rows, 0 an empty (0,) array, 99 all 10
+        # rows, and 1.5 a TypeError from the slice
+        ens = _ensemble(np.random.default_rng(104).standard_normal((4, 5, 2)))
+        with pytest.raises(ContractViolationError, match=r"rows must be an integer in \[1, 11\)"):
+            sample_covariance(ens, rows=rows)
+
+    def test_every_row_count_up_to_nq_is_accepted(self):
+        ens = _ensemble(np.random.default_rng(104).standard_normal((4, 5, 2)))
+        full = sample_covariance(ens).data
+        for rows in (1, np.int64(3), 10):
+            assert sample_covariance(ens, rows=rows).tobytes() == full[:rows].tobytes()
+
     def test_identical_samples_give_zero(self):
         ens = _ensemble(np.tile([[1.0], [2.0], [3.0]], (5, 1, 1)))
         np.testing.assert_allclose(sample_covariance(ens).data, 0.0, atol=1e-15)

@@ -3,7 +3,8 @@ uses, every module-level private name is read somewhere in the library, every
 defaulted parameter is set by at least one caller to a value other than its
 default and left to its default by another, every name a comment or docstring
 cites is defined, the library defines one exception class per kind of failure,
-and every loop is bounded by its input."""
+every loop is bounded by its input, and no scalar argument is range-checked by
+hand."""
 
 import ast
 import builtins
@@ -332,3 +333,72 @@ def test_no_unbounded_loop():
     # keep one going
     found = {p.name: while_loops(p.read_text()) for p in SRC.glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _numeric_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def scalar_range_checks(source: str) -> list[str]:
+    """``function:line`` of each ``if`` that raises ContractViolationError and
+    whose test compares a parameter of its function, or a ``self.`` field,
+    with a numeric literal: a range check that ``_integer`` or ``_real``
+    makes, with one message and one rule for NaN, bools and non-numbers."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        params = {a.arg for a in args} - {"self"}
+
+        def scalar(node):
+            if isinstance(node, ast.Attribute):
+                return isinstance(node.value, ast.Name) and node.value.id == "self"
+            return isinstance(node, ast.Name) and node.id in params
+
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.If) or not any(
+                isinstance(s, ast.Raise)
+                and isinstance(s.exc, ast.Call)
+                and getattr(s.exc.func, "id", None) == "ContractViolationError"
+                for s in node.body
+            ):
+                continue
+            for compare in ast.walk(node.test):
+                if isinstance(compare, ast.Compare):
+                    operands = [compare.left, *compare.comparators]
+                    if any(map(scalar, operands)) and any(map(_numeric_literal, operands)):
+                        found.add(f"{fn.name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_scalar_range_checks_finds_parameters_and_fields_against_literals():
+    source = (
+        "def f(a, b, *, c):\n"
+        "    n = len(b)\n"
+        "    if not 0 <= a < n:\n"
+        "        raise ContractViolationError('a')\n"
+        "    if c > -1.5 or n < 2:\n"
+        "        raise ContractViolationError('c')\n"
+        "    if n < 2 or min(a, c) < 0 or b == 'x':\n"
+        "        raise ContractViolationError('not a parameter against a literal')\n"
+        "    if a < 0:\n"
+        "        raise ValueError('another exception')\n"
+        "    if a < 0:\n"
+        "        return 0\n"
+        "class K:\n"
+        "    def check(self):\n"
+        "        if self.x <= 0:\n"
+        "            raise ContractViolationError('x')\n"
+        "        if self.y.z < 0 or self.w < self.x:\n"
+        "            raise ContractViolationError('not a field against a literal')\n"
+    )
+    assert scalar_range_checks(source) == ["check:15", "f:3", "f:5"]
+
+
+def test_no_scalar_argument_is_range_checked_by_hand():
+    # every scalar precondition goes through lattice._integer or lattice._real
+    found = {p.name: scalar_range_checks(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: sites for name, sites in found.items() if sites} == {}

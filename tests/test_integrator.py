@@ -170,7 +170,7 @@ class TestEulerStep:
     @pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf, -math.inf])
     def test_step_must_be_positive_and_finite(self, h):
         model = linear_model(LinearParams(), 4)
-        with pytest.raises(ContractViolationError, match="h must be positive"):
+        with pytest.raises(ContractViolationError, match="h must be finite and positive"):
             euler_step(np.ones((4, 1)), 0.0, model, h, np.zeros((4, 1)))
 
 

@@ -1,3 +1,5 @@
+import fractions
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -22,7 +24,7 @@ from covloc import (
 )
 from covloc.analytic import analytic_covariance, build_system_matrix
 from covloc.config import ExperimentConfig
-from covloc.lattice import LatticeModelSpec, ring_matrix
+from covloc.lattice import _FINITE, _POSITIVE, LatticeModelSpec, _real, ring_matrix
 from covloc.localization import localize
 
 
@@ -235,6 +237,51 @@ def test_model_spec_refuses_string_sizes(n_blocks, block_dim, field):
         LatticeModelSpec(n_blocks, block_dim, lambda s, out: None, np.eye(1), np.zeros(1))
 
 
+@pytest.mark.parametrize(
+    "value", [True, np.bool_(False), "1", None, 10**400, fractions.Fraction(10**400)]
+)
+def test_real_refuses_what_is_not_a_real_number_by_name(value):
+    # 10**400 used to reach float() and raise OverflowError
+    with pytest.raises(ContractViolationError, match=r"^beta must be finite, got "):
+        _real(value, "beta", -_FINITE, _FINITE)
+
+
+@pytest.mark.parametrize(
+    "value", [np.float32(0.25), np.int64(3), fractions.Fraction(1, 4), 3, 0.25, np.float64(2.0)]
+)
+def test_real_takes_python_and_numpy_numbers_and_fractions_as_floats(value):
+    number = _real(value, "x", 0.0, math.inf)
+    assert type(number) is float and number == float(value)
+
+
+def test_a_positive_bound_refuses_both_zeros_and_takes_the_least_positive_float():
+    for zero in (0.0, -0.0, 0):
+        with pytest.raises(ContractViolationError, match=r"^h must be positive, got "):
+            _real(zero, "h", _POSITIVE, math.inf)
+    assert _real(5e-324, "h", _POSITIVE, math.inf) == 5e-324
+    assert _real(-0.0, "t", 0.0, math.inf) == 0.0
+
+
+@pytest.mark.parametrize(
+    "low, high, words",
+    [
+        (0.0, math.inf, "nonnegative"),
+        (_POSITIVE, math.inf, "positive"),
+        (0.0, _FINITE, "finite and nonnegative"),
+        (_POSITIVE, _FINITE, "finite and positive"),
+        (-_FINITE, _FINITE, "finite"),
+        (-math.inf, math.inf, "a number"),
+        (_POSITIVE, math.nextafter(1.0, 0.0), "positive and below 1.0"),
+        (-2.0, 2.0, "above -2.0000000000000004 and below 2.0000000000000004"),
+    ],
+)
+def test_real_states_its_range_in_words(low, high, words):
+    # no bound such as 5e-324 or 0.9999999999999999 is printed
+    with pytest.raises(ContractViolationError) as err:
+        _real(math.nan, "x", low, high)
+    assert str(err.value) == f"x must be {words}, got nan"
+
+
 def test_lipschitz_constants_nonnegative():
     with pytest.raises(ContractViolationError):
         LipschitzConstants(0.0, -1.0, 0.0)
@@ -256,7 +303,9 @@ class TestBlockCovariance:
         # m = 3 raised a bare IndexError
         data = np.arange(36, dtype=float).reshape(6, 6)
         cov = BlockCovariance(0.5 * (data + data.T), 3, 2)
-        with pytest.raises(ContractViolationError, match="component indices must lie in 1..2"):
+        field = "n" if 1 <= m <= 2 else "m"
+        match = rf"component {field} must be an integer in \[1, 3\)"
+        with pytest.raises(ContractViolationError, match=match):
             cov.entry(1, 1, m, n)
 
     @pytest.mark.parametrize(

@@ -272,3 +272,14 @@ def test_covariance_csv_rejects_malformed_rows(tmp_path):
         path.write_text("row,col,value\n" + body)
         with pytest.raises(ContractViolationError):
             read_covariance_csv(path)
+
+
+@pytest.mark.parametrize("block_dim", [1.0, 2.0, "1", True])
+def test_readers_refuse_a_block_dim_that_is_not_an_integer_by_name(tmp_path, block_dim):
+    # "1" used to raise a TypeError, and 1.0 was refused as n_blocks = 4.0
+    write_covariance(tmp_path / "c.cvl", _small_covariance(4))
+    write_covariance_csv(tmp_path / "c.csv", _small_covariance(4))
+    with pytest.raises(ContractViolationError, match=r"c\.cvl: block_dim must be an integer"):
+        read_covariance(tmp_path / "c.cvl", block_dim)
+    with pytest.raises(ContractViolationError, match=r"c\.csv: block_dim must be an integer"):
+        read_covariance_csv(tmp_path / "c.csv", block_dim)
