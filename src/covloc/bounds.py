@@ -307,8 +307,8 @@ def surrogate_kernel(c: LipschitzConstants, n: int, s: float) -> np.ndarray:
         raise ContractViolationError(
             f"e^(2 s g) exceeds the float range at s={s}, largest mode g={spectrum.max():.6g}"
         )
-    kernel_row = np.fft.ifft(np.exp(2.0 * s * spectrum)).real
-    return ring_matrix(kernel_row)
+    with np.errstate(over="ignore"):  # a huge finite s decays to its s = inf value
+        return ring_matrix(np.fft.ifft(np.exp(2.0 * s * spectrum)).real)
 
 
 def kernel_entry_bound(

@@ -11,13 +11,13 @@ part of every stream, so sample j's noise comes after them.
 
 One kernel, ``_advance``, steps (C, N, q) chunks of an ensemble in place on
 the calling thread, one chunk after another; a path is a one-sample
-ensemble.  K samples are cut into chunks of ceil(K / ceil(K / _CHUNK_SAMPLES))
-samples, the last one shorter; no chunk exceeds _CHUNK_SAMPLES and the
-chunks are balanced.  Before any stepping a call allocates two arrays: its
-whole (T, K, N, q) result, into whose slices the chunks write their
-snapshots, and one noise array that every chunk reuses.  Drawing normals is
-most of the work, so that is where the threads go: min(n_workers,
-os.cpu_count()) helper threads draw a noise block row by row while the
+ensemble.  K samples are cut into ceil(K / cap) balanced chunks, where cap =
+min(_CHUNK_SAMPLES, _CHUNK_VALUES // (N q)), at least 1, keeps a chunk's state
+cache-sized.  Before any stepping a call allocates its whole (T, K, N, q)
+result, into whose slices the chunks write their snapshots, and one noise
+array that every chunk reuses.  Drawing normals is most of the work, so that
+is where the threads go: one helper thread per spare core (os.cpu_count() - 1,
+at least 1), up to n_workers, draws a noise block row by row while the
 previous block is stepped, and the stepper takes the rows left before it
 steps it.  Either way sample c's rows come from its own stream, in order, as
 raw standard normals; the stepper then scales the whole block by sqrt(h)
@@ -39,11 +39,12 @@ from .lattice import _FINITE, _POSITIVE, ContractViolationError, LatticeModelSpe
 
 # Noise is pre-generated in blocks of steps sized to keep the noise array small;
 # block size never affects results (each sample is one continuous stream).
-# 2**21 doubles (16 MiB): one call's noise array, above the 8-step floor; 16-step
-# rows at N=128, q=2, C=256.  2**20's 8-step rows cost more CPU, as each row's
-# draw releases and retakes the GIL.
-_NOISE_BUDGET = 2**21
+# 2**20 doubles (8 MiB): one call's noise array, above the 8-step floor; 16-step
+# rows at N=128, q=2, C=128.  A chunk holds at most _CHUNK_SAMPLES samples and
+# _CHUNK_VALUES lattice values, so its state (256 KiB) stays in a core's L2.
+_NOISE_BUDGET = 2**20
 _CHUNK_SAMPLES = 256
+_CHUNK_VALUES = 2**15
 
 
 class NumericalBlowupError(RuntimeError):
@@ -241,9 +242,8 @@ def _array_shapes(model, n_steps, n_out, n_samples, count):
     and saved block start, exceed physical memory.  The noise array holds
     the two (count, block, N, q) buffers every chunk reuses, one being
     scaled and stepped while the other is drawn; blocks run 8 to 256 steps,
-    sized so the array holds ``_NOISE_BUDGET`` doubles where the 8-step floor
-    allows: at large count * N * q the floor wins and the array exceeds the
-    budget."""
+    sized so the array holds ``_NOISE_BUDGET`` doubles; only a sample of more
+    than 2**16 values, alone in its chunk, overruns it at the 8-step floor."""
     n, q = model.n_blocks, model.block_dim
     block = max(8, min(256, _NOISE_BUDGET // (2 * count * n * q)))
     result, noise = (n_out, n_samples, n, q), (2, count, min(block, n_steps), n, q)
@@ -374,10 +374,10 @@ def simulate_ensemble(
     exceed physical memory, is refused first; then the streams are checked
     before any stepping: one per sample, pairwise distinct, seed and index in
     [0, 2**64).  The chunks are stepped in order on the calling thread while
-    min(n_workers, os.cpu_count()) helper threads draw their noise; the
-    result is independent of chunking, of which thread draws a row, and of
-    ``n_workers``.  Every chunk runs to its own blow-up, if any, and the
-    call reports the earliest (time, sample) of them, whose
+    up to n_workers helper threads, one per spare core and at least one, draw
+    their noise; the result is independent of chunking, of which thread
+    draws a row, and of ``n_workers``.  Every chunk runs to its own blow-up,
+    if any, and the call reports the earliest (time, sample) of them, whose
     ``sample_index`` indexes ``streams``.  With ``output_times`` given,
     returns one EnsembleState per time (nondecreasing multiples of h), each
     a read-only view of the call's one result array; otherwise a single
@@ -394,9 +394,9 @@ def _simulate(model, config, n_samples, n_workers, output_times, streams):
     the output steps."""
     n_samples = _integer(n_samples, "n_samples", 1, math.inf)
     out_steps = _resolve_output_steps(config, output_times)
-    helpers = min(_integer(n_workers, "n_workers", 1, math.inf), os.cpu_count() or 1)
-    n_chunks = -(-n_samples // _CHUNK_SAMPLES)
-    size = -(-n_samples // n_chunks)
+    helpers = min(_integer(n_workers, "n_workers", 1, math.inf), max(1, (os.cpu_count() or 2) - 1))
+    cap = min(_CHUNK_SAMPLES, max(1, _CHUNK_VALUES // (model.n_blocks * model.block_dim)))
+    size = -(-n_samples // -(-n_samples // cap))
     shapes = _array_shapes(model, config.n_steps, len(out_steps), n_samples, size)
     if streams is None:
         streams = [(config.master_seed, j) for j in range(n_samples)]

@@ -176,7 +176,8 @@ class LatticeModelSpec:
         """||sigma^2||_F in the bound convention."""
         if self.bound_sigma_sq_frob is not None:
             return self.bound_sigma_sq_frob
-        return float(np.linalg.norm(self.sigma @ self.sigma))
+        with np.errstate(over="ignore"):  # an overflow reads inf, which BoundInputs refuses
+            return float(np.linalg.norm(self.sigma @ self.sigma))
 
 
 def lipschitz_constants(model: LatticeModelSpec) -> LipschitzConstants:

@@ -159,7 +159,7 @@ def fhn_model(params: FhnParams, n: int) -> LatticeModelSpec:
         lipschitz=LipschitzConstants(
             inv_eps * max(1.0 - 2.0 * d_u - w, 0.0), inv_eps * d_u, inv_eps * w
         ),
-        bound_sigma_sq_frob=math.sqrt(params.delta1**4 + params.delta2**4) / eps,
+        bound_sigma_sq_frob=math.hypot(*(d * d for d in (params.delta1, params.delta2))) / eps,
     )
 
 

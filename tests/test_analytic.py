@@ -262,3 +262,24 @@ def test_a_negative_or_nan_time_is_refused(route, t):
     # route read a NaN row, a NaN mean or a vacuous CAP bound at t = nan
     with pytest.raises(ContractViolationError, match=f"must be nonnegative, got {t}"):
         _TIMED[route](t)
+
+
+_STATIONARY = {
+    "analytic_mean": lambda t: analytic_mean(
+        build_system_matrix(LinearParams(a=100.0), 8), np.ones(8), t
+    ),
+    "circulant_covariance_row": lambda t: circulant_covariance_row(LinearParams(a=100.0), 8, t),
+    "analytic_covariance(cov0)": lambda t: analytic_covariance(
+        build_system_matrix(LinearParams(a=100.0), 8), np.eye(8), 0.5, t
+    ).data,
+    "surrogate_kernel": lambda t: surrogate_kernel(LipschitzConstants(-100.0, 0.0, 0.0), 8, t),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", sorted(_STATIONARY))
+def test_a_huge_finite_time_reads_the_t_inf_value_silently(route):
+    # 1e307 times the spectrum passes the float range, and e^-inf = 0 as at
+    # t = inf; numpy used to warn "overflow encountered in multiply"
+    huge, stationary = _STATIONARY[route](1e307), _STATIONARY[route](math.inf)
+    assert huge.tobytes() == stationary.tobytes()

@@ -90,6 +90,15 @@ class TestGrowthRates:
         assert estimator_variance_bound(finite, 800.0) < CAP
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_noise_norm_past_the_float_range_is_refused_by_name():
+    # sigma @ sigma overflowed with numpy's matmul RuntimeWarning before
+    # BoundInputs refused the infinite norm
+    model = linear_model(LinearParams(sigma_u=1e200), 8)
+    with pytest.raises(ContractViolationError, match="sigma_sq_frob"):
+        bound_inputs_from_model(model, 1.0)
+
+
 class TestCovarianceBound:
     def test_zero_time_zero_initial_noise(self):
         ev = covariance_bound(1, 5, 0.5, _inputs(LipschitzConstants(-2.0, 1.0, 0.5), t=0.0))

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covloc import BlockCovariance, ContractViolationError, integrator
-from covloc.cli import main
+from covloc.analytic import circulant_covariance_row
+from covloc.cli import _difference, main
 from covloc.config import ExperimentConfig, parse_config
 from covloc.figures import FIGURES
 from covloc.integrator import IntegratorConfig
 from covloc.lattice import ring_matrix
-from covloc.localization import choose_bandwidth, localization_error_bound
+from covloc.localization import choose_bandwidth, localization_error_bound, localize
 from covloc.models import REGIMES, FhnParams, LinearParams
 from covloc.storage import write_covariance, write_covariance_csv
 
@@ -195,6 +197,27 @@ class TestCliCommands:
         report = json.loads((loc_out / "localize_report.jsonl").read_text())
         assert report["bandwidth"] == 2
         assert report["measured_error"] >= 0
+
+    def test_reference_error_of_two_ring_covariances_is_the_dense_difference_in_o_n(self):
+        # the localize --reference error: two compact circulants subtract their
+        # first rows, to the bits of the dense route; at N=2048 the dense
+        # difference alone would take 32 MiB
+        params = LinearParams(a=1.0, d_u=20.0, w=0.0)
+        reference = BlockCovariance.from_ring_row(circulant_covariance_row(params, 64, 4.0))
+        truncated = localize(reference, 5)
+        dense = BlockCovariance(reference.data - truncated.data, 64, 1)
+        error = _difference(reference, truncated)
+        assert error.data.tobytes() == dense.data.tobytes()
+        assert error.norm2() == dense.norm2() > 0
+        reference = BlockCovariance.from_ring_row(circulant_covariance_row(params, 2048, 4.0))
+        truncated = localize(reference, 40)
+        tracemalloc.start()
+        try:
+            _difference(reference, truncated).norm2()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_models_list(self, capsys):
         assert main(["models"]) == 0

@@ -370,13 +370,38 @@ class TestSimulateEnsemble:
             for got, want in zip(states, expected):
                 assert got.samples.tobytes() == want.samples.tobytes(), (chunk, got.time)
 
+    @pytest.mark.parametrize(
+        "values, sizes", [(100, [1] * 9), (512, [2, 2, 2, 2, 1]), (2**15, [9])]
+    )
+    def test_chunk_value_cap_does_not_change_results(self, monkeypatch, values, sizes):
+        # at N=128, q=2 a sample holds 256 lattice values: a cap of 100 values
+        # still takes one sample per chunk, 512 takes two and 2**15 all nine;
+        # each against one chunk under a cap no lattice reaches
+        model = fhn_model(regime("regime-c").params, 128)
+        cfg = IntegratorConfig(step_size=1e-5, t_end=30e-5, master_seed=15)
+        times = [7e-5, 30e-5]
+        monkeypatch.setattr(integrator, "_CHUNK_VALUES", 2**40)
+        expected = simulate_ensemble(model, cfg, 9, n_workers=2, output_times=times)
+        chunks, advance = [], integrator._advance
+
+        def record(model, config, state, *args):
+            chunks.append(state.shape[0])
+            return advance(model, config, state, *args)
+
+        monkeypatch.setattr(integrator, "_advance", record)
+        monkeypatch.setattr(integrator, "_CHUNK_VALUES", values)
+        states = simulate_ensemble(model, cfg, 9, n_workers=2, output_times=times)
+        assert chunks == sizes
+        for got, want in zip(states, expected):
+            assert got.samples.tobytes() == want.samples.tobytes(), got.time
+
     def test_workers_share_one_noise_budget(self, monkeypatch):
-        # two drawing threads fill one noise array of 2**20 doubles (8 MiB):
-        # its two buffers, the one being stepped and the one being drawn,
-        # hold 4 MiB each; a full budget per thread or per buffer would pass
-        # 12 MiB
+        # two helper threads, on three cores, and the stepper fill one noise
+        # array of 2**20 doubles (8 MiB): its two buffers, the one being
+        # stepped and the one being drawn, hold 4 MiB each; a full budget per
+        # thread or per buffer would pass 12 MiB
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**20)
-        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 3)
         model = fhn_model(regime("regime-c").params, 32)
         cfg = IntegratorConfig(step_size=1e-4, t_end=130e-4, master_seed=5)
         tracemalloc.start()
@@ -472,13 +497,13 @@ class TestSimulateEnsemble:
         assert calls == [(threading.get_ident(), shape) for shape in 2 * blocks]
 
     def test_shared_row_drawing_survives_frequent_thread_switches(self, monkeypatch):
-        # three drawing threads beside the stepper, and the interpreter
+        # three drawing threads beside the stepper on four cores, and the interpreter
         # switching threads every microsecond: a row taken twice or skipped
         # would shift or garble a stream and break the equality
         model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 4)
         cfg = IntegratorConfig(step_size=1e-3, t_end=40e-3, master_seed=11)
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**10)  # 8-step blocks
-        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 4)
         expected = _drawn_up_front(model, cfg, _streams(11, 600))[-1]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -491,13 +516,13 @@ class TestSimulateEnsemble:
 
     def test_chunks_reuse_noise_slots_under_frequent_thread_switches(self, monkeypatch):
         # five chunks of 240 stepped in turn on the one noise array, three
-        # threads drawing into it: a draw of one chunk still running when the
+        # helper threads drawing into it: a draw of one chunk still running when the
         # next chunk reuses the array would mix their noise and break the
         # equality
         model = linear_model(LinearParams(a=1.0, d_u=1.0, w=0.5), 4)
         cfg = IntegratorConfig(step_size=1e-3, t_end=40e-3, master_seed=12)
         monkeypatch.setattr(integrator, "_NOISE_BUDGET", 2**10)  # 8-step blocks
-        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 4)
         expected = _drawn_up_front(model, cfg, _streams(12, 1200))[-1]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -699,20 +724,26 @@ class TestSimulateEnsemble:
             assert len(set(helpers)) == 1
             return helpers[0]
 
+        # one helper per core the stepper leaves, at least one
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
-        assert drawing_threads(32, 600) == 2
-        assert drawing_threads(32) == 2
+        assert drawing_threads(32, 600) == 1
+        assert drawing_threads(32) == 1
         assert drawing_threads(1, 600) == 1
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 1)
+        assert drawing_threads(8) == 1
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: None)
         assert drawing_threads(8) == 1
+        monkeypatch.setattr(integrator.os, "cpu_count", lambda: 3)
+        assert drawing_threads(8) == 2
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 64)
         assert drawing_threads(8) == 8
         with pytest.raises(ContractViolationError, match="n_workers"):
             drawing_threads(0)
 
     def test_one_thread_steps_every_chunk(self, monkeypatch):
-        # 600 samples run in three chunks of 200 with three threads drawing
-        # noise; every step of every chunk runs on the calling thread
+        # 600 samples run in three chunks of 200 with two helper threads and
+        # the stepper drawing noise; every step of every chunk runs on the
+        # calling thread
         idents = set()
         step = integrator._step
 
@@ -751,19 +782,27 @@ class TestSimulateEnsemble:
         assert len(states) == len(times)
         assert peak <= result + noise + chunk + 2**20
 
-    def test_peak_memory_at_the_fhn_benchmark_shape_holds_a_16_mib_noise_array(
+    def test_peak_memory_at_the_fhn_benchmark_shape_holds_an_8_mib_noise_array(
         self, monkeypatch
     ):
-        # regime-c at N=128, 512 samples in two chunks of 256, two threads
-        # drawing, at the default budget: the noise array is 2**21 doubles
-        # (16-step blocks); 32-step blocks, 2**22 doubles, would pass the bound,
-        # whose last 4 MiB leave room for the drift's temporaries
+        # regime-c at N=128, 512 samples in four chunks of 128 (2**15 lattice
+        # values each), two cores, at the default budget: the noise array is
+        # 2**20 doubles (16-step blocks).  Two 256-sample chunks (1.5 MiB of
+        # state and scratch) or 32-step blocks (2**21 doubles) would pass the
+        # bound, whose last MiB leaves room for the drift's temporaries
         monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
-        n, k, size, steps, h = 128, 512, 256, 48, 1e-5
+        n, k, size, steps, h = 128, 512, 128, 48, 1e-5
         model = fhn_model(regime("regime-c").params, n)
         cfg = IntegratorConfig(step_size=h, t_end=steps * h, master_seed=24)
+        chunks, advance = [], integrator._advance
+
+        def record(model, config, state, gens, out_steps, out, buffers, *args):
+            chunks.append((state.shape[0], buffers.shape))
+            return advance(model, config, state, gens, out_steps, out, buffers, *args)
+
+        monkeypatch.setattr(integrator, "_advance", record)
         result = 8 * k * n * 2
-        noise = 8 * 2**21
+        noise = 8 * 2**20
         chunk = 8 * 3 * size * n * 2  # state, scratch, saved block start
         tracemalloc.start()
         try:
@@ -771,7 +810,8 @@ class TestSimulateEnsemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= result + noise + chunk + 4 * 2**20
+        assert chunks == [(size, (2, size, 16, n, 2))] * 4
+        assert peak <= result + noise + chunk + 2**20
 
     def test_ensemble_state_keeps_a_read_only_array_and_copies_a_writeable_one(self):
         samples = np.arange(24.0).reshape(4, 3, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from covloc import (
+    ContractViolationError,
     FhnParams,
     LinearParams,
     PresetNotFoundError,
@@ -191,6 +192,16 @@ class TestFhnModel:
         # ||Sigma^2||_F in the rescaled convention: sqrt(d1^4 + d2^4) / eps
         model = fhn_model(FhnParams(), 8)
         assert model.sigma_sq_frob() == pytest.approx(22.627416997969520781, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bound_side_noise_norm_of_a_huge_amplitude(self):
+        # delta1**4 overflowed and raised a bare OverflowError at 1e80, though
+        # the norm, about delta1**2 / eps, is finite; past the float range the
+        # norm is refused by name
+        model = fhn_model(FhnParams(delta1=1e80), 8)
+        assert model.sigma_sq_frob() == pytest.approx(1e160 / FhnParams().epsilon, rel=1e-15)
+        with pytest.raises(ContractViolationError, match="bound_sigma_sq_frob"):
+            fhn_model(FhnParams(delta1=1e200), 8)
 
     def test_u_jacobian_diagonal(self):
         params = FhnParams(epsilon=0.01, d_u=0.5, w=0.3)
